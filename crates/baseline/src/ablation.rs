@@ -143,8 +143,8 @@ pub fn run_rung(
 }
 
 /// Like [`run_rung`], with an explicit cycle engine for the Dalorex rungs
-/// (the Tesseract rungs are analytical and ignore it).  Every engine
-/// models the identical schedule; `fig05_ablation`'s `--engine` flag
+/// (the Tesseract rungs are analytical and ignore it).  Both engines
+/// model the identical schedule; `fig05_ablation`'s `--engine` flag
 /// threads through here for A/B timing of the ladder.
 ///
 /// # Errors

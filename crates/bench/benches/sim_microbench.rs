@@ -11,56 +11,10 @@ use dalorex_noc::message::Message;
 use dalorex_noc::network::Network;
 use dalorex_noc::topology::{GridShape, Topology};
 use dalorex_noc::{NocConfig, RouterScheduler};
-use dalorex_sim::config::{Engine, GridConfig, SimConfigBuilder};
+use dalorex_sim::config::{GridConfig, SimConfigBuilder};
 use dalorex_sim::placement::{ArraySpace, Placement, VertexPlacement};
 use dalorex_sim::queues::WordQueue;
 use dalorex_sim::Simulation;
-
-/// The bench-binary counterpart of the figure binaries' `--engine` flag:
-/// when `cargo bench ... -- --engine=<name>` is passed, the end-to-end
-/// simulation benches run only that engine's rung, so one engine can be
-/// timed in isolation (the NoC-only benches are unaffected).  Only the
-/// `=`-joined form is accepted here: with the space-separated form the
-/// value would double as the criterion harness's positional benchmark
-/// name *filter* (silently restricting the bench set to names containing
-/// the engine's name), so that form is rejected loudly.  Parsing is the
-/// shared [`dalorex_bench::cli::flag_value`], so flag syntax cannot
-/// drift from the figure binaries'.
-fn engine_flag() -> Option<Engine> {
-    if std::env::args().any(|a| a == "--engine") {
-        eprintln!(
-            "use --engine=<name> with cargo bench: in `--engine <name>` the value would \
-             also be taken as the positional benchmark-name filter"
-        );
-        std::process::exit(2);
-    }
-    let value = dalorex_bench::cli::flag_value("engine")?;
-    match value.parse() {
-        Ok(engine) => Some(engine),
-        Err(err) => {
-            eprintln!("{err}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Whether `engine`'s rung should run under the current `--engine=` filter.
-/// Compares by variant, not by value, so `--engine=parallel` and
-/// `--engine=parallel:8` both select the parallel rungs (the rung's own
-/// worker count is then taken from the flag via [`flag_workers`]).
-fn engine_selected(engine: Engine) -> bool {
-    engine_flag()
-        .map(|chosen| std::mem::discriminant(&chosen) == std::mem::discriminant(&engine))
-        .unwrap_or(true)
-}
-
-/// Worker count requested via `--engine=parallel:N`, if any.
-fn flag_workers() -> Option<usize> {
-    match engine_flag() {
-        Some(Engine::Parallel { workers }) if workers > 0 => Some(workers),
-        _ => None,
-    }
-}
 
 fn bench_rmat_generation(c: &mut Criterion) {
     c.bench_function("rmat_scale10_generation", |b| {
@@ -136,10 +90,8 @@ fn bench_noc_uniform_traffic(c: &mut Criterion) {
 /// them across the grid, as an engine-driven run's scattered traffic
 /// does), the fabric drains, then the endpoints empty their ejection
 /// buffers — deliveries pile up in the ejection buffers during the wave,
-/// exactly the endpoint-bound regime the tile simulator produces.  `step`
-/// selects the event-driven hot path or the pre-overhaul reference
-/// implementation.
-fn torus_64x64_wave(net: &mut Network, step: fn(&mut Network)) -> u64 {
+/// exactly the endpoint-bound regime the tile simulator produces.
+fn torus_64x64_wave(net: &mut Network) -> u64 {
     const N: usize = 64 * 64;
     for src in 0..N {
         for k in 1..4usize {
@@ -151,7 +103,7 @@ fn torus_64x64_wave(net: &mut Network, step: fn(&mut Network)) -> u64 {
     }
     let mut cycles = 0u64;
     while net.in_flight() > 0 {
-        step(net);
+        net.cycle();
         cycles += 1;
     }
     for tile in 0..N {
@@ -160,131 +112,34 @@ fn torus_64x64_wave(net: &mut Network, step: fn(&mut Network)) -> u64 {
     cycles
 }
 
-/// The ISSUE-2 acceptance case: the event-driven `Network::cycle` must
-/// sustain at least 2x the cycles/sec of the pre-overhaul scan
-/// (`Network::cycle_reference`) on a dense 64x64 torus.  Compare the two
-/// reported per-iteration times; both drain the identical wave, so time
-/// per iteration is inversely proportional to cycles/sec.
+/// The calendar router scheduler against the reference scheduler (the
+/// pre-overhaul scan, kept as the schedule oracle) on a dense 64x64 torus.
+/// Both drain the identical wave, so time per iteration is inversely
+/// proportional to cycles/sec.
 fn bench_noc_cycle_64x64(c: &mut Criterion) {
-    let shape = GridShape::new(64, 64);
+    let config = NocConfig::new(GridShape::new(64, 64), Topology::Torus);
     c.bench_function("torus_64x64_cycle_event_driven", |b| {
-        let mut net = Network::new(NocConfig::new(shape, Topology::Torus));
-        b.iter(|| black_box(torus_64x64_wave(&mut net, Network::cycle)))
+        let mut net = Network::new(config.clone());
+        b.iter(|| black_box(torus_64x64_wave(&mut net)))
     });
     c.bench_function("torus_64x64_cycle_reference_scan", |b| {
-        let mut net = Network::new(NocConfig::new(shape, Topology::Torus));
-        b.iter(|| black_box(torus_64x64_wave(&mut net, Network::cycle_reference)))
+        let mut net = Network::new(
+            config
+                .clone()
+                .with_router_scheduler(RouterScheduler::Reference),
+        );
+        b.iter(|| black_box(torus_64x64_wave(&mut net)))
     });
 }
 
-/// One dense serialization-bound 64x64 wave for the cycle-skipping pair:
-/// every tile sends three maximum-length (8-flit) messages, one of them
-/// across the grid.  Long serialization makes most cycles forward nothing
-/// — each link that moved a message sits busy for 8 cycles — which is
-/// exactly the regime `Network::advance_to` jumps.  `skip` selects the
-/// skip-to-next-event drive loop or plain tick-every-cycle; both produce
-/// the identical modelled schedule (the equivalence suite pins that), so
-/// per-iteration time is inversely proportional to end-to-end cycles/sec.
-fn torus_64x64_serialization_wave(net: &mut Network, skip: bool) -> u64 {
-    const N: usize = 64 * 64;
-    const FLITS: usize = 8;
-    for src in 0..N {
-        for k in 1..4usize {
-            let dst = (src * 13 + k * 977 + N / 2) % N;
-            if dst != src {
-                let _ = net.try_inject(src, Message::new(dst, k % 4, vec![src as u32; FLITS]));
-            }
-        }
-    }
-    while net.in_flight() > 0 {
-        if skip {
-            net.advance_to(net.next_event_cycle());
-        }
-        net.cycle();
-    }
-    for tile in 0..N {
-        while net.pop_delivered(tile).is_some() {}
-    }
-    net.current_cycle()
-}
-
-/// The ISSUE-4 acceptance case: the skip-to-next-event engine must sustain
-/// at least 1.5x the end-to-end cycles/sec of the tick-every-cycle drive
-/// loop on the fabric-bound dense 64x64 torus wave (measured ~1.6x in this
-/// container; the modelled cycle count of one wave is identical either
-/// way, so compare per-iteration times directly).
-fn bench_noc_skip_64x64(c: &mut Criterion) {
-    let shape = GridShape::new(64, 64);
-    c.bench_function("sim_64x64_wave_skip", |b| {
-        let mut net = Network::new(NocConfig::new(shape, Topology::Torus));
-        b.iter(|| black_box(torus_64x64_serialization_wave(&mut net, true)))
-    });
-    c.bench_function("sim_64x64_wave_tick", |b| {
-        let mut net = Network::new(NocConfig::new(shape, Topology::Torus));
-        b.iter(|| black_box(torus_64x64_serialization_wave(&mut net, false)))
-    });
-}
-
-/// The ISSUE-10 acceptance case: the due-only calendar walk must sustain at
-/// least 1.3x the cycles/sec of the preserved full calendar walk
-/// (`RouterScheduler::CalendarScan`, the pre-change implementation) on the
-/// dense convergecast waves at 128x128 and up, where the per-cycle walk
-/// dominates (measured ~1.5x at 128x128 and ~1.9x on the 256x256 rung in
-/// this container).  The 256x256 rung is the new regime this PR adds:
-/// 65,536 routers, almost all of them active (holding backpressured
-/// flits) for the whole drain, so the full walk's O(active) stamp-compare
-/// pass is the bulk of the cycle budget — it touches ~58x the routers the
-/// due-only walk does.  Both schedulers produce the bit-identical
-/// forwarding schedule (the property and equivalence suites pin that, and
-/// each wave's modelled cycle count is equal by construction), so time per
-/// iteration is inversely proportional to cycles/sec; compare
-/// `sim_<side>_wave_calendar/due_only` against `.../full_walk`.  The wave
-/// itself is the shared [`dalorex_bench::waves::convergecast_wave`], the
-/// exact traffic `perf_snapshot`'s in-binary A/B times.
-fn bench_noc_calendar_walk(c: &mut Criterion) {
-    let bench_mode = std::env::args().any(|a| a == "--bench");
-    for (real_side, group_name) in [
-        (64usize, "sim_64x64_wave_calendar"),
-        (128, "sim_128x128_wave_calendar"),
-        (256, "sim_256x256_wave_calendar"),
-    ] {
-        // Under plain `cargo test` the criterion shim smoke-runs each rung
-        // once in the debug profile; the 128x128/256x256 waves take minutes
-        // there, so shrink every group to an 8x8 smoke — the real
-        // measurement only happens under `cargo bench`.  The 256x256 wave
-        // runs ~1 minute per iteration even in release, so its rung takes
-        // one sample instead of three.
-        let side = if bench_mode { real_side } else { 8 };
-        let mut group = c.benchmark_group(group_name);
-        group.sample_size(if bench_mode && real_side >= 256 { 1 } else { 3 });
-        for (name, scheduler) in [
-            ("due_only", RouterScheduler::Calendar),
-            ("full_walk", RouterScheduler::CalendarScan),
-        ] {
-            group.bench_function(name, |b| {
-                let mut net = dalorex_bench::waves::convergecast_net(side, scheduler);
-                b.iter(|| black_box(dalorex_bench::waves::convergecast_wave(&mut net, side)))
-            });
-        }
-        group.finish();
-    }
-}
-
-/// The ISSUE-3 acceptance case: end-to-end `Simulation::run` on a
-/// tile-bound 64x64 SSSP sweep (RMAT scale 14, degree 8 — a few vertices
-/// per tile, so the per-cycle TSU path, not the kernel bodies, dominates).
-/// `Simulation::run` drives the allocation-free tile path (ring-buffer
-/// queues, inline payloads, O(1) idle tracking, incremental scheduling,
-/// parked-injection elision) under the skip-to-next-event engine;
-/// `Simulation::run_ticked` is the same tile path ticking every cycle (the
-/// PR 3 engine), and `Simulation::run_reference` the preserved pre-overhaul
-/// path.  All three produce cycle-exact identical outcomes (the
-/// equivalence suite pins that), so per-iteration time is inversely
-/// proportional to cycles/sec; the hot path must sustain at least 1.5x the
-/// reference's throughput (measured ~2.7x in this container; this dense
-/// SSSP run has deliveries on almost every cycle, so the *skip* engine's
-/// extra win over `run_ticked` here is modest — the skip acceptance case
-/// is the fabric-bound `sim_64x64_wave_*` pair).
+/// End-to-end `Simulation::run` on a tile-bound 64x64 SSSP sweep (RMAT
+/// scale 14, degree 8 — a few vertices per tile, so the per-cycle TSU path,
+/// not the kernel bodies, dominates).  `Simulation::run` drives the
+/// production calendar engine (allocation-free tile path, calendar router
+/// scheduler, skip-to-next-event jumps); `Simulation::run_reference` the
+/// reference oracle.  Both produce cycle-exact identical outcomes (the
+/// equivalence tests pin that), so per-iteration time is inversely
+/// proportional to cycles/sec.
 fn bench_sim_tile_path_64x64(c: &mut Criterion) {
     // Under plain `cargo test` the criterion shim smoke-runs each bench
     // once in the debug profile (with debug assertions); the full 64x64
@@ -300,139 +155,12 @@ fn bench_sim_tile_path_64x64(c: &mut Criterion) {
     let sim = Simulation::new(config, &graph).unwrap();
     let mut group = c.benchmark_group("sim_64x64_sssp");
     group.sample_size(3);
-    if engine_selected(Engine::Skip) {
-        group.bench_function("tile_path_incremental", |b| {
-            b.iter(|| black_box(sim.run(&SsspKernel::new(0)).unwrap().cycles))
-        });
-    }
-    if engine_selected(Engine::Ticked) {
-        group.bench_function("tile_path_ticked", |b| {
-            b.iter(|| black_box(sim.run_ticked(&SsspKernel::new(0)).unwrap().cycles))
-        });
-    }
-    if engine_selected(Engine::Reference) {
-        group.bench_function("tile_path_reference_scan", |b| {
-            b.iter(|| black_box(sim.run_reference(&SsspKernel::new(0)).unwrap().cycles))
-        });
-    }
-    group.finish();
-}
-
-/// The ISSUE-5 acceptance case: the calendar engine must sustain at least
-/// 1.3x the end-to-end cycles/sec of the skip engine on the dense middle
-/// of 64x64 SSSP — the regime where deliveries land nearly every cycle, so
-/// whole-chip skipping barely helps (~1.07x over ticking) and the
-/// full-network router scan dominates.  Both engines produce the identical
-/// modelled schedule (the four-engine equivalence square pins that), so
-/// per-iteration time is inversely proportional to cycles/sec; compare
-/// `sim_64x64_sssp_dense/engine_calendar` against `.../engine_skip`.
-fn bench_sim_calendar_64x64(c: &mut Criterion) {
-    let bench_mode = std::env::args().any(|a| a == "--bench");
-    let (scale, side) = if bench_mode { (14, 64) } else { (10, 8) };
-    let graph = RmatConfig::new(scale, 8).seed(11).build().unwrap();
-    let config = SimConfigBuilder::new(GridConfig::square(side))
-        .scratchpad_bytes(1 << 20)
-        .build()
-        .unwrap();
-    let sim = Simulation::new(config, &graph).unwrap();
-    let mut group = c.benchmark_group("sim_64x64_sssp_dense");
-    group.sample_size(3);
-    for engine in [Engine::Calendar, Engine::Skip] {
-        if !engine_selected(engine) {
-            continue;
-        }
-        group.bench_function(format!("engine_{}", engine.name()), |b| {
-            b.iter(|| {
-                black_box(
-                    sim.run_with_engine(&SsspKernel::new(0), engine)
-                        .unwrap()
-                        .cycles,
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-/// The ISSUE-6 acceptance case: the parallel engine at 4 workers must
-/// sustain at least 2x the end-to-end cycles/sec of the best
-/// single-threaded engine on dense 128x128 SSSP (RMAT scale 16, degree 8 —
-/// the same ~4 vertices/tile density as the 64x64 dense pair, scaled to
-/// 16,384 tiles so each cycle's tile phase is wide enough to amortise the
-/// per-cycle barrier), and at 1 worker must stay within 10% of the skip
-/// engine (the pool is bypassed entirely there, so the residue is the
-/// calendar network walk plus the intent-replay pass).  All rungs model
-/// the identical schedule (the five-engine equivalence square pins that),
-/// so per-iteration time is inversely proportional to cycles/sec.  Note:
-/// measuring the 4-worker rung needs a machine where
-/// `std::thread::available_parallelism()` >= 4 — on a single-core
-/// container the parallel rungs still run (and stay bit-identical) but
-/// the speedup cannot manifest.  `--engine=parallel:N` overrides the
-/// worker count of the multi-worker rung.
-fn bench_sim_parallel_128x128(c: &mut Criterion) {
-    let bench_mode = std::env::args().any(|a| a == "--bench");
-    // The 128x128 setup (a scale-16 graph feeding a 16,384-tile simulator)
-    // is heavy enough that a bench-mode name filter excluding this whole
-    // group should skip it *before* construction — the criterion shim only
-    // filters at `bench_function` granularity.  Mirror its filter rule
-    // (first positional argument, bench mode only) against the rung names.
-    if bench_mode {
-        let filter = std::env::args()
-            .skip(1)
-            .find(|a| a != "--bench" && !a.starts_with('-'));
-        if let Some(filter) = filter {
-            let multi = flag_workers().unwrap_or(4);
-            let rungs = [
-                format!("sim_128x128_sssp_dense/engine_parallel_{multi}w"),
-                "sim_128x128_sssp_dense/engine_parallel_1w".to_string(),
-                "sim_128x128_sssp_dense/engine_calendar".to_string(),
-                "sim_128x128_sssp_dense/engine_skip".to_string(),
-            ];
-            if !rungs.iter().any(|name| name.contains(&filter)) {
-                return;
-            }
-        }
-    }
-    let (scale, side) = if bench_mode { (16, 128) } else { (10, 8) };
-    let graph = RmatConfig::new(scale, 8).seed(11).build().unwrap();
-    let config = SimConfigBuilder::new(GridConfig::square(side))
-        .scratchpad_bytes(1 << 20)
-        .build()
-        .unwrap();
-    let sim = Simulation::new(config, &graph).unwrap();
-    let mut group = c.benchmark_group("sim_128x128_sssp_dense");
-    group.sample_size(3);
-    if engine_selected(Engine::Parallel { workers: 0 }) {
-        let multi = flag_workers().unwrap_or(4);
-        for workers in [multi, 1] {
-            group.bench_function(format!("engine_parallel_{workers}w"), |b| {
-                b.iter(|| {
-                    black_box(
-                        sim.run_with_engine(&SsspKernel::new(0), Engine::Parallel { workers })
-                            .unwrap()
-                            .cycles,
-                    )
-                })
-            });
-            if multi == 1 {
-                break;
-            }
-        }
-    }
-    for engine in [Engine::Calendar, Engine::Skip] {
-        if !engine_selected(engine) {
-            continue;
-        }
-        group.bench_function(format!("engine_{}", engine.name()), |b| {
-            b.iter(|| {
-                black_box(
-                    sim.run_with_engine(&SsspKernel::new(0), engine)
-                        .unwrap()
-                        .cycles,
-                )
-            })
-        });
-    }
+    group.bench_function("tile_path_incremental", |b| {
+        b.iter(|| black_box(sim.run(&SsspKernel::new(0)).unwrap().cycles))
+    });
+    group.bench_function("tile_path_reference_scan", |b| {
+        b.iter(|| black_box(sim.run_reference(&SsspKernel::new(0)).unwrap().cycles))
+    });
     group.finish();
 }
 
@@ -444,10 +172,6 @@ criterion_group!(
     bench_word_queue,
     bench_noc_uniform_traffic,
     bench_noc_cycle_64x64,
-    bench_noc_skip_64x64,
-    bench_noc_calendar_walk,
-    bench_sim_tile_path_64x64,
-    bench_sim_calendar_64x64,
-    bench_sim_parallel_128x128
+    bench_sim_tile_path_64x64
 );
 criterion_main!(benches);

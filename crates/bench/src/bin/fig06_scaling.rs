@@ -14,9 +14,8 @@
 //! 32x32 and 64x64 grids), and `--drains` sweeps the endpoint bandwidth
 //! (messages drained/injected per tile per cycle).  Measurements, including
 //! the drain budget and the NoC's injection-rejection count, are written by
-//! `--json <path>`.  `--engine <reference|ticked|skip|calendar>` selects
-//! the cycle engine for A/B wall-clock timing (the figures themselves are
-//! engine-independent).
+//! `--json <path>`.  `--engine <calendar|reference>` selects the cycle
+//! engine; the reference oracle reproduces the identical figures, slower.
 
 use dalorex_baseline::Workload;
 use dalorex_bench::cli::FigureCli;

@@ -13,9 +13,9 @@
 //! bandwidth (messages drained/injected per tile per cycle; default 1, the
 //! paper's single local router port).  The drain budget and the NoC's
 //! injection-rejection count are emitted into the JSON report.
-//! `--engine <reference|ticked|skip|calendar>` selects the cycle engine —
-//! the tables are engine-independent, so run the sweep twice with
-//! different engines and compare the stderr wall-clock lines to A/B them.
+//! `--engine <calendar|reference>` selects the cycle engine — the tables
+//! are engine-independent, so a run under the reference oracle
+//! cross-checks the production engine end to end.
 //!
 //! `--max-side 32` additionally unlocks the *paper-scale rung*: SSSP over
 //! a 1M-vertex (~16M-edge) scale-free graph on the full grid, with the

@@ -19,7 +19,7 @@
 //! `--faults` composes: a user-supplied plan becomes the *baseline* (and
 //! is included in every sweep cell), so the figure then measures the
 //! marginal impact of the swept windows on an already-faulted machine.
-//! All five engines apply a plan bit-identically, so `--engine` changes
+//! Both engines apply a plan bit-identically, so `--engine` changes
 //! wall-clock only, never the table.
 
 use dalorex_baseline::Workload;

@@ -1,7 +1,7 @@
-//! Engine performance snapshot: wall-clock cycles/sec for every cycle
-//! engine on representative workloads, emitted as the repo's
-//! `BENCH_<n>.json` series so engine-throughput regressions are visible
-//! in review diffs.
+//! Engine performance snapshot: wall-clock cycles/sec of the production
+//! calendar engine (and, on the light cell, the reference oracle) on
+//! representative workloads, emitted as the repo's `BENCH_<n>.json`
+//! series so engine-throughput regressions are visible in review diffs.
 //!
 //! Usage:
 //! ```text
@@ -12,11 +12,11 @@
 //! Each row runs one (engine, workload) cell `REPS` times and reports the
 //! best wall-clock (least-noise) repetition; `value` in the JSON is
 //! modelled cycles per wall-clock second.  The modelled cycle counts are
-//! engine-independent (the five-engine equivalence square pins that), so
-//! cycles/sec comparisons across engines are exact throughput ratios —
-//! and the binary *asserts* the equality per cell: any engine disagreeing
-//! on the modelled cycle count aborts the snapshot, so a stale
-//! `BENCH_<n>.json` can never paper over an equivalence break.
+//! engine-independent (the equivalence tests pin that), so cycles/sec
+//! comparisons across engines are exact throughput ratios — and the
+//! binary *asserts* the equality per cell: an engine disagreeing on the
+//! modelled cycle count aborts the snapshot, so a stale `BENCH_<n>.json`
+//! can never paper over an equivalence break.
 //!
 //! Each row also carries the run's modeled memory footprint
 //! (`modeled_bytes`, from the per-subsystem memory report) next to the
@@ -25,18 +25,10 @@
 //! would need, the second is what the simulator itself costs — the pair
 //! catches host-footprint regressions that the modeled numbers cannot see.
 //!
-//! Two workloads run by default: a light 32x32 SSSP (every engine,
-//! including the reference oracle) and the dense 64x64 SSSP middle (the
-//! event-path engines only — the reference scan takes minutes there and
-//! its ratio is already covered by the light cell).  `--full` adds the
-//! 128x128 dense grid from the `sim_128x128_sssp_dense` microbench pair.
-//!
-//! After the engine matrix comes the *calendar-walk rung*: the due-only
-//! calendar walk vs the preserved pre-change full walk on the dense
-//! 128x128 convergecast wave (`--full` adds 256x256) — identical cycles
-//! and identical NoC statistics asserted in-binary, the wall-clock ratio
-//! emitted as the `calendar-walk-speedup` row (floor 1.3x on 128x128+,
-//! recorded rather than asserted).
+//! Two workloads run by default: a light 32x32 SSSP (calendar and the
+//! reference oracle) and the dense 64x64 SSSP middle (calendar only — the
+//! oracle takes minutes there and its ratio is already covered by the
+//! light cell).  `--full` adds a dense 128x128 grid.
 //!
 //! The snapshot ends with the *zero-fault-overhead rung*: the light cell
 //! rerun under an armed-but-never-firing fault plan (windows parked far
@@ -45,13 +37,6 @@
 //! schedule-invisible, asserted here where the numbers are published —
 //! and the wall-clock ratio is emitted as the `fault-overhead` row
 //! (target <= 1.02; a ratio above 1.25 aborts the snapshot).
-//!
-//! The parallel rungs' speedup depends on the host:
-//! `std::thread::available_parallelism()` is printed on stderr, and on a
-//! single-core machine `parallel:4` is expected to *lose* to skip (four
-//! sharded tile phases run back-to-back on one core, plus the replay
-//! pass) — the bit-identical schedule is the point, the speedup needs
-//! cores.
 use dalorex_bench::cli::FigureCli;
 use dalorex_bench::report::{Measurement, MemoryColumns, Table, WalkColumns};
 use dalorex_graph::generators::rmat::RmatConfig;
@@ -63,14 +48,6 @@ use std::time::Instant;
 
 /// Repetitions per cell; the fastest is reported.
 const REPS: usize = 2;
-
-/// Engines timed on every workload (event-path engines).
-const EVENT_ENGINES: [Engine; 4] = [
-    Engine::Skip,
-    Engine::Calendar,
-    Engine::Parallel { workers: 1 },
-    Engine::Parallel { workers: 4 },
-];
 
 struct Cell {
     dataset: String,
@@ -95,23 +72,20 @@ fn main() {
     let cli = FigureCli::parse();
     let full = std::env::args().any(|a| a == "--full");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!("host parallelism: {cores} (parallel-engine speedup needs >= its worker count)");
+    eprintln!("host parallelism: {cores}");
 
     let mut cells = vec![
         Cell {
             dataset: "RMAT-12".to_string(),
             side: 32,
             graph: RmatConfig::new(12, 8).seed(11).build().unwrap(),
-            engines: std::iter::once(Engine::Reference)
-                .chain(std::iter::once(Engine::Ticked))
-                .chain(EVENT_ENGINES)
-                .collect(),
+            engines: vec![Engine::Reference, Engine::Calendar],
         },
         Cell {
             dataset: "RMAT-14".to_string(),
             side: 64,
             graph: RmatConfig::new(14, 8).seed(11).build().unwrap(),
-            engines: EVENT_ENGINES.to_vec(),
+            engines: vec![Engine::Calendar],
         },
     ];
     if full {
@@ -119,7 +93,7 @@ fn main() {
             dataset: "RMAT-16".to_string(),
             side: 128,
             graph: RmatConfig::new(16, 8).seed(11).build().unwrap(),
-            engines: EVENT_ENGINES.to_vec(),
+            engines: vec![Engine::Calendar],
         });
     }
 
@@ -164,9 +138,9 @@ fn main() {
                 memory = Some(MemoryColumns::from_report(&outcome.memory));
                 walk = Some(WalkColumns::from_stats(&outcome.stats.noc));
             }
-            // The equivalence square's guarantee, enforced where the
-            // numbers are published: every engine models the same cycle
-            // count, or the snapshot dies instead of writing BENCH_<n>.json.
+            // The equivalence tests' guarantee, enforced where the numbers
+            // are published: both engines model the same cycle count, or
+            // the snapshot dies instead of writing BENCH_<n>.json.
             let anchor = *cell_cycles.get_or_insert(cycles);
             assert_eq!(
                 cycles, anchor,
@@ -204,15 +178,6 @@ fn main() {
         }
     }
 
-    // The ISSUE 10 A/B: due-only calendar walk vs the preserved full-walk
-    // baseline, in-binary, on the dense convergecast wave where the walk
-    // dominates.  128x128 is the acceptance regime (floor 1.3x); `--full`
-    // adds the 256x256 rung, where the walk is the bulk of the cycle.
-    due_only_walk_rung(&mut measurements, 128);
-    if full {
-        due_only_walk_rung(&mut measurements, 256);
-    }
-
     fault_overhead_rung(&mut measurements);
 
     table.print(
@@ -223,98 +188,9 @@ fn main() {
     cli.report_wall_clock();
 }
 
-/// The due-only walk A/B rung (ISSUE 10): the due-only calendar walk
-/// (`RouterScheduler::Calendar`) against the preserved pre-change full
-/// calendar walk (`RouterScheduler::CalendarScan`), same binary, same
-/// traffic — the shared dense convergecast wave
-/// ([`dalorex_bench::waves::convergecast_wave`], the exact wave the
-/// `sim_<side>_wave_calendar` microbench pairs time).  Both must model the
-/// identical cycle count *and* identical NoC statistics — the walk is a
-/// simulator optimization, not a schedule change — and the wall-clock
-/// ratio (full-walk time / due-only time) is emitted as the
-/// `calendar-walk-speedup` row.  The acceptance floor for the dense
-/// 128x128-and-up regime is 1.3x (measured ~1.5x at 128x128 and ~1.9x at
-/// 256x256 in this container); the snapshot records the ratio rather than
-/// asserting it so a noisy CI host cannot turn a perf target into a flake
-/// (the BENCH series is where the number is reviewed).
-fn due_only_walk_rung(measurements: &mut Vec<Measurement>, side: usize) {
-    use dalorex_bench::waves::{convergecast_net, convergecast_wave};
-    use dalorex_noc::RouterScheduler;
-
-    // One 256x256 wave runs ~1 minute per scheduler even in release, so
-    // the big rung takes a single repetition.
-    let reps = if side >= 256 { 1 } else { REPS };
-    let time = |scheduler: RouterScheduler| {
-        let mut best = f64::INFINITY;
-        let mut cycles = 0;
-        let mut stats = None;
-        for _ in 0..reps {
-            let mut net = convergecast_net(side, scheduler);
-            let started = Instant::now();
-            cycles = convergecast_wave(&mut net, side);
-            best = best.min(started.elapsed().as_secs_f64());
-            stats = Some(net.stats().clone());
-        }
-        (cycles, best, stats.unwrap())
-    };
-    let (full_cycles, full_best, full_stats) = time(RouterScheduler::CalendarScan);
-    let (due_cycles, due_best, due_stats) = time(RouterScheduler::Calendar);
-    assert_eq!(
-        due_cycles, full_cycles,
-        "{side}x{side}: the due-only walk modelled {due_cycles} cycles but the full-walk \
-         baseline modelled {full_cycles} — the walk changed the schedule; fix the \
-         equivalence break before snapshotting"
-    );
-    // NocStats equality deliberately ignores the walk counters, so this is
-    // the full forwarding/delivery/energy ledger agreeing bit-for-bit.
-    assert_eq!(
-        due_stats, full_stats,
-        "{side}x{side}: the due-only walk changed the modelled NoC statistics"
-    );
-    let speedup = full_best / due_best;
-    eprintln!(
-        "due-only calendar walk ({side}x{side} convergecast): {speedup:.2}x cycles/sec \
-         over the full-walk baseline (floor 1.3x on 128x128+)"
-    );
-    let tiles = side * side;
-    for (label, best, stats) in [
-        ("full-walk", full_best, &full_stats),
-        ("due-only", due_best, &due_stats),
-    ] {
-        measurements.push(Measurement {
-            experiment: "calendar-walk".to_string(),
-            workload: "convergecast-wave".to_string(),
-            dataset: "synthetic".to_string(),
-            configuration: format!("{tiles} tiles, {label}"),
-            cycles: full_cycles,
-            energy_j: 0.0,
-            value: full_cycles as f64 / best,
-            endpoint_drains: 1,
-            rejected_injections: 0,
-            memory: None,
-            peak_rss_bytes: peak_rss_bytes(),
-            walk: Some(WalkColumns::from_stats(stats)),
-        });
-    }
-    measurements.push(Measurement {
-        experiment: "calendar-walk-speedup".to_string(),
-        workload: "convergecast-wave".to_string(),
-        dataset: "synthetic".to_string(),
-        configuration: format!("{tiles} tiles, due-only over full-walk"),
-        cycles: full_cycles,
-        energy_j: 0.0,
-        value: speedup,
-        endpoint_drains: 1,
-        rejected_injections: 0,
-        memory: None,
-        peak_rss_bytes: peak_rss_bytes(),
-        walk: None,
-    });
-}
-
 /// The zero-fault-overhead rung: the light cell under an armed-but-idle
 /// fault plan (one window of every kind, all parked billions of cycles
-/// past the run) against the empty-plan hot path, on the skip engine.
+/// past the run) against the empty-plan hot path, on the calendar engine.
 /// Asserts the armed-idle plan is schedule-invisible and that the
 /// fault-state checks cost at most 25% wall-clock (the target is 2%; the
 /// hard cap only exists to survive noisy CI hosts without letting a real
@@ -340,7 +216,7 @@ fn fault_overhead_rung(measurements: &mut Vec<Measurement>) {
         for _ in 0..RUNG_REPS {
             let started = Instant::now();
             let outcome = sim
-                .run_with_engine(&SsspKernel::new(0), Engine::Skip)
+                .run_with_engine(&SsspKernel::new(0), Engine::Calendar)
                 .unwrap();
             best = best.min(started.elapsed().as_secs_f64());
             cycles = outcome.cycles;
@@ -356,7 +232,7 @@ fn fault_overhead_rung(measurements: &mut Vec<Measurement>) {
     );
     let ratio = armed_best / empty_best;
     eprintln!(
-        "zero-fault overhead (armed-idle / empty plan, skip engine): {ratio:.3} \
+        "zero-fault overhead (armed-idle / empty plan, calendar engine): {ratio:.3} \
          (target <= 1.02, hard cap 1.25)"
     );
     assert!(
@@ -368,7 +244,7 @@ fn fault_overhead_rung(measurements: &mut Vec<Measurement>) {
         experiment: "fault-overhead".to_string(),
         workload: "SSSP".to_string(),
         dataset: "RMAT-12".to_string(),
-        configuration: "armed-idle vs empty plan, 1024 tiles, engine skip".to_string(),
+        configuration: "armed-idle vs empty plan, 1024 tiles, engine calendar".to_string(),
         cycles: empty_cycles,
         energy_j: 0.0,
         value: ratio,

@@ -10,25 +10,24 @@
 //!   `DALOREX_MAX_SIDE`).
 //! * `--drains <a,b,...>` — endpoint-bandwidth sweep (messages per tile
 //!   per cycle).
-//! * `--engine <reference|ticked|skip|calendar|parallel[:N]>` — the cycle
-//!   engine to drive every run with (`parallel:N` pins the worker-pool
-//!   size; bare `parallel` auto-detects it).  All engines model the
-//!   identical schedule, so the printed figures do not change; the flag
-//!   exists for A/B *timing* of the big sweeps (run the same figure twice
-//!   with different engines and compare the wall-clock line each binary
+//! * `--engine <calendar|reference>` — the cycle engine to drive every
+//!   run with: the production `calendar` engine (the default) or the
+//!   `reference` oracle.  Both model the identical schedule, so the
+//!   printed figures do not change; the oracle exists to cross-check a
+//!   figure end to end (and costs several times the wall-clock each binary
 //!   prints on stderr).  The `DALOREX_ENGINE` environment variable
-//!   supplies a default when the flag is absent — handy for timing a whole
-//!   figure pipeline without editing every invocation — and the flag wins
-//!   when both are given.
+//!   supplies a default when the flag is absent — handy for switching a
+//!   whole figure pipeline without editing every invocation — and the
+//!   flag wins when both are given.
 //! * `--faults <plan-file|spec>` — a deterministic fault plan every run is
 //!   driven under.  The value is tried as a file path first (a plan file
 //!   in the [`dalorex_sim::FaultPlan`] spec syntax, `#` comments and
 //!   newlines allowed) and falls back to an inline `;`-separated spec
 //!   (`"stall:tile=3,start=50,end=400;random:seed=7,count=4,horizon=2000"`).
 //!   The `DALOREX_FAULTS` environment variable supplies a default exactly
-//!   like `DALOREX_ENGINE` does for `--engine`, and the flag wins.  All
-//!   five engines apply a plan bit-identically, so `--engine` A/B timing
-//!   stays valid under faults.
+//!   like `DALOREX_ENGINE` does for `--engine`, and the flag wins.  Both
+//!   engines apply a plan bit-identically, so the oracle cross-check stays
+//!   valid under faults.
 //! * `--verify <off|warn|deny>` — how the static task-graph verifier
 //!   ([`dalorex_sim::verify`]) treats its findings when each run is built:
 //!   `warn` (the default) prints them, `deny` makes any error-severity
@@ -74,7 +73,7 @@ pub struct FigureCli {
     /// `--max-side <n>`: sweep cap override, if given.
     pub max_side: Option<usize>,
     /// `--engine <name>` (or the `DALOREX_ENGINE` default): the cycle
-    /// engine every run uses (default [`Engine::Skip`]).
+    /// engine every run uses (default [`Engine::Calendar`]).
     pub engine: Engine,
     /// `--faults <plan-file|spec>` (or the `DALOREX_FAULTS` default): the
     /// fault plan every run is driven under (default empty — no faults).
@@ -216,8 +215,7 @@ impl FigureCli {
         }
     }
 
-    /// Prints the engine + wall-clock line the `--engine` A/B workflow
-    /// compares, on stderr (the tables on stdout stay engine-independent
+    /// Prints the engine + wall-clock line on stderr (the tables on stdout stay engine-independent
     /// because the modelled schedule is).  Call at the end of `main`.
     pub fn report_wall_clock(&self) {
         if self.faults.is_empty() {
@@ -242,7 +240,7 @@ impl FigureCli {
 /// The one `--engine`-without-a-value diagnostic (missing value and empty
 /// `--engine=` share it).
 fn engine_value_missing() -> String {
-    "--engine requires a value (reference, ticked, skip, calendar or parallel[:N])".to_string()
+    "--engine requires a value (calendar or reference)".to_string()
 }
 
 /// The one `--verify`-without-a-value diagnostic.
@@ -270,19 +268,6 @@ fn faults_value_to_plan(value: &str) -> Result<FaultPlan, String> {
     value.parse().map_err(|err| {
         format!("--faults value {value:?} is neither a readable plan file nor a valid spec: {err}")
     })
-}
-
-/// Returns the value of `--<name> <value>` or `--<name>=<value>` on the
-/// process command line, if present.  Unlike [`FigureCli::parse`] this
-/// cannot distinguish a missing flag from a missing value; it exists for
-/// ad-hoc consumers (the microbench harness) — the figure binaries go
-/// through `FigureCli`.
-pub fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match lookup_flag(&args, name) {
-        FlagLookup::Value(value) => Some(value),
-        _ => None,
-    }
 }
 
 /// Looks `--<name>` up in `args`, accepting both the two-token and the
@@ -379,27 +364,26 @@ mod tests {
         assert!(!cli.csv);
         assert_eq!(cli.json, None);
         assert_eq!(cli.max_side, None);
-        assert_eq!(cli.engine, Engine::Skip);
+        assert_eq!(cli.engine, Engine::Calendar);
         assert_eq!(cli.drains(), vec![1]);
         assert_eq!(cli.drains_or(&[FABRIC_BOUND_DRAINS]), vec![2]);
-        assert_eq!(flag_value("no-such-flag"), None);
     }
 
     #[test]
     fn parses_engine_and_drains() {
         let cli = FigureCli::parse_from(
-            &args(&["--engine", "calendar", "--drains", "1,2,4", "--csv"]),
+            &args(&["--engine", "reference", "--drains", "1,2,4", "--csv"]),
             None,
             None,
             None,
         )
         .unwrap();
         assert!(cli.csv);
-        assert_eq!(cli.engine, Engine::Calendar);
+        assert_eq!(cli.engine, Engine::Reference);
         assert_eq!(cli.drains(), vec![1, 2, 4]);
 
-        let cli = FigureCli::parse_from(&args(&["--engine=parallel:3"]), None, None, None).unwrap();
-        assert_eq!(cli.engine, Engine::Parallel { workers: 3 });
+        let cli = FigureCli::parse_from(&args(&["--engine=calendar"]), None, None, None).unwrap();
+        assert_eq!(cli.engine, Engine::Calendar);
     }
 
     #[test]
@@ -421,25 +405,37 @@ mod tests {
 
     #[test]
     fn unknown_engine_is_fatal() {
-        let err = FigureCli::parse_from(&args(&["--engine", "warp"]), None, None, None).unwrap_err();
-        assert!(err.contains("warp"), "diagnostic names the bad value: {err}");
-        let err = FigureCli::parse_from(&args(&["--engine", "parallel:zero"]), None, None, None).unwrap_err();
-        assert!(err.contains("zero"), "diagnostic names the bad count: {err}");
+        // The retired engines are unknown names like any other.
+        for name in ["warp", "skip", "ticked", "parallel", "parallel:2"] {
+            let err =
+                FigureCli::parse_from(&args(&["--engine", name]), None, None, None).unwrap_err();
+            assert!(err.contains(name), "diagnostic names the bad value: {err}");
+        }
     }
 
     #[test]
     fn env_engine_is_the_default_and_the_flag_wins() {
-        let cli = FigureCli::parse_from(&[], Some("calendar"), None, None).unwrap();
+        let cli = FigureCli::parse_from(&[], Some("reference"), None, None).unwrap();
+        assert_eq!(cli.engine, Engine::Reference);
+        let cli = FigureCli::parse_from(
+            &args(&["--engine", "calendar"]),
+            Some("reference"),
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(cli.engine, Engine::Calendar);
-        let cli =
-            FigureCli::parse_from(&args(&["--engine", "ticked"]), Some("calendar"), None, None).unwrap();
-        assert_eq!(cli.engine, Engine::Ticked);
         // A broken env default must not silently fall back — unless the
         // flag overrides it, in which case the env value is never parsed.
-        let err = FigureCli::parse_from(&[], Some("warp"), None, None).unwrap_err();
-        assert!(err.starts_with("DALOREX_ENGINE:"), "{err}");
-        let cli = FigureCli::parse_from(&args(&["--engine", "skip"]), Some("warp"), None, None).unwrap();
-        assert_eq!(cli.engine, Engine::Skip);
+        let err = FigureCli::parse_from(&[], Some("ticked"), None, None).unwrap_err();
+        assert!(
+            err.starts_with("DALOREX_ENGINE:") && err.contains("ticked"),
+            "{err}"
+        );
+        let cli =
+            FigureCli::parse_from(&args(&["--engine", "reference"]), Some("warp"), None, None)
+                .unwrap();
+        assert_eq!(cli.engine, Engine::Reference);
     }
 
     #[test]

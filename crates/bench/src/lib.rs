@@ -24,11 +24,11 @@
 //! invocation) and `--drains <a,b,...>` (sweep the endpoint bandwidth,
 //! messages per tile per cycle); the drain budget and the NoC's
 //! injection-rejection count are emitted into the JSON report.  Every
-//! figure binary takes `--engine <reference|ticked|skip|calendar|parallel[:N]>`
-//! to select the cycle engine (with `DALOREX_ENGINE` as the environment
-//! default when the flag is absent) — the tables are engine-independent
-//! (the schedules are bit-identical), so the flag exists for A/B
-//! wall-clock timing via the stderr line each binary prints.
+//! figure binary takes `--engine <calendar|reference>` to select the cycle
+//! engine (with `DALOREX_ENGINE` as the environment default when the flag
+//! is absent) — the tables are engine-independent (the reference oracle
+//! reproduces the production engine's schedule bit for bit), so the flag
+//! exists to cross-check a figure end to end.
 //! `docs/FIGURES.md` maps every binary to its paper figure, flags and
 //! output shape.
 //!
@@ -40,17 +40,10 @@
 //! The Criterion benches under `benches/` exercise the same code paths at
 //! small fixed sizes so `cargo bench --workspace` provides regression
 //! tracking for the simulator's hot loops.  `sim_microbench`'s
-//! `torus_64x64_cycle_*` pair measures the event-driven `Network::cycle`
-//! against the pre-overhaul reference scan on a dense 64x64 torus (the
-//! ≥2x acceptance case for the hot-path overhaul), and its
-//! `sim_64x64_sssp_dense/engine_*` pair measures the calendar engine
-//! against the skip engine on the dense 64x64 SSSP middle (the ≥1.3x
-//! acceptance case for the calendar router scheduler).  Its
-//! `sim_128x128_sssp_dense/engine_*` rungs measure the parallel engine
-//! (multi-worker and 1-worker) against the calendar and skip engines on
-//! dense 128x128 SSSP — the ≥2x-at-4-workers acceptance case for the
-//! deterministic parallel engine (needs a machine with at least 4 cores
-//! to manifest).
+//! `torus_64x64_cycle_*` pair measures the calendar `Network::cycle`
+//! against the reference router scheduler on a dense 64x64 torus, and its
+//! `sim_64x64_sssp/tile_path_*` pair measures the production engine
+//! against the reference oracle end to end on a dense 64x64 SSSP.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,4 +52,3 @@ pub mod cli;
 pub mod datasets;
 pub mod report;
 pub mod runner;
-pub mod waves;

@@ -134,11 +134,11 @@ impl MemoryColumns {
 /// win (and catch a regression) without touching the figure numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkColumns {
-    /// Routers the walk visited (list entries read or heap pops), summed
-    /// over all cycles.
+    /// Routers the calendar walk visited (heap pops), summed over all
+    /// cycles (0 under the reference scheduler, which counts no walk work).
     pub routers_visited: u64,
-    /// Routers the walk actually port-scanned.  Equal to `routers_visited`
-    /// under the scan scheduler; the gap is the work the due stamps saved.
+    /// Routers the walk actually port-scanned; the gap to
+    /// `routers_visited` is the work the due stamps saved.
     pub routers_scanned: u64,
     /// Cycles whose walk was elided outright (calendar fast path).
     pub walks_elided: u64,

@@ -19,15 +19,15 @@ pub struct RunOptions {
     /// Endpoint bandwidth: messages drained/injected per tile per cycle
     /// (default 1, the paper's single local router port).
     pub endpoint_drains: usize,
-    /// Cycle engine driving the run (default [`Engine::Skip`]; every
-    /// engine models the identical schedule, so this only changes
-    /// simulator wall-clock — the figure binaries expose it as
+    /// Cycle engine driving the run (default [`Engine::Calendar`]; the
+    /// reference oracle models the identical schedule, so this only
+    /// changes simulator wall-clock — the figure binaries expose it as
     /// `--engine`).
     pub engine: Engine,
     /// Fault plan the run is driven under (default empty — no faults; the
     /// figure binaries expose it as `--faults`).  Unlike `engine`, a
     /// non-empty plan *does* change the modelled schedule — identically on
-    /// every engine.
+    /// both engines.
     pub faults: FaultPlan,
     /// How the static task-graph verifier treats its findings when the
     /// run is built (default [`VerifyMode::Warn`]; the figure binaries

@@ -8,7 +8,7 @@
 //! exactly as it would behind ordinary congestion, and traffic resumes at
 //! `end`.  Because a fault only ever *blocks* commits, every engine-side
 //! skip bound remains a valid lower bound and the forwarding schedule stays
-//! bit-identical across the scan, calendar and reference schedulers: a
+//! bit-identical between the calendar and reference schedulers: a
 //! blocked port contributes its window's end as a next-event candidate, so
 //! the calendar wakes the router at the transition just as it wakes it for
 //! a busy link.
@@ -94,7 +94,7 @@ impl NocFaults {
 /// Observed impact of one scheduled fault, index-aligned with
 /// [`NocFaults::events`].  Both counters are derived from committed
 /// forwards only — schedule facts every scheduler agrees on — so they are
-/// bit-identical across the scan, calendar and reference paths.
+/// bit-identical between the calendar and reference schedulers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultImpact {
     /// Messages whose wait at the faulted resource overlapped the window

@@ -71,7 +71,6 @@ mod error;
 pub use error::NocError;
 pub use fault::{FaultImpact, NocFaultEvent, NocFaults};
 pub use message::{Message, MAX_FLITS};
-pub use network::shard::{EndpointShard, ShardBuffers, TileEndpoint};
 pub use network::{Network, NocMemoryReport};
 pub use stats::NocStats;
 pub use topology::{GridShape, Topology};
@@ -87,31 +86,23 @@ pub type ChannelId = usize;
 
 /// How [`Network::cycle`] finds the routers that can act each cycle.
 ///
-/// All schedulers produce bit-identical forwarding schedules and
-/// statistics; they differ only in simulator cost.  The scan scheduler
-/// visits every active router's ports every cycle; the calendar schedulers
-/// keep a per-router `next_possible` due stamp and a bucketed calendar of
-/// due routers, so a cycle only port-scans the routers that could actually
-/// commit — the win on dense regimes where deliveries land nearly every
-/// cycle and whole-network skipping cannot help.
+/// Both schedulers produce bit-identical forwarding schedules and
+/// statistics; they differ only in simulator cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RouterScheduler {
-    /// Scan every active router's occupied topology ports each cycle (the
-    /// PR 2 event-driven hot path).
+    /// The production scheduler: per-router `next_possible` due stamps, a
+    /// bucketed calendar of due routers, and a due-only walk that orders
+    /// the due routers by their epoch-numbered list position and
+    /// port-scans exactly those — O(due) per cycle instead of O(active),
+    /// with the arbitration order of an explicit active list.
     #[default]
-    Scan,
-    /// Due-only calendar iteration: drain the due calendar buckets, order
-    /// the due routers by their epoch-numbered list position, and visit
-    /// exactly those — reconstructing the scan scheduler's arbitration
-    /// order without touching non-due routers.  O(due) per cycle instead
-    /// of O(active).
     Calendar,
-    /// The pre-due-only calendar walk: the same due stamps and calendar
-    /// buckets, but every non-quiet cycle still walks the entire active
-    /// list reading a dense stamp per router.  Kept as the in-binary A/B
-    /// baseline for the due-only microbenches and as a schedule oracle
-    /// (`Simulation::run_calendar_scan` in `dalorex-sim`).
-    CalendarScan,
+    /// The schedule oracle: the pre-overhaul walk over an explicit active
+    /// list, probing every port of every active router each cycle and
+    /// allocating a snapshot per cycle.  Kept only to pin the calendar walk
+    /// (the reference engine in `dalorex-sim` runs on it); it never skips,
+    /// so [`Network::next_event_cycle`] is always the current cycle.
+    Reference,
 }
 
 /// Configuration of a network instance.
@@ -145,8 +136,8 @@ pub struct NocConfig {
     /// becomes the bottleneck on dense-traffic sweeps.
     pub endpoint_drains_per_cycle: usize,
     /// Which per-cycle router scheduler [`Network::cycle`] runs (default
-    /// [`RouterScheduler::Scan`]).  Schedules and statistics are identical
-    /// either way; only simulator wall-clock differs.
+    /// [`RouterScheduler::Calendar`]).  Schedules and statistics are
+    /// identical either way; only simulator wall-clock differs.
     pub router_scheduler: RouterScheduler,
     /// Scheduled fabric faults (default none).  See [`fault`] for the
     /// model; an empty schedule compiles to nothing and leaves the hot

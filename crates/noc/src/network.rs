@@ -35,12 +35,12 @@
 //! *forwardable* (non-local) messages are visited, only their occupied
 //! ports are scanned (per-port message counts in the router), only the
 //! ports the topology actually wires are considered (a mesh or plain torus
-//! never looks at ruche ports), and the active set is double-buffered
-//! through persistent scratch vectors so steady-state cycling performs no
-//! heap allocation.  The pre-overhaul implementation is preserved as
-//! [`Network::cycle_reference`] — a correctness oracle for schedule
-//! regression tests and the baseline the `sim_microbench` speedup case
-//! measures against.
+//! never looks at ruche ports), and steady-state cycling performs no heap
+//! allocation.  The pre-overhaul walk survives as the
+//! [`RouterScheduler::Reference`](crate::RouterScheduler) scheduler — the
+//! schedule oracle regression tests drive side by side with the production
+//! walk, and the baseline the `sim_microbench` speedup case measures
+//! against.
 //!
 //! # Cycle skipping (the event horizon)
 //!
@@ -58,7 +58,7 @@
 //! per cycle.  Skipping changes no modelled behaviour: the forwarding
 //! schedule, every latency and busy statistic, the per-tile rejection
 //! counts and the drain versions are bit-identical to ticking every cycle
-//! (and therefore to [`Network::cycle_reference`]); only the number of
+//! (and therefore to the reference scheduler); only the number of
 //! `cycle()` calls — simulator wall-clock, not modelled time — shrinks.
 //! The tile simulator in `dalorex-sim` combines this bound with its own
 //! tile-side event tracking to jump whole-chip quiescent stretches.
@@ -66,38 +66,32 @@
 //! # The calendar router scheduler
 //!
 //! Whole-system skipping saturates on dense regimes: when deliveries land
-//! nearly every cycle, no window is quiet, and the full active-router scan
-//! dominates simulator wall-clock.  Configuring
-//! [`RouterScheduler::Calendar`](crate::RouterScheduler) makes
-//! [`Network::cycle`] keep a per-router **`next_possible` due stamp** (the
-//! min over that router's head `ready_at`s, link un-busy times, post-commit
-//! link-free times, and "next cycle" for heads blocked on full downstream
-//! buffers) plus a bucketed calendar of due routers.  Stamps are lower
-//! bounds, so a due router may still commit nothing (it is simply
-//! re-stamped); the invariant that a stamp never overshoots the router's
-//! actual next commit is what keeps the schedule bit-identical to the scan
-//! scheduler and to [`Network::cycle_reference`], and is pinned by the
-//! cross-crate property suite via [`Network::next_possible_stamp`].
+//! nearly every cycle, no window is quiet, and a full active-router scan
+//! would dominate simulator wall-clock.  The production scheduler
+//! ([`RouterScheduler::Calendar`](crate::RouterScheduler)) therefore keeps
+//! a per-router **`next_possible` due stamp** (the min over that router's
+//! head `ready_at`s, link un-busy times, post-commit link-free times, and
+//! "next cycle" for heads blocked on full downstream buffers) plus a
+//! bucketed calendar of due routers.  Stamps are lower bounds, so a due
+//! router may still commit nothing (it is simply re-stamped); the invariant
+//! that a stamp never overshoots the router's actual next commit is what
+//! keeps the schedule bit-identical to the reference scheduler, and is
+//! pinned by the cross-crate property suite via
+//! [`Network::next_possible_stamp`].
 //!
 //! # The due-only walk (O(due) per cycle)
 //!
-//! The original calendar walk still traversed the *entire* active list
-//! every non-quiet cycle just to read one dense stamp per router — the
-//! sequential phase (and Amdahl limit) of the parallel engine.  The
-//! [`RouterScheduler::Calendar`](crate::RouterScheduler) walk is now
-//! **due-only**: every active router carries an epoch-numbered order key
-//! (retained routers keep theirs, in-walk activations take descending head
-//! keys, between-cycle activations ascending tail keys — so sorting by key
-//! reproduces the explicit list exactly), and a cycle drains only the due
-//! buckets, orders the due routers by key through a tiny binary heap, and
-//! port-scans exactly those.  Membership changes go through lazy
+//! A calendar cycle never traverses the whole active set.  Every active
+//! router carries an epoch-numbered order key (retained routers keep
+//! theirs, in-walk activations take descending head keys, between-cycle
+//! activations ascending tail keys — so sorting by key reproduces the
+//! reference scheduler's explicit list exactly), and a cycle drains only
+//! the due buckets, orders the due routers by key through a tiny binary
+//! heap, and port-scans exactly those.  Membership changes go through lazy
 //! tombstoning (drops decided at the router's own heap turn) plus a small
 //! dirty-set replay for endpoint-drained routers, and the walk's next-event
 //! bound for the routers it never visits comes from per-slot filed-stamp
-//! minima.  The pre-due-only walk is preserved verbatim as
-//! [`RouterScheduler::CalendarScan`](crate::RouterScheduler) — the
-//! in-binary A/B baseline (`sim_microbench`'s `due_only` vs `full_walk`
-//! rungs) and a schedule oracle for the equivalence suites.
+//! minima.
 
 use crate::message::Message;
 use crate::router::{QueuedMessage, Router};
@@ -106,8 +100,6 @@ use crate::topology::{Port, RoutingGrid};
 use crate::{ChannelId, NocConfig, NocError, RouterScheduler, TileId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-pub mod shard;
 
 /// Number of calendar bucket slots (a ring indexed by `cycle % WIDTH`).
 /// Due stamps never lie more than one maximal serialization
@@ -140,7 +132,7 @@ pub struct NocMemoryReport {
     /// Modelled router buffer capacity across the fabric, in bytes.
     pub buffer_bytes: usize,
     /// Calendar router-scheduler bookkeeping heap, in bytes (0-ish under
-    /// the scan scheduler: just the dense due/buffered-count mirrors).
+    /// the reference scheduler: just the dense due/buffered-count mirrors).
     pub calendar_bytes: usize,
 }
 
@@ -194,16 +186,13 @@ pub struct Network {
     config: NocConfig,
     grid: RoutingGrid,
     routers: Vec<Router>,
-    /// Routers that currently hold at least one forwardable message.
+    /// Routers in the active set: activated by a forwardable message and
+    /// retained while they buffer anything (see `cycle_reference`).
     active: Vec<bool>,
+    /// The reference scheduler's explicit active list, in arbitration
+    /// order.  Unused under the calendar scheduler, whose order lives in
+    /// `pos`.
     active_list: Vec<TileId>,
-    /// Double buffer for `active_list`, swapped every cycle so the hot path
-    /// never allocates.
-    active_scratch: Vec<TileId>,
-    /// Routers still holding forwardable messages after their turn; appended
-    /// to `active_list` at the end of the cycle to preserve the reference
-    /// engine's arbitration order exactly.
-    requeue_scratch: Vec<TileId>,
     /// Non-local output ports the topology actually wires, in `Port::ALL`
     /// order (mesh and plain torus exclude the four ruche ports).
     forward_ports: Vec<Port>,
@@ -220,7 +209,7 @@ pub struct Network {
     in_flight_messages: u64,
     awaiting_ejection: u64,
     /// Tiles that received a delivery since the last call to
-    /// [`Network::take_delivery_events`].
+    /// [`Network::drain_delivery_events_into`].
     delivery_events: Vec<TileId>,
     delivery_event_pending: Vec<bool>,
     /// Per-router drain version: bumped whenever a message leaves one of
@@ -240,15 +229,10 @@ pub struct Network {
     /// space may unblock an upstream message).  `u64::MAX` means no buffered
     /// message can ever move without external action (an endpoint drain).
     next_commit_at: u64,
-    /// Whether a calendar scheduler drives [`Network::cycle`] (cached from
-    /// [`NocConfig::router_scheduler`]: either [`RouterScheduler::Calendar`]
-    /// or [`RouterScheduler::CalendarScan`]).
-    calendar: bool,
-    /// Whether the due-only walk drives the calendar cycle
-    /// ([`RouterScheduler::Calendar`]).  When false with `calendar` true,
-    /// the preserved full-active-list walk runs instead
-    /// ([`RouterScheduler::CalendarScan`] — the A/B baseline).
-    due_only: bool,
+    /// Whether the reference scheduler drives [`Network::cycle`] (cached
+    /// from [`NocConfig::router_scheduler`]).  The calendar bookkeeping
+    /// below is then left unallocated and untouched.
+    reference: bool,
     /// Per-router `next_possible` due stamp (calendar scheduler): the
     /// earliest cycle at which port-scanning the router could commit a
     /// forward or have any side effect.  A calendar cycle skips — without
@@ -275,9 +259,9 @@ pub struct Network {
     /// walk's *implicit* active list.  Retained routers keep their key, new
     /// in-walk activations take descending head keys, between-cycle
     /// activations take ascending tail keys, so sorting the active tiles by
-    /// key reproduces the scan scheduler's `active_list` exactly (pinned by
-    /// [`Network::debug_active_order`] and the property suite).  Allocated
-    /// only under [`RouterScheduler::Calendar`].
+    /// key reproduces the reference scheduler's `active_list` exactly
+    /// (pinned by [`Network::debug_active_order`] and the property suite).
+    /// Allocated only under [`RouterScheduler::Calendar`].
     pos: Vec<u64>,
     /// The due-only walk's per-cycle agenda: `(pos, tile)` pairs, popped in
     /// ascending key order.  Filled by the bucket drain (due entries), the
@@ -292,7 +276,7 @@ pub struct Network {
     /// Key of the router the due-only walk is currently visiting: a
     /// mid-walk wake for a router with a *larger* key joins this cycle's
     /// heap (its turn has not come), one with a smaller key waits for its
-    /// bucket (its turn has passed) — exactly the full walk's semantics.
+    /// bucket (its turn has passed) — exactly the list walk's semantics.
     walk_cursor: u64,
     /// True while the due-only walk is draining its heap, switching
     /// `mark_active` to head keys and `wake_waiters` to heap insertion.
@@ -309,15 +293,15 @@ pub struct Network {
     /// (it never visits them), so the min over these 64 slot minima is its
     /// next-event bound.  Stale-low minima (an entry re-stamped upwards)
     /// cost a spurious wakeup that the next drain corrects — never a
-    /// schedule change.  Allocated only under the calendar schedulers.
+    /// schedule change.  Allocated only under the calendar scheduler.
     cal_slot_min: Vec<u64>,
     /// Tiles whose buffers an endpoint drain emptied since the last walk:
     /// the next calendar cycle replays exactly these (dropping each where
-    /// the scan scheduler would) instead of walking the whole list — the
-    /// PR 10 fix for the dirty-membership over-walk.
+    /// the reference scheduler would) instead of walking the whole active
+    /// set.
     dirty: Vec<TileId>,
     /// Dedup flags for `dirty` (a tile drained empty twice between walks is
-    /// replayed once).  Allocated only under the calendar schedulers.
+    /// replayed once).  Allocated only under the calendar scheduler.
     dirty_pending: Vec<bool>,
     /// Calendar-scheduler refinement of the wake-on-pop flag: routers whose
     /// ready head is blocked on one of `waiters[t]`'s full buffers.  A
@@ -331,7 +315,7 @@ pub struct Network {
     /// empty — the hot path then pays one pointer test per router scan).
     /// A stalled router or blacked-out link forwards nothing during its
     /// window and contributes the window's end as a next-event candidate,
-    /// so both schedulers wake it at the transition.
+    /// so the calendar walk wakes it at the transition.
     faults: Option<Box<crate::fault::CompiledNocFaults>>,
 }
 
@@ -414,18 +398,13 @@ impl Network {
             injection_rejections_per_tile: vec![0; num_tiles],
             ..NocStats::default()
         };
-        let calendar = matches!(
-            config.router_scheduler,
-            RouterScheduler::Calendar | RouterScheduler::CalendarScan
-        );
-        let due_only = config.router_scheduler == RouterScheduler::Calendar;
+        let reference = config.router_scheduler == RouterScheduler::Reference;
+        let calendar = !reference;
         Network {
             grid,
             routers,
             active: vec![false; num_tiles],
             active_list: Vec::new(),
-            active_scratch: Vec::new(),
-            requeue_scratch: Vec::new(),
             forward_ports,
             link_dest,
             coords,
@@ -437,7 +416,7 @@ impl Network {
             delivery_event_pending: vec![false; num_tiles],
             drain_versions: vec![0; num_tiles],
             next_commit_at: 0,
-            calendar,
+            reference,
             due: vec![u64::MAX; num_tiles],
             buffered_count: vec![0; num_tiles],
             cal_buckets: if calendar {
@@ -447,10 +426,9 @@ impl Network {
             },
             cal_refile: Vec::new(),
             cal_head: 0,
-            due_only,
-            pos: if due_only { vec![0; num_tiles] } else { Vec::new() },
+            pos: if calendar { vec![0; num_tiles] } else { Vec::new() },
             cal_heap: BinaryHeap::new(),
-            cal_visited: if due_only {
+            cal_visited: if calendar {
                 vec![u64::MAX; num_tiles]
             } else {
                 Vec::new()
@@ -520,19 +498,11 @@ impl Network {
         self.stats.injection_rejections_per_tile[src] += n;
     }
 
-    /// Returns the tiles that received at least one delivery since the last
-    /// call, clearing the event list.  The tile simulator uses this to wake
-    /// up otherwise idle tiles without scanning the whole grid every cycle.
-    pub fn take_delivery_events(&mut self) -> Vec<TileId> {
-        for &tile in &self.delivery_events {
-            self.delivery_event_pending[tile] = false;
-        }
-        std::mem::take(&mut self.delivery_events)
-    }
-
-    /// Allocation-free variant of [`Network::take_delivery_events`]: appends
-    /// the pending delivery events to `out` (which the caller typically
-    /// clears and reuses every cycle) and resets the event list.
+    /// Appends the tiles that received at least one delivery since the last
+    /// call to `out` (which the caller typically clears and reuses every
+    /// cycle) and resets the event list.  The tile simulator uses this to
+    /// wake up otherwise idle tiles without scanning the whole grid every
+    /// cycle.
     pub fn drain_delivery_events_into(&mut self, out: &mut Vec<TileId>) {
         for &tile in &self.delivery_events {
             self.delivery_event_pending[tile] = false;
@@ -577,7 +547,7 @@ impl Network {
                 .iter()
                 .map(|w| w.capacity() * std::mem::size_of::<TileId>())
                 .sum::<usize>()
-            // Due-only walk state (all empty under the scan scheduler):
+            // Due-only walk state (all empty under the reference scheduler):
             // order keys, visit stamps, the heap, slot minima and the
             // dirty set.
             + self.pos.len() * std::mem::size_of::<u64>()
@@ -640,21 +610,6 @@ impl Network {
         self.routers[tile].occupied_channel_mask(Port::Local)
     }
 
-    /// Whether a message of `flits` flits could be injected at `src` on
-    /// `channel` this cycle (i.e. [`Network::try_inject`] would succeed).
-    pub fn can_inject(&self, src: TileId, channel: ChannelId, flits: usize) -> bool {
-        if src >= self.routers.len() || channel >= self.config.channels || flits == 0 {
-            return false;
-        }
-        // Self-delivery goes straight to the ejection buffer.
-        let bubble = flits;
-        let router = &self.routers[src];
-        match self.first_hop_port(src, src, channel, flits) {
-            Some((port, entering)) => router.can_accept(port, channel, flits, entering, bubble),
-            None => false,
-        }
-    }
-
     /// Computes the output port a message for `dest` takes at `at`, along
     /// with whether it is entering a new dimension there when it arrived via
     /// `arrival_dimension`.
@@ -673,25 +628,6 @@ impl Network {
             (Dimension::None, _) | (Dimension::X, Dimension::Y) | (Dimension::Y, Dimension::X)
         );
         (hop.port, entering)
-    }
-
-    fn first_hop_port(
-        &self,
-        src: TileId,
-        _dest_placeholder: TileId,
-        _channel: ChannelId,
-        _flits: usize,
-    ) -> Option<(Port, bool)> {
-        // For `can_inject` we do not know the destination, so we
-        // conservatively require space on the most-constrained case: a
-        // message entering a dimension. The actual injection recomputes the
-        // real port. We use the East port's buffer occupancy as the
-        // representative constraint, falling back to Local for 1x1 grids.
-        if self.grid.shape().num_tiles() == 1 {
-            return Some((Port::Local, false));
-        }
-        let _ = src;
-        Some((Port::East, true))
     }
 
     /// Injects a message at `src`.  On success the message starts travelling
@@ -783,12 +719,14 @@ impl Network {
     fn mark_active(&mut self, tile: TileId) {
         if !self.active[tile] {
             self.active[tile] = true;
-            if self.due_only {
+            if self.reference {
+                self.active_list.push(tile);
+            } else {
                 // The implicit list: in-walk activations take the walk's
                 // descending head block (they contend *before* every
                 // surviving router next cycle, in activation order —
                 // exactly where the explicit list pushes them while the
-                // old list is swapped out), between-cycle activations take
+                // old list is taken out), between-cycle activations take
                 // ascending tail keys (appended after everything).
                 self.pos[tile] = if self.in_walk {
                     self.head_seq += 1;
@@ -797,8 +735,6 @@ impl Network {
                     self.tail_next += 1;
                     self.tail_next
                 };
-            } else {
-                self.active_list.push(tile);
             }
         }
     }
@@ -806,8 +742,7 @@ impl Network {
     /// Queues `tile` for the next walk's dirty-set replay (an endpoint
     /// drain emptied its buffers while it sat in the active list).  Dedup
     /// via `dirty_pending` keeps the replay list one entry per tile no
-    /// matter how the drains interleave, which also makes the sharded
-    /// endpoint phase's merge order-insensitive.
+    /// matter how the drains interleave.
     #[inline]
     fn note_membership_dirty(&mut self, tile: TileId) {
         if !self.dirty_pending[tile] {
@@ -836,11 +771,11 @@ impl Network {
         let queued = self.routers[tile].pop(Port::Local, channel)?;
         self.awaiting_ejection -= 1;
         self.buffered_count[tile] -= 1;
-        if self.calendar && self.buffered_count[tile] == 0 && self.active[tile] {
+        if !self.reference && self.buffered_count[tile] == 0 && self.active[tile] {
             // The drain emptied an active router: the next calendar cycle
             // must replay exactly this tile so it is dropped at the
-            // position the scan scheduler would drop it (or retained in
-            // place, if something refills it before the walk).
+            // position the reference scheduler would drop it (or retained
+            // in place, if something refills it before the walk).
             self.note_membership_dirty(tile);
         }
         // The freed ejection space may unblock an upstream waiter on the
@@ -873,160 +808,39 @@ impl Network {
     /// has a ready message whose downstream buffer can accept it forwards
     /// that message one hop.
     ///
-    /// This is the event-driven hot path: only routers with forwardable
-    /// messages are visited, only their occupied topology ports are scanned,
-    /// and no heap allocation happens in steady state.  The forwarding
-    /// schedule (which message moves on which cycle) is bit-identical to
-    /// [`Network::cycle_reference`].
-    ///
-    /// As a by-product the scan recomputes the next-event bound consumed by
-    /// [`Network::next_event_cycle`] / [`Network::advance_to`].
-    ///
-    /// Which per-cycle scheduler runs is selected by
-    /// [`NocConfig::router_scheduler`]: the scan scheduler visits every
-    /// active router, the due-only calendar scheduler only the routers
-    /// whose `next_possible` due stamp has come due, and the calendar-scan
-    /// baseline walks the full list reading a dense stamp per router (see
-    /// [`crate::RouterScheduler`]).  All produce bit-identical schedules
-    /// and statistics.
+    /// Under the default [`RouterScheduler::Calendar`] this is the
+    /// event-driven hot path: only the routers whose `next_possible` due
+    /// stamp has come due are port-scanned, only their occupied topology
+    /// ports are visited, and no heap allocation happens in steady state.
+    /// As a by-product the walk recomputes the next-event bound consumed by
+    /// [`Network::next_event_cycle`] / [`Network::advance_to`].  Under
+    /// [`RouterScheduler::Reference`] the pre-overhaul oracle walk runs
+    /// instead; the forwarding schedule (which message moves on which
+    /// cycle) and every statistic are bit-identical either way.
     pub fn cycle(&mut self) {
-        if self.due_only {
-            self.cycle_calendar();
-        } else if self.calendar {
-            self.cycle_calendar_scan();
+        if self.reference {
+            self.cycle_reference();
         } else {
-            self.cycle_scan();
+            self.cycle_calendar();
         }
-    }
-
-    /// The scan scheduler: every active router's occupied topology ports
-    /// are visited each cycle.
-    fn cycle_scan(&mut self) {
-        let now = self.cycle;
-        let mut next_commit = u64::MAX;
-        debug_assert!(self.active_scratch.is_empty());
-        std::mem::swap(&mut self.active_list, &mut self.active_scratch);
-        self.stats.walk_routers_visited += self.active_scratch.len() as u64;
-        self.stats.walk_routers_scanned += self.active_scratch.len() as u64;
-        for i in 0..self.active_scratch.len() {
-            let tile = self.active_scratch[i];
-            self.active[tile] = false;
-            let scan = self.scan_router(tile, now);
-            next_commit = next_commit.min(scan.min_candidate);
-            // Retain routers with *any* buffered message — including ones
-            // holding only undrained ejection-buffer deliveries — exactly
-            // like the reference scan does.  Retention is not about work
-            // (an ejection-only router forwards nothing): it preserves the
-            // router's *position* in the arbitration order, so that when a
-            // forwardable message later arrives the router contends from
-            // the same list slot as in the reference schedule.  Dropping
-            // such routers (and re-adding them on arrival, at the head
-            // section) permuted same-cycle arbitration in undrained
-            // regimes — a pre-skip-engine infidelity found by the skip
-            // equivalence property suite.
-            if self.routers[tile].buffered_messages() > 0 && !self.active[tile] {
-                self.active[tile] = true;
-                self.requeue_scratch.push(tile);
-            }
-        }
-        self.active_scratch.clear();
-        self.active_list.append(&mut self.requeue_scratch);
-        self.cycle += 1;
-        self.stats.cycles = self.cycle;
-        self.next_commit_at = next_commit.max(self.cycle);
-    }
-
-    /// The calendar-scan baseline ([`RouterScheduler::CalendarScan`]): the
-    /// pre-due-only calendar walk, preserved verbatim as the in-binary A/B
-    /// baseline and schedule oracle.  Port-scan only the active routers
-    /// whose due stamp has come due, but still walk the *entire* active
-    /// list every non-quiet cycle (a dense stamp read per router).  When
-    /// the calendar proves no router is due — and no endpoint drain emptied
-    /// a router since the last walk — the whole walk is skipped: the cycle
-    /// is a pure counter increment, exactly like a no-commit scan.
-    fn cycle_calendar_scan(&mut self) {
-        let now = self.cycle;
-        let any_due = self.drain_calendar_through(now);
-        if !any_due && self.dirty.is_empty() {
-            // No router can commit or needs a re-scan, and membership
-            // cannot have changed: provably a no-op cycle for every active
-            // router, with the list order untouched (a walk would have
-            // retained every router in place).
-            self.stats.walks_elided += 1;
-            self.cycle += 1;
-            self.stats.cycles = self.cycle;
-            self.next_commit_at = self.next_commit_at.max(self.cycle);
-            return;
-        }
-        // The full walk visits every active router, so the dirty set is
-        // subsumed by it — just clear the flags.
-        while let Some(tile) = self.dirty.pop() {
-            self.dirty_pending[tile] = false;
-        }
-        let mut next_commit = u64::MAX;
-        debug_assert!(self.active_scratch.is_empty());
-        std::mem::swap(&mut self.active_list, &mut self.active_scratch);
-        self.stats.walk_routers_visited += self.active_scratch.len() as u64;
-        for i in 0..self.active_scratch.len() {
-            let tile = self.active_scratch[i];
-            self.active[tile] = false;
-            debug_assert_eq!(
-                self.buffered_count[tile] as usize,
-                self.routers[tile].buffered_messages(),
-                "dense buffered-message mirror drifted"
-            );
-            if self.due[tile] <= now {
-                // Due: the full port scan, exactly as the scan scheduler
-                // would run it, then a fresh due stamp from its findings
-                // (a blocked head contributes nothing — the pop that frees
-                // its way wakes this router through the waiter list).
-                self.due[tile] = u64::MAX;
-                self.stats.walk_routers_scanned += 1;
-                let scan = self.scan_router(tile, now);
-                self.set_due(tile, scan.min_candidate);
-                next_commit = next_commit.min(scan.min_candidate);
-            } else {
-                // Not due: provably unable to commit or to have any side
-                // effect this cycle — skip the router entirely.
-                next_commit = next_commit.min(self.due[tile]);
-            }
-            // Same retention rule (and therefore the same arbitration
-            // order) as the scan scheduler, read from the dense mirror.
-            if self.buffered_count[tile] > 0 && !self.active[tile] {
-                self.active[tile] = true;
-                self.requeue_scratch.push(tile);
-            } else if self.buffered_count[tile] == 0 {
-                // Dropped from the list: clear any stale stamp, or a later
-                // push whose candidate is *higher* would neither lower it
-                // nor file a calendar entry — leaving the router invisible
-                // to the due check forever (its old bucket entry was
-                // consumed long ago).
-                self.due[tile] = u64::MAX;
-            }
-        }
-        self.active_scratch.clear();
-        self.active_list.append(&mut self.requeue_scratch);
-        self.cycle += 1;
-        self.stats.cycles = self.cycle;
-        self.next_commit_at = next_commit.max(self.cycle);
     }
 
     /// The due-only calendar walk ([`RouterScheduler::Calendar`]): drain
     /// the due buckets, order the (few) due routers by their list position
     /// via the heap, and port-scan exactly those — O(due log due) per
-    /// cycle instead of O(active), reconstructing the scan scheduler's
+    /// cycle instead of O(active), reconstructing the reference scheduler's
     /// arbitration order without ever touching a non-due router.
     ///
-    /// Fidelity rests on four mechanisms, each mirroring one full-walk
-    /// behaviour:
-    /// * retained routers keep their `pos` key (the full walk's requeue
+    /// Fidelity rests on four mechanisms, each mirroring one behaviour of
+    /// the reference scheduler's explicit-list walk:
+    /// * retained routers keep their `pos` key (the list walk's requeue
     ///   preserves relative order);
     /// * drops happen at the router's own heap turn, reading the buffered
     ///   mirror *then* (an endpoint-drained router refilled before the walk
-    ///   is retained in place, exactly like the full walk would);
+    ///   is retained in place, exactly like the list walk would);
     /// * mid-walk wakes of routers whose key is past the cursor join this
-    ///   cycle's heap (the full walk would reach them later in the list);
-    /// * in-walk activations take head keys below every live key (the full
+    ///   cycle's heap (the list walk would reach them later in the list);
+    /// * in-walk activations take head keys below every live key (the list
     ///   walk pushes them before the requeued survivors).
     fn cycle_calendar(&mut self) {
         let now = self.cycle;
@@ -1086,7 +900,7 @@ impl Network {
                 next_commit = next_commit.min(self.due[tile]);
             }
             if self.buffered_count[tile] == 0 {
-                // Dropped at exactly the position the scan walk would drop
+                // Dropped at exactly the position the list walk would drop
                 // it.  Clearing the stamp keeps the invariant that an
                 // inactive router's due is `u64::MAX`, so a later push's
                 // `schedule_due` is guaranteed to file a fresh bucket
@@ -1137,29 +951,28 @@ impl Network {
     }
 
     /// The arbitration order the next walk would visit routers in — the
-    /// explicit `active_list` under the scan schedulers, the active tiles
-    /// sorted by order key under the due-only walk.  Test-only
+    /// explicit `active_list` under the reference scheduler, the active
+    /// tiles sorted by order key under the calendar walk.  Test-only
     /// introspection: the property suite asserts the two stay byte-
     /// identical cycle by cycle.
     pub fn debug_active_order(&self) -> Vec<TileId> {
-        if self.due_only {
-            let mut order: Vec<(u64, TileId)> = (0..self.active.len())
-                .filter(|&t| self.active[t])
-                .map(|t| (self.pos[t], t))
-                .collect();
-            order.sort_unstable();
-            order.into_iter().map(|(_, tile)| tile).collect()
-        } else {
-            self.active_list.clone()
+        if self.reference {
+            return self.active_list.clone();
         }
+        let mut order: Vec<(u64, TileId)> = (0..self.active.len())
+            .filter(|&t| self.active[t])
+            .map(|t| (self.pos[t], t))
+            .collect();
+        order.sort_unstable();
+        order.into_iter().map(|(_, tile)| tile).collect()
     }
 
     /// Lowers `tile`'s due stamp to `stamp` (push/injection events), filing
-    /// it into the calendar bucket for that cycle.  No-op under the scan
-    /// scheduler and for the "nothing forwardable" sentinel.
+    /// it into the calendar bucket for that cycle.  No-op under the
+    /// reference scheduler and for the "nothing forwardable" sentinel.
     #[inline]
     fn schedule_due(&mut self, tile: TileId, stamp: u64) {
-        if !self.calendar || stamp == u64::MAX {
+        if self.reference || stamp == u64::MAX {
             return;
         }
         if stamp < self.due[tile] {
@@ -1175,12 +988,12 @@ impl Network {
     /// at `tile` just freed space, so each waiter's blocked head may now
     /// move — its due stamp collapses to `stamp` (the pop's cycle: a waiter
     /// positioned after `tile` in the current walk contends this very
-    /// cycle, exactly as the scan scheduler's full walk would let it).
+    /// cycle, exactly as the reference scheduler's list walk would let it).
     /// Entries are filed under `bucket_cycle` — the next cycle whose bucket
     /// is still undrained — so future fast-path checks see them.
     #[inline]
     fn wake_waiters(&mut self, tile: TileId, stamp: u64, bucket_cycle: u64) {
-        if !self.calendar || self.waiters[tile].is_empty() {
+        if self.reference || self.waiters[tile].is_empty() {
             return;
         }
         while let Some(waiter) = self.waiters[tile].pop() {
@@ -1197,10 +1010,10 @@ impl Network {
             }
             if stamp < self.due[waiter] {
                 self.due[waiter] = stamp;
-                if self.due_only && self.in_walk && self.pos[waiter] > self.walk_cursor {
+                if self.in_walk && self.pos[waiter] > self.walk_cursor {
                     // Woken before its turn in the walk now in progress:
                     // it contends this very cycle at its own list position
-                    // — exactly when the full walk would reach it.
+                    // — exactly when the list walk would reach it.
                     self.cal_heap.push(Reverse((self.pos[waiter], waiter)));
                 } else {
                     let idx = (bucket_cycle % CALENDAR_WIDTH) as usize;
@@ -1216,7 +1029,7 @@ impl Network {
     /// (the scan has complete knowledge, so the stamp may also rise).
     #[inline]
     fn set_due(&mut self, tile: TileId, stamp: u64) {
-        debug_assert!(self.calendar);
+        debug_assert!(!self.reference);
         self.due[tile] = stamp;
         if stamp != u64::MAX {
             let idx = (stamp % CALENDAR_WIDTH) as usize;
@@ -1254,13 +1067,10 @@ impl Network {
             for &tile in &bucket {
                 if self.due[tile] <= now {
                     any_due = true;
-                    if self.due_only {
-                        // The walk's agenda: due routers, ordered by their
-                        // list position.  Duplicates (a tile filed in two
-                        // drained slots) dedup at the pop via the
-                        // visited stamp.
-                        self.cal_heap.push(Reverse((self.pos[tile], tile)));
-                    }
+                    // The walk's agenda: due routers, ordered by their list
+                    // position.  Duplicates (a tile filed in two drained
+                    // slots) dedup at the pop via the visited stamp.
+                    self.cal_heap.push(Reverse((self.pos[tile], tile)));
                 } else if self.due[tile] != u64::MAX {
                     // Re-stamped into the future since this entry was
                     // filed: keep it alive in its new bucket.
@@ -1345,24 +1155,24 @@ impl Network {
         self.stats.cycles = target;
     }
 
-    /// The pre-overhaul cycle implementation, kept as a reference oracle.
+    /// The reference scheduler's cycle ([`RouterScheduler::Reference`]),
+    /// the pre-overhaul implementation kept as the schedule oracle.
     ///
-    /// It scans every port of every active router (including ports the
-    /// topology never wires) and allocates a fresh snapshot vector per
-    /// cycle — exactly what the event-driven [`Network::cycle`] replaced.
-    /// Regression tests drive two networks side by side to assert the
-    /// delivery schedules stay identical, and `sim_microbench` measures the
-    /// speedup of the new path against this one.  Do not mix the two on one
-    /// network instance within a run: the active-set bookkeeping differs
-    /// (this one keeps routers with only undrained ejection messages in the
-    /// active set).
-    pub fn cycle_reference(&mut self) {
+    /// It walks the explicit active list, scans every port of every active
+    /// router (including ports the topology never wires) and allocates a
+    /// fresh snapshot vector per cycle — exactly what the calendar walk
+    /// replaced.  A router stays in the list while it buffers *any*
+    /// message, including undrained ejection-buffer deliveries: retention
+    /// is not about work, it preserves the router's position in the
+    /// arbitration order, so that when a forwardable message later arrives
+    /// the router contends from the same list slot.
+    fn cycle_reference(&mut self) {
         let now = self.cycle;
         let snapshot: Vec<TileId> = std::mem::take(&mut self.active_list);
         let mut still_active: Vec<TileId> = Vec::with_capacity(snapshot.len());
         for tile in snapshot {
             self.active[tile] = false;
-            // Mirror of the scan schedulers' fault gates: a stalled router
+            // Mirror of the calendar walk's fault gates: a stalled router
             // scans nothing, a blacked-out link forwards nothing.  (The
             // skipped busy-link `account_busy` call is provably a no-op —
             // `commit_forward` covers the full serialization interval up
@@ -1398,15 +1208,15 @@ impl Network {
         self.active_list.extend(still_active);
         self.cycle += 1;
         self.stats.cycles = self.cycle;
-        // The reference scan does not track candidates; never claim any
-        // cycle skippable after it, so mixing it with `advance_to` stays
-        // safe (it simply never skips).
+        // The reference walk does not track candidates: it never claims a
+        // cycle skippable, so `advance_to` past the current cycle is
+        // refused.
         self.next_commit_at = self.cycle;
     }
 
-    /// Port-scans one router (the shared core of both schedulers),
-    /// committing at most one forward per occupied port and returning the
-    /// router's next-event findings.
+    /// Port-scans one router for the calendar walk, committing at most one
+    /// forward per occupied port and returning the router's next-event
+    /// findings.
     fn scan_router(&mut self, tile: TileId, now: u64) -> RouterScan {
         let mut scan = RouterScan {
             min_candidate: u64::MAX,
@@ -1500,12 +1310,11 @@ impl Network {
                         // only move after a pop frees space there, so it
                         // contributes no time candidate — the downstream
                         // router's wake-on-pop flag re-arms the bound when
-                        // that pop happens, and the calendar scheduler
-                        // additionally registers this router as a waiter so
-                        // the pop re-stamps it (instead of it re-scanning
-                        // every cycle).
+                        // that pop happens, and this router registers as a
+                        // waiter so the pop re-stamps it (instead of it
+                        // re-scanning every cycle).
                         self.routers[next_tile].wake_on_pop = true;
-                        if self.calendar && !self.waiters[next_tile].contains(&tile) {
+                        if !self.waiters[next_tile].contains(&tile) {
                             self.waiters[next_tile].push(tile);
                         }
                         continue;
@@ -1715,6 +1524,13 @@ mod tests {
 
     fn small_net(topology: Topology) -> Network {
         Network::new(NocConfig::new(GridShape::new(4, 4), topology))
+    }
+
+    fn reference_net(topology: Topology) -> Network {
+        Network::new(
+            NocConfig::new(GridShape::new(4, 4), topology)
+                .with_router_scheduler(RouterScheduler::Reference),
+        )
     }
 
     fn run_until_idle(net: &mut Network, max_cycles: u64) {
@@ -1938,11 +1754,14 @@ mod tests {
         net.try_inject(0, Message::new(9, 1, vec![2])).unwrap();
         net.try_inject(1, Message::new(1, 0, vec![3])).unwrap();
         run_until_idle(&mut net, 1000);
-        let mut events = net.take_delivery_events();
+        let mut events = Vec::new();
+        net.drain_delivery_events_into(&mut events);
         events.sort_unstable();
         assert_eq!(events, vec![1, 9]);
-        // Events are cleared after being taken.
-        assert!(net.take_delivery_events().is_empty());
+        // Events are cleared after being drained.
+        events.clear();
+        net.drain_delivery_events_into(&mut events);
+        assert!(events.is_empty());
     }
 
     #[test]
@@ -1966,7 +1785,6 @@ mod tests {
     #[test]
     fn single_tile_grid_delivers_locally() {
         let mut net = Network::new(NocConfig::new(GridShape::new(1, 1), Topology::Mesh));
-        assert!(net.can_inject(0, 0, 2));
         net.try_inject(0, Message::new(0, 0, vec![1, 2])).unwrap();
         assert_eq!(net.pop_delivered(0).unwrap().payload(), &[1, 2]);
     }
@@ -1982,97 +1800,6 @@ mod tests {
             net.cycle();
             steps += 1;
             assert!(steps < max_steps, "skip drive loop did not drain");
-        }
-    }
-
-    /// The skip-to-next-event drive loop lands on exactly the same final
-    /// state as the pre-overhaul reference ticking every cycle: same
-    /// delivery counts, same modelled cycle count, same latency totals,
-    /// same busy accounting and per-router traffic — across topologies.
-    #[test]
-    fn skip_drive_loop_matches_reference_schedule() {
-        for topology in [
-            Topology::Mesh,
-            Topology::Torus,
-            Topology::TorusRuche { factor: 2 },
-        ] {
-            let mut skip = small_net(topology);
-            let mut reference = small_net(topology);
-            let traffic: Vec<(usize, usize, usize, usize)> = (0..48)
-                .map(|i| (i % 16, (i * 7 + 3) % 16, i % 4, 1 + i % 3))
-                .collect();
-            // Injection phase: both networks tick cycle by cycle with
-            // identical retry-on-backpressure, so attempts (and rejection
-            // statistics) line up exactly.
-            let mut pending_skip: Vec<(usize, Message)> = traffic
-                .iter()
-                .map(|&(s, d, c, l)| (s, Message::new(d, c, vec![9u32; l])))
-                .collect();
-            let mut pending_ref = pending_skip.clone();
-            let mut guard = 0;
-            while !pending_skip.is_empty() || !pending_ref.is_empty() {
-                let mut retry = Vec::new();
-                for (src, msg) in pending_skip.drain(..) {
-                    if let Err(r) = skip.try_inject(src, msg) {
-                        retry.push((src, r.message));
-                    }
-                }
-                pending_skip = retry;
-                let mut retry = Vec::new();
-                for (src, msg) in pending_ref.drain(..) {
-                    if let Err(r) = reference.try_inject(src, msg) {
-                        retry.push((src, r.message));
-                    }
-                }
-                pending_ref = retry;
-                skip.cycle();
-                reference.cycle_reference();
-                guard += 1;
-                assert!(guard < 10_000);
-            }
-            // Drain phase: the skip loop jumps quiet windows, the reference
-            // ticks through them.
-            run_until_idle_skipping(&mut skip, 10_000);
-            let mut ticks = 0;
-            while reference.in_flight() > 0 {
-                reference.cycle_reference();
-                ticks += 1;
-                assert!(ticks < 10_000);
-            }
-            // The skip network's clock may be *behind* the reference's only
-            // because the reference kept ticking after the last delivery in
-            // this loop shape; align by advancing the skip network over the
-            // now all-quiet window — the golden part of this test: nothing
-            // but the cycle counter may change.
-            let before = skip.stats().clone();
-            skip.advance_to(reference.current_cycle());
-            assert_eq!(skip.current_cycle(), reference.current_cycle());
-            assert_eq!(
-                NocStats {
-                    cycles: reference.current_cycle(),
-                    ..before
-                },
-                *skip.stats(),
-                "advance_to changed a statistic other than cycles on {topology:?}"
-            );
-            assert_eq!(skip.stats(), reference.stats(), "stats diverged on {topology:?}");
-            assert_eq!(skip.router_utilization(), reference.router_utilization());
-            assert_eq!(skip.flits_per_router(), reference.flits_per_router());
-            // Same deliveries, message for message.
-            for tile in 0..16 {
-                loop {
-                    let a = skip.pop_delivered(tile);
-                    let b = reference.pop_delivered(tile);
-                    assert_eq!(
-                        a.as_ref().map(|m| m.payload().to_vec()),
-                        b.as_ref().map(|m| m.payload().to_vec())
-                    );
-                    if a.is_none() {
-                        break;
-                    }
-                }
-            }
-            assert!(skip.is_idle() && reference.is_idle());
         }
     }
 
@@ -2150,13 +1877,6 @@ mod tests {
         net.advance_to(u64::MAX);
     }
 
-    fn small_calendar_net(topology: Topology) -> Network {
-        Network::new(
-            NocConfig::new(GridShape::new(4, 4), topology)
-                .with_router_scheduler(RouterScheduler::Calendar),
-        )
-    }
-
     /// The calendar scheduler produces the exact per-cycle schedule of the
     /// reference scan, across topologies, including the per-cycle delivery
     /// order under endpoint drains (the regime where arbitration-order
@@ -2168,8 +1888,8 @@ mod tests {
             Topology::Torus,
             Topology::TorusRuche { factor: 2 },
         ] {
-            let mut calendar = small_calendar_net(topology);
-            let mut reference = small_net(topology);
+            let mut calendar = small_net(topology);
+            let mut reference = reference_net(topology);
             let traffic: Vec<(usize, usize, usize, usize)> = (0..64)
                 .map(|i| (i % 16, (i * 7 + 3) % 16, i % 4, 1 + i % 3))
                 .collect();
@@ -2180,7 +1900,7 @@ mod tests {
                     assert_eq!(a.is_ok(), b.is_ok(), "injection diverged at step {step}");
                 }
                 calendar.cycle();
-                reference.cycle_reference();
+                reference.cycle();
                 assert_eq!(
                     (
                         calendar.stats().delivered_messages,
@@ -2211,7 +1931,7 @@ mod tests {
             let mut guard = 0;
             while !calendar.is_idle() || !reference.is_idle() {
                 calendar.cycle();
-                reference.cycle_reference();
+                reference.cycle();
                 for tile in 0..16 {
                     let a = calendar.pop_delivered(tile);
                     let b = reference.pop_delivered(tile);
@@ -2231,8 +1951,8 @@ mod tests {
     /// reference ticking every cycle.
     #[test]
     fn calendar_skip_drive_loop_matches_reference() {
-        let mut calendar = small_calendar_net(Topology::Torus);
-        let mut reference = small_net(Topology::Torus);
+        let mut calendar = small_net(Topology::Torus);
+        let mut reference = reference_net(Topology::Torus);
         for net in [&mut calendar, &mut reference] {
             for src in 0..16usize {
                 net.try_inject(src, Message::new((src * 5 + 3) % 16, src % 4, vec![1, 2, 3]))
@@ -2242,7 +1962,7 @@ mod tests {
         run_until_idle_skipping(&mut calendar, 10_000);
         let mut ticks = 0;
         while reference.in_flight() > 0 {
-            reference.cycle_reference();
+            reference.cycle();
             ticks += 1;
             assert!(ticks < 10_000);
         }
@@ -2269,7 +1989,7 @@ mod tests {
     /// forward (measured by its forwarded-flit counter moving).
     #[test]
     fn due_stamps_never_overshoot_actual_commits() {
-        let mut net = small_calendar_net(Topology::Torus);
+        let mut net = small_net(Topology::Torus);
         for src in 0..16usize {
             net.try_inject(src, Message::new((src + 7) % 16, src % 4, vec![9u32; 2]))
                 .unwrap();
@@ -2298,23 +2018,16 @@ mod tests {
         }
     }
 
-    fn small_calendar_scan_net(topology: Topology) -> Network {
-        Network::new(
-            NocConfig::new(GridShape::new(4, 4), topology)
-                .with_router_scheduler(RouterScheduler::CalendarScan),
-        )
-    }
-
-    /// The dirty-membership bugfix in miniature: when a single endpoint
+    /// The dirty-membership replay in miniature: when a single endpoint
     /// drain empties one router and nothing is due, the due-only walk
-    /// replays exactly that router — it does not visit all N active
-    /// routers the way the full calendar walk does.  The modelled schedule
-    /// is identical either way (`NocStats` equality ignores walk counters).
+    /// replays exactly that router instead of visiting every active one.
+    /// The modelled schedule and the arbitration order stay the reference
+    /// scheduler's (`NocStats` equality ignores walk counters).
     #[test]
     fn dirty_membership_replays_only_the_drained_router() {
-        let mut due_only = small_calendar_net(Topology::Torus);
-        let mut full_walk = small_calendar_scan_net(Topology::Torus);
-        for net in [&mut due_only, &mut full_walk] {
+        let mut due_only = small_net(Topology::Torus);
+        let mut reference = reference_net(Topology::Torus);
+        for net in [&mut due_only, &mut reference] {
             // One-hop messages that nobody drains: every destination router
             // ends up active (a message parked in its ejection buffer) but
             // never due again.
@@ -2337,98 +2050,118 @@ mod tests {
         }
         assert_eq!(due_only.awaiting_ejection(), 16);
         // With every message parked, the walk is elided outright.
-        let elided = (due_only.stats().walks_elided, full_walk.stats().walks_elided);
+        let elided = due_only.stats().walks_elided;
         due_only.cycle();
-        full_walk.cycle();
-        assert_eq!(due_only.stats().walks_elided, elided.0 + 1);
-        assert_eq!(full_walk.stats().walks_elided, elided.1 + 1);
+        reference.cycle();
+        assert_eq!(due_only.stats().walks_elided, elided + 1);
         // Both schedulers agree on the retained membership: the routers
         // whose ejection message arrived before their own walk-turn drop
-        // (a delivery alone never re-adds a router, same as the scan
-        // scheduler).  Tile 5 must be among them for the drain below to
-        // exercise the dirty path.
+        // (a delivery alone never re-adds a router).  Tile 5 must be among
+        // them for the drain below to exercise the dirty path.
         let members = due_only.debug_active_order();
-        assert_eq!(members, full_walk.debug_active_order());
+        assert_eq!(members, reference.debug_active_order());
         assert!(members.len() > 1, "need several active routers: {members:?}");
         assert!(members.contains(&5));
         // Drain ONE tile; its router empties and must leave the membership.
         due_only.pop_delivered(5).unwrap();
-        full_walk.pop_delivered(5).unwrap();
-        let visited = (
-            due_only.stats().walk_routers_visited,
-            full_walk.stats().walk_routers_visited,
-        );
-        let scanned = (
-            due_only.stats().walk_routers_scanned,
-            full_walk.stats().walk_routers_scanned,
-        );
+        reference.pop_delivered(5).unwrap();
+        let visited = due_only.stats().walk_routers_visited;
+        let scanned = due_only.stats().walk_routers_scanned;
         due_only.cycle();
-        full_walk.cycle();
-        // The due-only walk replays just the dirty router; the preserved
-        // full walk reads a stamp for every active router.
+        reference.cycle();
+        // The due-only walk replays just the dirty router.
         assert_eq!(
-            due_only.stats().walk_routers_visited - visited.0,
+            due_only.stats().walk_routers_visited - visited,
             1,
             "1-router drain must not visit all {} active routers",
             members.len()
         );
-        assert_eq!(
-            full_walk.stats().walk_routers_visited - visited.1,
-            members.len() as u64
-        );
-        // Neither walk port-scanned anything (nothing was due)...
-        assert_eq!(due_only.stats().walk_routers_scanned, scanned.0);
-        assert_eq!(full_walk.stats().walk_routers_scanned, scanned.1);
-        // ...and the modelled schedules are identical.
-        assert_eq!(due_only.stats(), full_walk.stats());
-        assert_eq!(due_only.debug_active_order(), full_walk.debug_active_order());
-        // The drained router is gone from both active orders.
+        // It port-scanned nothing (nothing was due)...
+        assert_eq!(due_only.stats().walk_routers_scanned, scanned);
+        // ...and the modelled schedule is the oracle's.
+        assert_eq!(due_only.stats(), reference.stats());
+        assert_eq!(due_only.debug_active_order(), reference.debug_active_order());
+        // The drained router is gone from the active order.
         assert!(!due_only.debug_active_order().contains(&5));
         assert_eq!(due_only.debug_active_order().len(), members.len() - 1);
     }
 
-    /// Drives the same traffic through the event-driven cycle and the
-    /// reference cycle, asserting the per-cycle delivery schedules and final
-    /// statistics are identical.
+    /// The order-key compaction (`maybe_compact`) only fires after ~2^29
+    /// walks in a real run, so force it: every fifth cycle the head base is
+    /// dropped to the floor, and the next walk renumbers every active
+    /// router's key.  Under traffic with partial endpoint drains, the
+    /// per-cycle deliveries, the arbitration order and the final statistics
+    /// must stay the reference scheduler's.
     #[test]
-    fn event_driven_cycle_matches_reference_schedule() {
+    fn forced_key_compaction_preserves_the_reference_schedule() {
         for topology in [
             Topology::Mesh,
             Topology::Torus,
             Topology::TorusRuche { factor: 2 },
         ] {
-            let mut fast = small_net(topology);
-            let mut reference = small_net(topology);
-            let traffic: Vec<(usize, usize, usize, usize)> = (0..48)
-                .map(|i| (i % 16, (i * 7 + 3) % 16, i % 4, 1 + i % 3))
-                .collect();
-            let mut schedule_fast = Vec::new();
-            let mut schedule_ref = Vec::new();
-            for step in 0..400u64 {
-                if let Some(&(src, dst, ch, len)) = traffic.get(step as usize) {
-                    let a = fast.try_inject(src, Message::new(dst, ch, vec![7u32; len]));
-                    let b = reference.try_inject(src, Message::new(dst, ch, vec![7u32; len]));
-                    assert_eq!(a.is_ok(), b.is_ok(), "injection diverged at step {step}");
+            let mut calendar = small_net(topology);
+            let mut reference = reference_net(topology);
+            // Compactions that renumbered at least two live keys.
+            let mut compactions = 0;
+            for step in 0..600u64 {
+                if step < 550 {
+                    for k in 0..2u64 {
+                        let i = (2 * step + k) as usize;
+                        let (src, dst) = (i % 16, (i * 7 + 3) % 16);
+                        let (channel, len) = (i % 4, 1 + i % 3);
+                        let a = calendar.try_inject(src, Message::new(dst, channel, vec![7u32; len]));
+                        let b = reference.try_inject(src, Message::new(dst, channel, vec![7u32; len]));
+                        assert_eq!(a.is_ok(), b.is_ok(), "injection diverged at step {step}");
+                    }
                 }
-                fast.cycle();
-                reference.cycle_reference();
-                schedule_fast.push((fast.stats().delivered_messages, fast.stats().flit_hops));
-                schedule_ref.push((
-                    reference.stats().delivered_messages,
-                    reference.stats().flit_hops,
-                ));
-                // Drain one message per tile per cycle on both.
-                for tile in 0..16 {
-                    let a = fast.pop_delivered(tile);
-                    let b = reference.pop_delivered(tile);
-                    assert_eq!(a.as_ref().map(|m| m.payload().len()), b.as_ref().map(|m| m.payload().len()));
+                let force = step % 5 == 0;
+                if force {
+                    calendar.head_base = HEAD_FLOOR;
+                    if calendar.debug_active_order().len() > 1 {
+                        compactions += 1;
+                    }
+                }
+                calendar.cycle();
+                reference.cycle();
+                if force {
+                    // The walk started from a freshly renumbered key space.
+                    assert!(calendar.head_base >= POS_ORIGIN - HEAD_STRIDE);
+                }
+                assert_eq!(
+                    calendar.debug_active_order(),
+                    reference.debug_active_order(),
+                    "arbitration order diverged at step {step} on {topology:?}"
+                );
+                // Drain on two of every three cycles, so ejection buffers
+                // back up and membership churns.
+                if step % 3 != 0 {
+                    for tile in 0..16 {
+                        let a = calendar.pop_delivered(tile);
+                        let b = reference.pop_delivered(tile);
+                        assert_eq!(
+                            a.as_ref().map(|m| m.payload().to_vec()),
+                            b.as_ref().map(|m| m.payload().to_vec()),
+                            "delivery diverged at step {step} on {topology:?}"
+                        );
+                    }
                 }
             }
-            assert_eq!(schedule_fast, schedule_ref, "schedule diverged on {topology:?}");
-            assert!(fast.is_idle() && reference.is_idle());
-            assert_eq!(fast.stats().total_latency_cycles, reference.stats().total_latency_cycles);
-            assert_eq!(fast.router_utilization(), reference.router_utilization());
-            assert_eq!(fast.flits_per_router(), reference.flits_per_router());
+            assert!(compactions >= 100, "only {compactions} non-trivial compactions");
+            let mut guard = 0;
+            while !calendar.is_idle() || !reference.is_idle() {
+                calendar.cycle();
+                reference.cycle();
+                for tile in 0..16 {
+                    let a = calendar.pop_delivered(tile);
+                    let b = reference.pop_delivered(tile);
+                    assert_eq!(a.map(|m| m.dest()), b.map(|m| m.dest()));
+                }
+                guard += 1;
+                assert!(guard < 10_000, "never drained on {topology:?}");
+            }
+            assert_eq!(calendar.stats(), reference.stats(), "{topology:?}");
+            assert_eq!(calendar.router_utilization(), reference.router_utilization());
+            assert_eq!(calendar.flits_per_router(), reference.flits_per_router());
         }
     }
 }

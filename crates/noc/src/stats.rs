@@ -38,14 +38,13 @@ pub struct NocStats {
     /// attributes every rejected attempt to the tile that suffered it so
     /// sweeps can report where endpoint stalls concentrate.
     pub injection_rejections_per_tile: Vec<u64>,
-    /// Routers the per-cycle walk *visited* (list elements read, or heap
-    /// entries processed under the due-only walk), summed over all cycles.
-    /// A simulator-efficiency counter, excluded from equality.
+    /// Routers the calendar walk *visited* (heap entries processed),
+    /// summed over all cycles; the reference scheduler counts no walk
+    /// work.  A simulator-efficiency counter, excluded from equality.
     pub walk_routers_visited: u64,
-    /// Routers the per-cycle walk actually *port-scanned*, summed over all
-    /// cycles.  Under the scan scheduler this equals
-    /// [`NocStats::walk_routers_visited`]; under the calendar schedulers
-    /// the gap between the two is the work the due stamps saved.
+    /// Routers the calendar walk actually *port-scanned*, summed over all
+    /// cycles.  The gap to [`NocStats::walk_routers_visited`] is the work
+    /// the due stamps saved.
     pub walk_routers_scanned: u64,
     /// Cycles whose walk was elided entirely (the calendar fast path: no
     /// router due and no membership change pending).

@@ -64,68 +64,37 @@ pub enum SchedulingPolicy {
 
 /// Which cycle engine drives a simulation run.
 ///
-/// All five engines produce **bit-identical** modelled schedules, outputs
-/// and statistics — the cross-crate equivalence suite pins the full square
-/// — and differ only in simulator wall-clock.  Select one via
+/// The two engines produce **bit-identical** modelled schedules, outputs
+/// and statistics — the cross-crate equivalence suite pins them to each
+/// other — and differ only in simulator wall-clock.  Select one via
 /// [`SimConfigBuilder::engine`] (or per run with
 /// `Simulation::run_with_engine`); the figure binaries expose it as
-/// `--engine <reference|ticked|skip|calendar|parallel[:N]>` for A/B
-/// timing.
+/// `--engine <calendar|reference>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// The preserved pre-overhaul tile path (full queue scans, per-pop
-    /// allocations) ticking every cycle: the slowest engine, kept as the
-    /// schedule-equivalence oracle.
-    Reference,
-    /// The allocation-free tile path, one `Network::cycle` per simulated
-    /// cycle (the PR 3 engine): the tick-every-cycle baseline.
-    Ticked,
-    /// `Ticked` plus whole-chip skip-to-next-event jumping (the PR 4
-    /// engine): wins on sparse and fabric-bound regimes where provably
-    /// quiet windows are long.  The default.
+    /// The production engine and the default: the allocation-free tile
+    /// path with whole-chip skip-to-next-event jumps, driving the NoC's
+    /// calendar router scheduler (per-router `next_possible` due stamps and
+    /// a bucketed calendar, so each network cycle port-scans only the
+    /// routers that could actually commit).
     #[default]
-    Skip,
-    /// `Skip` with the NoC's calendar router scheduler: per-router
-    /// `next_possible` due stamps and a bucketed calendar make each
-    /// network cycle scan only the routers that could actually commit —
-    /// the win on dense regimes where deliveries land nearly every cycle
-    /// and whole-chip skipping cannot help.
     Calendar,
-    /// `Calendar` with the per-cycle tile phase fanned out over a
-    /// persistent worker pool: tiles and their routers are sharded into
-    /// contiguous ranges, each worker advances its shard's endpoints for
-    /// the cycle, and the cross-shard side effects every endpoint
-    /// operation would have had on shared network state are recorded and
-    /// replayed in exact arbitration order at the epoch barrier — so the
-    /// schedule stays bit-identical to the single-threaded engines.
-    /// `workers == 0` means "one worker per available core".
-    Parallel {
-        /// Worker threads in the pool (0 = auto-detect from the host).
-        workers: usize,
-    },
+    /// The schedule-equivalence oracle: the preserved pre-overhaul tile
+    /// path (full queue scans, per-pop allocations) and the NoC's reference
+    /// router scheduler, ticking every cycle.  Several times slower; kept
+    /// only to pin [`Engine::Calendar`].
+    Reference,
 }
 
 impl Engine {
-    /// Every engine, in oracle-to-fastest order (the order the equivalence
-    /// square iterates).  The parallel entry uses auto worker detection;
-    /// explicit worker counts are additional configurations of the same
-    /// engine.
-    pub const ALL: [Engine; 5] = [
-        Engine::Reference,
-        Engine::Ticked,
-        Engine::Skip,
-        Engine::Calendar,
-        Engine::Parallel { workers: 0 },
-    ];
+    /// Both engines, oracle first.
+    pub const ALL: [Engine; 2] = [Engine::Reference, Engine::Calendar];
 
     /// The engine's command-line name (`--engine <name>`).
     pub fn name(self) -> &'static str {
         match self {
-            Engine::Reference => "reference",
-            Engine::Ticked => "ticked",
-            Engine::Skip => "skip",
             Engine::Calendar => "calendar",
-            Engine::Parallel { .. } => "parallel",
+            Engine::Reference => "reference",
         }
     }
 }
@@ -134,39 +103,16 @@ impl std::str::FromStr for Engine {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "reference" => Ok(Engine::Reference),
-            "ticked" | "tick" => Ok(Engine::Ticked),
-            "skip" => Ok(Engine::Skip),
-            "calendar" => Ok(Engine::Calendar),
-            "parallel" => Ok(Engine::Parallel { workers: 0 }),
-            other => {
-                if let Some(count) = other.strip_prefix("parallel:") {
-                    return match count.parse::<usize>() {
-                        Ok(workers) => Ok(Engine::Parallel { workers }),
-                        Err(_) => Err(format!(
-                            "invalid worker count {count:?} in engine {other:?} \
-                             (want parallel:<positive integer>)"
-                        )),
-                    };
-                }
-                Err(format!(
-                    "unknown engine {other:?} (want reference, ticked, skip, calendar \
-                     or parallel[:N])"
-                ))
-            }
-        }
+        Engine::ALL
+            .into_iter()
+            .find(|engine| engine.name() == s)
+            .ok_or_else(|| format!("unknown engine {s:?} (want calendar or reference)"))
     }
 }
 
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Engine::Parallel { workers } if *workers > 0 => {
-                write!(f, "parallel:{workers}")
-            }
-            _ => f.write_str(self.name()),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -221,8 +167,8 @@ pub struct SimConfig {
     /// Tesseract-style remote calls (Section II-C).
     pub invocation_overhead_cycles: u64,
     /// The cycle engine `Simulation::run` drives (default
-    /// [`Engine::Skip`]).  All engines model the identical schedule; the
-    /// knob trades simulator wall-clock profiles (see [`Engine`]).
+    /// [`Engine::Calendar`]).  Both engines model the identical schedule;
+    /// the oracle only costs wall-clock (see [`Engine`]).
     pub engine: Engine,
     /// Materialize every tile's arena slab up front instead of lazily on
     /// first activity (default `false`).  Laziness is schedule-invisible —
@@ -230,8 +176,8 @@ pub struct SimConfig {
     /// so the only reason to flip this is to measure the idle-tile memory
     /// laziness saves, or to serve as the eager oracle in that suite.
     pub eager_tile_init: bool,
-    /// Deterministic fault schedule applied bit-identically by every cycle
-    /// engine (default empty = schedule-invisible).  See
+    /// Deterministic fault schedule applied bit-identically by both cycle
+    /// engines (default empty = schedule-invisible).  See
     /// [`crate::fault::FaultPlan`] for the model and spec format.
     pub faults: FaultPlan,
     /// How strictly the static task-graph verifier ([`crate::verify`])
@@ -373,8 +319,8 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Overrides the cycle engine (default [`Engine::Skip`]; the modelled
-    /// schedule is identical for every engine).
+    /// Overrides the cycle engine (default [`Engine::Calendar`]; the
+    /// modelled schedule is identical for both engines).
     pub fn engine(mut self, engine: Engine) -> Self {
         self.config.engine = engine;
         self
@@ -391,7 +337,7 @@ impl SimConfigBuilder {
 
     /// Installs a deterministic fault schedule (default empty).  An empty
     /// plan is schedule-invisible; a non-empty plan degrades the run but
-    /// stays bit-identical across all five cycle engines.
+    /// stays bit-identical between the engine and its oracle.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.config.faults = faults;
         self
@@ -519,18 +465,21 @@ mod tests {
     #[test]
     fn engine_defaults_parses_and_round_trips() {
         let config = SimConfigBuilder::new(GridConfig::square(4)).build().unwrap();
-        assert_eq!(config.engine, Engine::Skip);
-        let calendar = SimConfigBuilder::new(GridConfig::square(4))
-            .engine(Engine::Calendar)
+        assert_eq!(config.engine, Engine::Calendar);
+        let reference = SimConfigBuilder::new(GridConfig::square(4))
+            .engine(Engine::Reference)
             .build()
             .unwrap();
-        assert_eq!(calendar.engine, Engine::Calendar);
+        assert_eq!(reference.engine, Engine::Reference);
         for engine in Engine::ALL {
             assert_eq!(engine.name().parse::<Engine>().unwrap(), engine);
             assert_eq!(engine.to_string(), engine.name());
         }
-        assert_eq!("tick".parse::<Engine>().unwrap(), Engine::Ticked);
-        assert!("warp".parse::<Engine>().is_err());
+        // The retired engine names are unknown names like any other.
+        for retired in ["skip", "ticked", "tick", "parallel", "parallel:2", "warp"] {
+            let err = retired.parse::<Engine>().unwrap_err();
+            assert!(err.contains(&format!("{retired:?}")), "{err}");
+        }
     }
 
     #[test]

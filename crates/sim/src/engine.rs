@@ -37,8 +37,9 @@
 //! queued-word counter, the drain/inject loops walk channel-occupancy
 //! bitmasks, and the scheduler consults a task-ready bitmask updated at
 //! every queue mutation.  The pre-overhaul tile path is preserved behind
-//! [`Simulation::run_reference`] as a schedule-equivalence oracle (like
-//! `Network::cycle_reference`); the two produce cycle-exact identical
+//! [`Simulation::run_reference`] as the schedule-equivalence oracle
+//! ([`Engine::Reference`], which also steps the network with its
+//! reference router scheduler); the two produce cycle-exact identical
 //! outcomes, and `sim_microbench` measures the speedup of the hot path
 //! against it.
 
@@ -56,13 +57,7 @@ use crate::tile::{distribute_graph, TileCsr, TileInit, TileState};
 use crate::tsu::Scheduler;
 use crate::area::{AreaConstants, AreaModel};
 use dalorex_graph::CsrGraph;
-use dalorex_noc::{Message, Network, NocConfig, RouterScheduler, TileEndpoint};
-
-// The parallel engine's worker pool.  The one `allow(unsafe_code)` island
-// in the crate: a type-erased per-cycle batch pointer handed to persistent
-// workers under a mutex (see `par.rs` for the safety argument).
-#[allow(unsafe_code)]
-mod par;
+use dalorex_noc::{Message, Network, NocConfig, RouterScheduler};
 
 /// Result of a completed simulation run.
 #[derive(Debug, Clone)]
@@ -87,12 +82,12 @@ pub struct SimOutcome {
     pub power_density_mw_per_mm2: f64,
     /// Modeled per-subsystem memory footprint of the run.  Lives here and
     /// not in [`SimStats`] because the calendar line is engine bookkeeping
-    /// that legitimately differs between engines, while stats are pinned
-    /// bit-identical across the equivalence square.
+    /// that legitimately differs between the engine and its oracle, while
+    /// stats are pinned bit-identical between the two.
     pub memory: MemoryReport,
     /// Per-event fault impact accounting (empty for an empty
     /// [`crate::fault::FaultPlan`]).  Derived entirely from schedule facts,
-    /// so it is bit-identical across the five-engine equivalence square.
+    /// so it is bit-identical between the engine and its oracle.
     pub fault: FaultReport,
 }
 
@@ -183,8 +178,8 @@ fn tile_next_event(h: &HotTile, now: u64) -> u64 {
 /// Builds the structured [`DeadlockDiagnostics`] payload for a watchdog
 /// firing.  Reads only schedule-identical state (tile queue occupancies
 /// through the hollow-safe accessors, the network's in-flight counters and
-/// the progress markers), so every engine attaches a bit-identical snapshot
-/// — pinned by `tests/engine_error_parity.rs`.
+/// the progress markers), so the engine and its oracle attach a
+/// bit-identical snapshot — pinned by `tests/engine_error_parity.rs`.
 fn deadlock_diagnostics(
     tiles: &[TileState],
     network: &Network,
@@ -239,28 +234,6 @@ struct InjectPark {
     /// Whether every inject-ready channel is parked (the tile's inject
     /// step is then a pure stall until the drain version moves).
     all_ready_parked: bool,
-}
-
-/// Everything an engine builds before entering its cycle loop: the kernel's
-/// declarations, the bootstrapped tiles, the network, and the dense
-/// engine-side tracking state.  Factored out of `run_with` so the parallel
-/// engine starts from the byte-identical initial state as the
-/// single-threaded engines (any drift here would break the five-engine
-/// equivalence square before the first cycle).
-struct EngineState {
-    tasks: Vec<TaskDecl>,
-    channels: Vec<ChannelDecl>,
-    arrays: Vec<crate::kernel::LocalArrayDecl>,
-    tiles: Vec<TileState>,
-    network: Network,
-    schedulers: Vec<Scheduler>,
-    barrier_mode: bool,
-    hot: Vec<HotTile>,
-    parks: Vec<InjectPark>,
-    active: Vec<bool>,
-    active_list: Vec<usize>,
-    active_scratch: Vec<usize>,
-    delivery_events: Vec<usize>,
 }
 
 /// A configured Dalorex simulation, ready to run kernels over one dataset.
@@ -358,22 +331,22 @@ impl Simulation {
     }
 
     /// Runs `kernel` to completion under the configured cycle engine
-    /// ([`crate::config::SimConfig::engine`], default [`Engine::Skip`]) and
-    /// returns the outcome.
+    /// ([`crate::config::SimConfig::engine`], default [`Engine::Calendar`])
+    /// and returns the outcome.
     ///
-    /// Every engine drives the same modelled machine; the default skip
-    /// engine runs the allocation-free tile path — ring-buffer queue reads,
-    /// inline message payloads, O(1) idle checks and the incrementally
-    /// maintained readiness masks — under **skip-to-next-event** cycling:
-    /// whenever neither the network (per `Network::next_event_cycle`) nor
-    /// any active tile (pending delivery, dispatchable or
-    /// soon-dispatchable task, unparked injectable message) can act before
-    /// some future cycle, the engine jumps straight to that cycle,
-    /// replaying the skipped no-op cycles' only observable effect (parked
-    /// channels' per-cycle injection rejections and tiles timing out of
-    /// the active set) in O(active tiles).  The modelled schedule and
-    /// every statistic are cycle-exact identical across all engines (see
-    /// [`Engine`]).
+    /// The default calendar engine runs the allocation-free tile path —
+    /// ring-buffer queue reads, inline message payloads, O(1) idle checks
+    /// and the incrementally maintained readiness masks — against the
+    /// NoC's calendar router scheduler, under **skip-to-next-event**
+    /// cycling: whenever neither the network (per
+    /// `Network::next_event_cycle`) nor any active tile (pending delivery,
+    /// dispatchable or soon-dispatchable task, unparked injectable message)
+    /// can act before some future cycle, the engine jumps straight to that
+    /// cycle, replaying the skipped no-op cycles' only observable effect
+    /// (parked channels' per-cycle injection rejections and tiles timing
+    /// out of the active set) in O(active tiles).  The modelled schedule
+    /// and every statistic are cycle-exact identical to the
+    /// [`Engine::Reference`] oracle.
     ///
     /// # Errors
     ///
@@ -388,51 +361,26 @@ impl Simulation {
         self.run_with_engine(kernel, self.config.engine)
     }
 
-    /// Runs `kernel` under an explicitly selected cycle engine, overriding
-    /// the configured one — the single dispatch point every figure binary,
-    /// microbench and equivalence test goes through.
+    /// Runs `kernel` on the preserved pre-overhaul paths —
+    /// [`Engine::Reference`], the schedule-equivalence oracle.
     ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::run`].
-    pub fn run_with_engine(
-        &self,
-        kernel: &dyn Kernel,
-        engine: Engine,
-    ) -> Result<SimOutcome, SimError> {
-        self.run_with(kernel, engine)
-    }
-
-    /// Runs `kernel` on the allocation-free tile path while ticking every
-    /// cycle — [`Engine::Ticked`], the PR 3 engine, kept as the
-    /// tick-every-cycle baseline the skip microbench measures against.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::run`].
-    pub fn run_ticked(&self, kernel: &dyn Kernel) -> Result<SimOutcome, SimError> {
-        self.run_with(kernel, Engine::Ticked)
-    }
-
-    /// Runs `kernel` on the preserved pre-overhaul tile path —
-    /// [`Engine::Reference`], the schedule-equivalence oracle, in the
-    /// mould of `Network::cycle_reference`.
-    ///
-    /// The reference path keeps the original cost profile of the per-cycle
-    /// TSU loop: every queue pop allocates a `Vec`, delivered payloads are
-    /// copied to the heap before the head decode, the drain/inject loops
-    /// scan every channel, the scheduler re-probes every task's queues
-    /// ([`crate::tsu::Scheduler::pick_reference`]), and the idle check
-    /// rescans all queues ([`crate::tile::TileState::is_idle_scan`]).  All
-    /// paths share `Network::cycle`, so comparing the two isolates the
-    /// tile-side overhaul; equivalence tests assert the outcomes are
-    /// identical, and `sim_microbench` measures the speedup.
+    /// The reference tile path keeps the original cost profile of the
+    /// per-cycle TSU loop: every queue pop allocates a `Vec`, delivered
+    /// payloads are copied to the heap before the head decode, the
+    /// drain/inject loops scan every channel, the scheduler re-probes every
+    /// task's queues ([`crate::tsu::Scheduler::pick_reference`]), and the
+    /// idle check rescans all queues
+    /// ([`crate::tile::TileState::is_idle_scan`]).  The network runs its
+    /// reference router scheduler (`RouterScheduler::Reference`), and the
+    /// engine ticks every cycle.  Equivalence tests assert the outcome is
+    /// identical to [`Simulation::run`]'s, and `sim_microbench` measures
+    /// the speedup.
     ///
     /// # Errors
     ///
     /// Same as [`Simulation::run`].
     pub fn run_reference(&self, kernel: &dyn Kernel) -> Result<SimOutcome, SimError> {
-        self.run_with(kernel, Engine::Reference)
+        self.run_with_engine(kernel, Engine::Reference)
     }
 
     /// Runs the static task-graph verifier ([`crate::verify`]) over the
@@ -473,13 +421,19 @@ impl Simulation {
         Ok(())
     }
 
-    /// Validates the kernel's declarations and builds the initial
-    /// [`EngineState`] every engine starts its cycle loop from.
-    fn prepare(
+    /// Runs `kernel` under an explicitly selected cycle engine, overriding
+    /// the configured one — the single dispatch point every figure binary,
+    /// microbench and equivalence test goes through.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Simulation::run`].
+    pub fn run_with_engine(
         &self,
         kernel: &dyn Kernel,
-        router_scheduler: RouterScheduler,
-    ) -> Result<EngineState, SimError> {
+        engine: Engine,
+    ) -> Result<SimOutcome, SimError> {
+        let reference = engine == Engine::Reference;
         let tasks = kernel.tasks();
         let channels = kernel.channels();
         let arrays = kernel.arrays();
@@ -518,6 +472,11 @@ impl Simulation {
             kernel.bootstrap(&mut ctx);
         }
 
+        let router_scheduler = if reference {
+            RouterScheduler::Reference
+        } else {
+            RouterScheduler::Calendar
+        };
         let mut noc_config = NocConfig::new(self.config.grid.shape(), self.config.topology)
             .with_channels(channels.len().max(1))
             .with_buffer_flits(self.config.noc_buffer_flits)
@@ -527,9 +486,9 @@ impl Simulation {
         if let Some(armed) = self.faults.as_deref() {
             noc_config = noc_config.with_faults(armed.noc_faults.clone());
         }
-        let network = Network::new(noc_config);
+        let mut network = Network::new(noc_config);
 
-        let schedulers: Vec<Scheduler> = (0..num_tiles)
+        let mut schedulers: Vec<Scheduler> = (0..num_tiles)
             .map(|_| Scheduler::new(self.config.scheduling))
             .collect();
 
@@ -537,77 +496,12 @@ impl Simulation {
         // Dense action snapshots for the fast path's no-op skip (see
         // `HotTile`); the reference path ignores them, preserving its
         // pre-overhaul cost profile.
-        let hot: Vec<HotTile> = tiles.iter().map(|t| HotTile::snapshot(t, false)).collect();
-        let parks: Vec<InjectPark> = vec![InjectPark::default(); num_tiles];
-        let active: Vec<bool> = tiles.iter().map(|t| !t.is_idle(0)).collect();
-        let active_list: Vec<usize> = (0..num_tiles).filter(|&t| active[t]).collect();
-
-        Ok(EngineState {
-            tasks,
-            channels,
-            arrays,
-            tiles,
-            network,
-            schedulers,
-            barrier_mode,
-            hot,
-            parks,
-            active,
-            active_list,
-            active_scratch: Vec::new(),
-            delivery_events: Vec::new(),
-        })
-    }
-
-    fn run_with(&self, kernel: &dyn Kernel, engine: Engine) -> Result<SimOutcome, SimError> {
-        let scheduler = if engine == Engine::Calendar {
-            RouterScheduler::Calendar
-        } else {
-            RouterScheduler::Scan
-        };
-        self.run_with_scheduler(kernel, engine, scheduler)
-    }
-
-    /// Runs the calendar engine over the *pre-due-only* full calendar walk
-    /// ([`RouterScheduler::CalendarScan`]): identical due stamps and
-    /// buckets, but every non-quiet cycle reads a dense stamp for the whole
-    /// active list.  This is the in-binary A/B baseline the due-only
-    /// microbenches measure against and the schedule oracle the equivalence
-    /// square pins the new walk to.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::run`].
-    pub fn run_calendar_scan(&self, kernel: &dyn Kernel) -> Result<SimOutcome, SimError> {
-        self.run_with_scheduler(kernel, Engine::Calendar, RouterScheduler::CalendarScan)
-    }
-
-    fn run_with_scheduler(
-        &self,
-        kernel: &dyn Kernel,
-        engine: Engine,
-        scheduler: RouterScheduler,
-    ) -> Result<SimOutcome, SimError> {
-        if let Engine::Parallel { workers } = engine {
-            return self.run_parallel(kernel, workers);
-        }
-        let reference = engine == Engine::Reference;
-        let skip_engine = matches!(engine, Engine::Skip | Engine::Calendar);
-        let EngineState {
-            tasks,
-            channels,
-            arrays,
-            mut tiles,
-            mut network,
-            mut schedulers,
-            barrier_mode,
-            mut hot,
-            mut parks,
-            mut active,
-            mut active_list,
-            mut active_scratch,
-            mut delivery_events,
-        } = self.prepare(kernel, scheduler)?;
+        let mut hot: Vec<HotTile> = tiles.iter().map(|t| HotTile::snapshot(t, false)).collect();
+        let mut parks: Vec<InjectPark> = vec![InjectPark::default(); num_tiles];
+        let mut active: Vec<bool> = tiles.iter().map(|t| !t.is_idle(0)).collect();
+        let mut active_list: Vec<usize> = (0..num_tiles).filter(|&t| active[t]).collect();
+        let mut active_scratch: Vec<usize> = Vec::new();
+        let mut delivery_events: Vec<usize> = Vec::new();
 
         let mut cycle: u64 = 0;
         let mut epochs: u64 = 0;
@@ -737,9 +631,7 @@ impl Simulation {
                         active[t] = true;
                         active_list.push(t);
                     }
-                    if skip_engine {
-                        tile_event_min = tile_event_min.min(tile_next_event(&h, cycle));
-                    }
+                    tile_event_min = tile_event_min.min(tile_next_event(&h, cycle));
                     continue;
                 }
                 self.tile_cycle(
@@ -761,18 +653,16 @@ impl Simulation {
                     active[t] = true;
                     active_list.push(t);
                 }
-                if skip_engine {
-                    let ran_event = if leftover_deliveries
-                        || (hot[t].cq_ready && !parks[t].all_ready_parked)
-                    {
-                        // Undrained deliveries or an unparked injectable
-                        // message: the tile must act again next cycle.
-                        cycle + 1
-                    } else {
-                        tile_next_event(&hot[t], cycle)
-                    };
-                    tile_event_min = tile_event_min.min(ran_event);
-                }
+                let ran_event = if leftover_deliveries
+                    || (hot[t].cq_ready && !parks[t].all_ready_parked)
+                {
+                    // Undrained deliveries or an unparked injectable
+                    // message: the tile must act again next cycle.
+                    cycle + 1
+                } else {
+                    tile_next_event(&hot[t], cycle)
+                };
+                tile_event_min = tile_event_min.min(ran_event);
             }
             active_scratch.clear();
 
@@ -815,8 +705,9 @@ impl Simulation {
             // busy-PU tiles timing out of the active set — both replayed
             // here in O(active tiles).  Tiles keep their list positions, so
             // the service order of acting tiles — and with it the schedule
-            // and every statistic — is exactly the ticked engines'.
-            if skip_engine && !(active_list.is_empty() && network.is_idle()) {
+            // and every statistic — is exactly the ticking oracle's.  The
+            // oracle itself never skips.
+            if !reference && (!active_list.is_empty() || !network.is_idle()) {
                 // The network bound is in network time (its counter lags the
                 // engine cycle by the accumulated epoch-broadcast offset);
                 // translate it before comparing with the tile events.
@@ -850,8 +741,8 @@ impl Simulation {
                         if h.cq_ready {
                             // Every inject-ready channel is parked (an
                             // unparked one would have forced an event now);
-                            // the ticked engines attempt and fail each once
-                            // per cycle.
+                            // the ticking oracle attempts and fails each
+                            // once per cycle.
                             let owed = span * u64::from(parks[t].ready_count);
                             if owed > 0 {
                                 network.count_injection_backpressure(t, owed);
@@ -897,10 +788,7 @@ impl Simulation {
     }
 
     /// Gathers statistics, output and the derived energy/area figures into
-    /// the final [`SimOutcome`] — shared by every engine (the parallel
-    /// engine reaches this point with all shard effects already merged back
-    /// into the one `Network` and the one tile vector, so nothing here is
-    /// engine-specific).
+    /// the final [`SimOutcome`].
     #[allow(clippy::too_many_arguments)]
     fn finish_outcome(
         &self,
@@ -1025,8 +913,8 @@ impl Simulation {
     /// Applies any active PU-slowdown fault at `tile` to a dispatch cost,
     /// accounting the stretch in the tile's fault counters.  Dispatches
     /// only happen on simulated cycles (a dispatchable tile always forces
-    /// an engine event), so the factor is sampled at the same cycle by
-    /// every engine.
+    /// an engine event), so the factor is sampled at the same cycle by the
+    /// engine and its oracle.
     fn fault_slowed_cost(&self, tile: &mut TileState, cycle: u64, cost: u64) -> u64 {
         let Some(armed) = self.faults.as_deref() else {
             return cost;
@@ -1044,7 +932,7 @@ impl Simulation {
     /// The endpoint drain/inject budget effective at `tile` on `cycle`:
     /// the configured budget unless an endpoint-throttle window is active
     /// (never below 1, so a throttle delays progress but cannot deny it —
-    /// which is also what keeps the skip engines' bulk parked-rejection
+    /// which is also what keeps the engine's bulk parked-rejection
     /// accounting exact under throttles).
     fn fault_endpoint_budget(&self, tile: usize, cycle: u64) -> usize {
         let configured = self.config.endpoint_drains_per_cycle;
@@ -1067,20 +955,15 @@ impl Simulation {
     /// [`Simulation::tile_cycle_reference`]; kernels whose declarations
     /// exceed the mask widths (more than 32 channels for the drain mask, 64
     /// for the inject mask) fall back to the reference loops.
-    ///
-    /// Generic over [`TileEndpoint`] so the same code drives both the whole
-    /// [`Network`] (single-threaded engines) and an
-    /// [`dalorex_noc::EndpointShard`] (parallel engine) — the generic is
-    /// what guarantees the parallel tile phase cannot diverge.
     #[allow(clippy::too_many_arguments)]
-    fn tile_cycle<N: TileEndpoint>(
+    fn tile_cycle(
         &self,
         kernel: &dyn Kernel,
         tasks: &[TaskDecl],
         channels: &[ChannelDecl],
         tile: &mut TileState,
         scheduler: &mut Scheduler,
-        network: &mut N,
+        network: &mut Network,
         park: &mut InjectPark,
         delivery_pending: bool,
         barrier_mode: bool,
@@ -1322,14 +1205,14 @@ impl Simulation {
     /// the counter-maintaining [`TileState`] methods, so they cannot drift
     /// in behaviour — only in cost.
     #[allow(clippy::too_many_arguments)]
-    fn tile_cycle_reference<N: TileEndpoint>(
+    fn tile_cycle_reference(
         &self,
         kernel: &dyn Kernel,
         tasks: &[TaskDecl],
         channels: &[ChannelDecl],
         tile: &mut TileState,
         scheduler: &mut Scheduler,
-        network: &mut N,
+        network: &mut Network,
         barrier_mode: bool,
         cycle: u64,
         total_dispatches: &mut u64,

@@ -18,7 +18,7 @@ pub struct BlockedTile {
 
 /// Structured snapshot attached to [`SimError::Deadlock`]: *why* the
 /// watchdog fired, not just that it did.  Every field derives from the
-/// schedule-identical simulation state at the watchdog cycle, so all five
+/// schedule-identical simulation state at the watchdog cycle, so both
 /// cycle engines attach bit-identical diagnostics (pinned by
 /// `tests/engine_error_parity.rs`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

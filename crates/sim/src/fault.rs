@@ -20,7 +20,7 @@
 //! task still runs, and the run still quiesces — later.  Because every
 //! fault only blocks or lengthens work, the engine-side skip bounds remain
 //! valid lower bounds, and the schedule under a fault plan is bit-identical
-//! across all five cycle engines (pinned by the equivalence square in
+//! between the engine and its oracle (pinned by the equivalence tests in
 //! `tests/tile_path_equivalence.rs`).  An empty plan is schedule-invisible
 //! and costs one branch per hot-path decision.
 //!
@@ -266,7 +266,7 @@ impl RandomFaultSpec {
 }
 
 /// An explicit, serializable schedule of timed fault events, plus an
-/// optional seeded random clause.  The `SimConfig` knob all five cycle
+/// optional seeded random clause.  The `SimConfig` knob both cycle
 /// engines apply bit-identically; an empty plan (the default) is
 /// schedule-invisible.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -498,7 +498,7 @@ pub fn parse_port(name: &str) -> Result<Port, String> {
 /// (`dispatches_slowed`, `extra_pu_cycles`, `throttled_messages`) are
 /// accumulated per *tile*, so multiple slowdown (or throttle) events
 /// sharing a tile report that tile's shared totals.  All counters derive
-/// from schedule facts, so they are bit-identical across the five engines.
+/// from schedule facts, so they are bit-identical across the engines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultImpactEntry {
     /// The resolved event this entry describes.
@@ -577,7 +577,7 @@ struct TileFaultWindow {
 }
 
 /// A resolved, compiled fault plan, armed on a `Simulation`: the resolved
-/// event list, the sorted transition cycles the skip engines clamp their
+/// event list, the sorted transition cycles the engine clamps its
 /// horizons to, the tile-side windows grouped per tile, and the mapping
 /// from the fabric-side schedule back to plan order.  Only ever allocated
 /// for a non-empty plan.
@@ -586,7 +586,7 @@ pub(crate) struct ArmedFaults {
     /// Resolved events, in plan order.
     pub(crate) events: Vec<FaultEvent>,
     /// Every window start and end, sorted and deduplicated: the fault
-    /// transitions the skip engines clamp their event horizons to.
+    /// transitions the engine clamps its event horizons to.
     transitions: Vec<u64>,
     /// Per tile: `(offset, len)` into `tile_windows`.
     tile_index: Vec<(u32, u32)>,
@@ -679,7 +679,7 @@ impl ArmedFaults {
     }
 
     /// The first fault transition strictly after `cycle` (`u64::MAX` when
-    /// none remain) — the skip engines' extra horizon clamp.
+    /// none remain) — the engine's extra horizon clamp.
     #[inline]
     pub(crate) fn next_transition_after(&self, cycle: u64) -> u64 {
         let idx = self.transitions.partition_point(|&t| t <= cycle);

@@ -275,12 +275,7 @@ pub enum EpochDecision {
 /// dispatched by the TSU; it must only touch tile-local state through the
 /// provided context (that restriction is what makes every memory operation
 /// local, the core of the paper's execution model).
-///
-/// Kernels must be [`Send`] + [`Sync`]: the parallel engine
-/// ([`crate::config::Engine::Parallel`]) shares one kernel reference across
-/// its worker pool.  Task bodies only receive `&self`, so any mutable
-/// kernel-side state would already be a bug under every engine.
-pub trait Kernel: Send + Sync {
+pub trait Kernel {
     /// Kernel name used in reports ("bfs", "sssp", ...).
     fn name(&self) -> &str;
 

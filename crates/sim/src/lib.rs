@@ -37,11 +37,7 @@
 //! the `dalorex-kernels` crate, and complete runnable scenarios are under
 //! `examples/` at the workspace root.
 
-// Unsafe is denied crate-wide and allowed back in exactly one leaf: the
-// parallel engine's worker-pool handoff (`engine::par`), which passes one
-// type-erased batch pointer per cycle under a mutex.  Everything else —
-// including all of `dalorex-noc` — remains `forbid(unsafe_code)`-clean.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod area;

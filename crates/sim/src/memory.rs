@@ -11,8 +11,8 @@
 //!
 //! The report lives on [`crate::SimOutcome`], not on [`crate::SimStats`]:
 //! the calendar line is engine bookkeeping that legitimately differs
-//! between engines, while stats are pinned bit-identical across the
-//! five-engine equivalence square.
+//! between the engine and its oracle, while stats are pinned bit-identical
+//! between the two.
 
 /// Modeled resident bytes, by subsystem, for one completed run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,7 +30,8 @@ pub struct MemoryReport {
     pub total_tiles: usize,
     /// Router port buffers plus ejection buffers, across the whole fabric.
     pub noc_buffer_bytes: usize,
-    /// Calendar router-scheduler bookkeeping (0 for the scan scheduler).
+    /// Calendar router-scheduler bookkeeping (just the dense due and
+    /// buffered-count mirrors under the reference scheduler).
     /// Engine-dependent by design — this is simulator bookkeeping, not
     /// modeled hardware.
     pub calendar_bytes: usize,

@@ -433,7 +433,7 @@ impl TileState {
 
     /// Allocates and initializes the arena slab.  Idempotent; called
     /// automatically by every mutation, or eagerly by
-    /// `EngineState::prepare` under the eager-init policy.
+    /// `Simulation::run_with_engine` under the eager-init policy.
     pub fn materialize(&mut self) {
         if self.materialized {
             return;

@@ -2,14 +2,14 @@
 //! `#[path = "common/engine.rs"]`, not an example itself).
 //!
 //! Every example accepts `--engine <name>` / `--engine=<name>` with the
-//! same names as the figure binaries (`reference`, `ticked`, `skip`,
-//! `calendar`, `parallel[:N]`) and honours the `DALOREX_ENGINE`
-//! environment variable as a default when the flag is absent — the flag
-//! wins when both are given.  All engines model the identical schedule,
-//! so an example's printed results never change with this knob; it exists
-//! so the examples double as quick A/B timing drivers and as CI smoke for
-//! each engine.  A malformed value aborts with exit code 2 rather than
-//! silently running the default engine under the wrong label.
+//! same names as the figure binaries (`calendar`, the default, and the
+//! `reference` oracle) and honours the `DALOREX_ENGINE` environment
+//! variable as a default when the flag is absent — the flag wins when both
+//! are given.  Both engines model the identical schedule, so an example's
+//! printed results never change with this knob; it exists so the examples
+//! double as end-to-end oracle cross-checks.  A malformed value aborts
+//! with exit code 2 rather than silently running the default engine under
+//! the wrong label.
 
 use dalorex::sim::config::Engine;
 

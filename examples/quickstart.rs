@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `--engine` (or the `DALOREX_ENGINE` environment variable) picks the
-//! cycle engine; all engines produce the identical schedule, so the
+//! cycle engine; both engines produce the identical schedule, so the
 //! printed numbers never depend on it.
 
 use dalorex::graph::generators::rmat::RmatConfig;

@@ -1,16 +1,16 @@
 //! Engine parity at the exact error boundaries.
 //!
-//! The skip-family engines (skip, calendar, parallel) clamp their jumps to
-//! the failure horizons — `max_cycles` and the watchdog deadline
+//! The calendar engine clamps its event-horizon jumps to the failure
+//! horizons — `max_cycles` and the watchdog deadline
 //! `last_progress_cycle + watchdog_cycles + 1` — so that
 //! [`SimError::CycleLimitExceeded`] and [`SimError::Deadlock`] fire at the
-//! *identical* cycle as when ticking every cycle.  These tests pin that
-//! contract at the boundary itself: limits landing exactly on, one before
-//! and one after the interesting cycle, across all five engines, plus a
+//! *identical* cycle as the reference oracle, which ticks every cycle.
+//! These tests pin that contract at the boundary itself: limits landing
+//! exactly on, one before and one after the interesting cycle, plus a
 //! property-style sweep of `max_cycles`/`watchdog_cycles` near the event
-//! horizon.  Any off-by-one in the clamp (or in the parallel engine's
-//! merged progress marker) shows up as one engine erroring a cycle early,
-//! a cycle late, or with different queue/message counts in the payload.
+//! horizon.  Any off-by-one in the clamp shows up as the engine erroring a
+//! cycle early, a cycle late, or with different queue/message counts in
+//! the payload.
 
 use dalorex::graph::generators::rmat::RmatConfig;
 use dalorex::graph::CsrGraph;
@@ -22,39 +22,28 @@ use dalorex::sim::kernel::{
 };
 use dalorex::sim::{ArraySpace, FaultEvent, FaultPlan, SimError, Simulation, VertexPlacement};
 
-/// All five engines plus explicitly sized parallel pools (2 workers, and 3
-/// so the shard boundaries do not divide the tile count evenly).
-fn engines() -> Vec<Engine> {
-    let mut engines = Engine::ALL.to_vec();
-    engines.push(Engine::Parallel { workers: 2 });
-    engines.push(Engine::Parallel { workers: 3 });
-    engines
-}
-
-/// Runs `kernel` under every engine and asserts the result is identical:
-/// either all succeed with the same cycle count and statistics, or all
+/// Runs `kernel` under both engines and asserts the result is identical:
+/// either both succeed with the same cycle count and statistics, or both
 /// fail with the exact same [`SimError`] value (`SimError` is
 /// `PartialEq`, so the comparison covers the payload — the cycle the
 /// watchdog fired at, the in-flight message count, the queued
 /// invocations — not just the variant).
 fn assert_error_parity(sim: &Simulation, kernel: &dyn Kernel, label: &str) {
     let reference = sim.run_with_engine(kernel, Engine::Reference);
-    for engine in engines() {
-        let outcome = sim.run_with_engine(kernel, engine);
-        match (&reference, &outcome) {
-            (Ok(want), Ok(got)) => {
-                assert_eq!(got.cycles, want.cycles, "{label}/{engine}: cycles diverged");
-                assert_eq!(got.stats, want.stats, "{label}/{engine}: stats diverged");
-            }
-            (Err(want), Err(got)) => {
-                assert_eq!(got, want, "{label}/{engine}: errors diverged");
-            }
-            (want, got) => panic!(
-                "{label}/{engine}: reference {} but {engine} {}",
-                if want.is_ok() { "succeeded" } else { "failed" },
-                if got.is_ok() { "succeeded" } else { "failed" },
-            ),
+    let outcome = sim.run_with_engine(kernel, Engine::Calendar);
+    match (&reference, &outcome) {
+        (Ok(want), Ok(got)) => {
+            assert_eq!(got.cycles, want.cycles, "{label}: cycles diverged");
+            assert_eq!(got.stats, want.stats, "{label}: stats diverged");
         }
+        (Err(want), Err(got)) => {
+            assert_eq!(got, want, "{label}: errors diverged");
+        }
+        (want, got) => panic!(
+            "{label}: reference {} but calendar {}",
+            if want.is_ok() { "succeeded" } else { "failed" },
+            if got.is_ok() { "succeeded" } else { "failed" },
+        ),
     }
 }
 
@@ -75,8 +64,8 @@ fn sim_with_limits(graph: &CsrGraph, max_cycles: u64, watchdog_cycles: u64) -> S
 
 /// The cycle-limit boundary: `max_cycles` landing exactly on, just below
 /// and just above the run's natural completion cycle must produce the
-/// same outcome — success or `CycleLimitExceeded { limit }` — on every
-/// engine.  The skip engines jump straight at the horizon, so this is
+/// same outcome — success or `CycleLimitExceeded { limit }` — on both
+/// engines.  The calendar engine jumps straight at the horizon, so this is
 /// where a clamp off-by-one would live.
 #[test]
 fn cycle_limit_fires_identically_at_the_exact_boundary() {
@@ -164,10 +153,10 @@ fn watchdog_deadline_fires_identically_on_wedged_pipelines() {
     }
 }
 
-/// The cycle-limit boundary under a non-empty fault plan: the skip-family
-/// engines now juggle three horizon clamps (`max_cycles`, the watchdog
+/// The cycle-limit boundary under a non-empty fault plan: the calendar
+/// engine now juggles three horizon clamps (`max_cycles`, the watchdog
 /// deadline and the next fault transition), and the tightest must win on
-/// every engine — `CycleLimitExceeded` still fires on the identical cycle
+/// both engines — `CycleLimitExceeded` still fires on the identical cycle
 /// with the identical payload.
 #[test]
 fn cycle_limit_fires_identically_under_faults() {
@@ -202,8 +191,8 @@ fn cycle_limit_fires_identically_under_faults() {
 
 /// The watchdog boundary under a non-empty fault plan, including the nasty
 /// corner the issue calls out: a fault transition landing *exactly on* the
-/// watchdog deadline, where the skip engines' fault-edge clamp and the
-/// deadline clamp pick the same stop cycle.  Every engine must report the
+/// watchdog deadline, where the engine's fault-edge clamp and the
+/// deadline clamp pick the same stop cycle.  Both engines must report the
 /// identical `Deadlock` payload — `SimError` is `PartialEq`, so the
 /// comparison covers the structured diagnostics too.
 #[test]
@@ -234,7 +223,7 @@ fn watchdog_fires_identically_under_faults_even_on_a_transition_cycle() {
     }
     // Observe the deadline under the base plan, then open a window exactly
     // on it.  A window opening at the deadline cannot affect any earlier
-    // cycle, so the deadline must not move — but the skip engines now land
+    // cycle, so the deadline must not move — but the calendar engine lands
     // on it through two coinciding clamps.
     let watchdog = 64u64;
     let SimError::Deadlock { cycle: deadline, .. } =

@@ -15,7 +15,7 @@
 use dalorex::graph::generators::rmat::RmatConfig;
 use dalorex::graph::{CsrGraph, Edge, EdgeList};
 use dalorex::kernels::SsspKernel;
-use dalorex::sim::config::{Engine, GridConfig, SimConfigBuilder};
+use dalorex::sim::config::{GridConfig, SimConfigBuilder};
 use dalorex::sim::{MemoryReport, Simulation, VertexPlacement};
 
 fn run_sssp(side: usize, graph: &CsrGraph) -> dalorex::sim::SimOutcome {
@@ -24,12 +24,13 @@ fn run_sssp(side: usize, graph: &CsrGraph) -> dalorex::sim::SimOutcome {
         .build()
         .unwrap();
     let sim = Simulation::new(config, graph).unwrap();
-    sim.run_with_engine(&SsspKernel::new(0), Engine::Skip).unwrap()
+    sim.run(&SsspKernel::new(0)).unwrap()
 }
 
 /// Golden per-subsystem byte totals for a 16x16 grid running SSSP on an
-/// RMAT graph with 1024 vertices.  Captured when the arena refactor
-/// landed; any drift means the modeled memory footprint changed.
+/// RMAT graph with 1024 vertices, on the default (calendar) engine.  Any
+/// drift means the modeled memory footprint changed; the calendar line is
+/// the calendar router scheduler's own bookkeeping.
 #[test]
 fn golden_memory_budget_16x16_sssp() {
     let graph = RmatConfig::new(10, 8).seed(17).build().unwrap();
@@ -42,7 +43,7 @@ fn golden_memory_budget_16x16_sssp() {
             materialized_tiles: 252,
             total_tiles: 256,
             noc_buffer_bytes: 262_144,
-            calendar_bytes: 3_072,
+            calendar_bytes: 148_288,
         },
         "16x16 memory budget drifted: {:?}",
         outcome.memory
@@ -69,7 +70,7 @@ fn golden_memory_budget_64x64_sssp() {
             materialized_tiles: 4_083,
             total_tiles: 4096,
             noc_buffer_bytes: 6_291_456,
-            calendar_bytes: 49_152,
+            calendar_bytes: 2_338_592,
         },
         "64x64 memory budget drifted: {:?}",
         outcome.memory
@@ -95,9 +96,7 @@ fn all_idle_tiles_contribute_zero_arena_bytes() {
         .scratchpad_bytes(1 << 20)
         .vertex_placement(VertexPlacement::Chunked);
     let lazy_sim = Simulation::new(base.clone().build().unwrap(), &graph).unwrap();
-    let lazy = lazy_sim
-        .run_with_engine(&SsspKernel::new(0), Engine::Skip)
-        .unwrap();
+    let lazy = lazy_sim.run(&SsspKernel::new(0)).unwrap();
     assert_eq!(lazy.memory.total_tiles, 16);
     assert_eq!(
         lazy.memory.materialized_tiles, 1,
@@ -110,9 +109,7 @@ fn all_idle_tiles_contribute_zero_arena_bytes() {
         &graph,
     )
     .unwrap();
-    let eager = eager_sim
-        .run_with_engine(&SsspKernel::new(0), Engine::Skip)
-        .unwrap();
+    let eager = eager_sim.run(&SsspKernel::new(0)).unwrap();
     assert_eq!(eager.memory.materialized_tiles, 16);
     // Chunked placement gives every tile the same 4-vertex chunk, so all
     // 16 arenas are the same size: 15 idle tiles contribute exactly 0.
@@ -140,9 +137,7 @@ fn arena_bytes_count_exactly_the_materialized_tiles() {
         .build()
         .unwrap();
     let eager_sim = Simulation::new(eager_config, &graph).unwrap();
-    let eager = eager_sim
-        .run_with_engine(&SsspKernel::new(0), Engine::Skip)
-        .unwrap();
+    let eager = eager_sim.run(&SsspKernel::new(0)).unwrap();
     assert_eq!(eager.memory.materialized_tiles, 256);
     assert_eq!(eager.memory.tile_arena_bytes % 256, 0, "arenas are uniform");
     let per_tile = eager.memory.tile_arena_bytes / 256;

@@ -319,8 +319,8 @@ proptest! {
         torus in proptest::bool::ANY,
     ) {
         // The skip-to-next-event drive loop (advance_to the network's next
-        // event, then cycle) against the pre-overhaul cycle_reference
-        // ticking every cycle, on arbitrary traffic: messages are conserved
+        // event, then cycle) against the reference scheduler ticking every
+        // cycle, on arbitrary traffic: messages are conserved
         // (each delivered exactly once), both reach quiescence, and every
         // statistic — including the total latency and the modelled cycle
         // count — is identical.  Ejection buffers are sized to hold all
@@ -331,7 +331,8 @@ proptest! {
         let config = NocConfig::new(GridShape::new(4, 4), topology)
             .with_ejection_buffer_flits(1024);
         let mut skip = Network::new(config.clone());
-        let mut reference = Network::new(config);
+        let mut reference =
+            Network::new(config.with_router_scheduler(RouterScheduler::Reference));
         let mut expected = vec![0u32; 16];
         let mut pending: Vec<(usize, Message)> = messages
             .into_iter()
@@ -360,7 +361,7 @@ proptest! {
             }
             pending_ref = retry;
             skip.cycle();
-            reference.cycle_reference();
+            reference.cycle();
             guard += 1;
             prop_assert!(guard < 20_000, "injection never completed");
         }
@@ -376,7 +377,7 @@ proptest! {
         }
         let mut ticks = 0;
         while reference.in_flight() > 0 {
-            reference.cycle_reference();
+            reference.cycle();
             ticks += 1;
             prop_assert!(ticks < 100_000, "reference never drained");
         }
@@ -412,8 +413,8 @@ proptest! {
         drains in 1usize..4,
         torus in proptest::bool::ANY,
     ) {
-        // The calendar router scheduler against the pre-overhaul
-        // cycle_reference, on arbitrary traffic with a throttled endpoint
+        // The calendar router scheduler against the reference scheduler,
+        // on arbitrary traffic with a throttled endpoint
         // (small ejection buffers + a per-cycle drain budget keep some
         // heads blocked on full downstream buffers, exercising the waiter
         // lists): message conservation, identical statistics, identical
@@ -424,7 +425,8 @@ proptest! {
         let mut calendar = Network::new(
             config.clone().with_router_scheduler(RouterScheduler::Calendar),
         );
-        let mut reference = Network::new(config);
+        let mut reference =
+            Network::new(config.with_router_scheduler(RouterScheduler::Reference));
         let mut expected = vec![0u32; 16];
         let mut pending: Vec<(usize, Message)> = messages
             .into_iter()
@@ -456,7 +458,7 @@ proptest! {
             }
             pending_ref = retry;
             calendar.cycle();
-            reference.cycle_reference();
+            reference.cycle();
             for (tile, count) in received.iter_mut().enumerate() {
                 for _ in 0..drains {
                     let a = calendar.pop_delivered(tile);
@@ -485,22 +487,20 @@ proptest! {
         drains in 1usize..4,
         torus in proptest::bool::ANY,
     ) {
-        // The arbitration-order invariant behind the due-only walk (ISSUE
-        // 10): the implicit position keys, sorted, reproduce the scan
+        // The arbitration-order invariant behind the due-only walk: the
+        // implicit position keys, sorted, reproduce the reference
         // scheduler's explicit `active_list` byte for byte — every cycle,
         // under arbitrary traffic with endpoint-drain membership churn
-        // (drops, re-adds, mid-walk wakes).  The calendar-scan baseline
-        // keeps a real list and must agree too.  Any divergence here is a
+        // (drops, re-adds, mid-walk wakes).  Any divergence here is a
         // future schedule divergence even if this cycle's commits matched.
         let topology = if torus { Topology::Torus } else { Topology::Mesh };
         let config = NocConfig::new(GridShape::new(4, 4), topology)
             .with_ejection_buffer_flits(8);
-        let mut scan = Network::new(config.clone());
-        let mut due_only = Network::new(
-            config.clone().with_router_scheduler(RouterScheduler::Calendar),
+        let mut reference = Network::new(
+            config.clone().with_router_scheduler(RouterScheduler::Reference),
         );
-        let mut full_walk = Network::new(
-            config.with_router_scheduler(RouterScheduler::CalendarScan),
+        let mut due_only = Network::new(
+            config.with_router_scheduler(RouterScheduler::Calendar),
         );
         let seed_pending: Vec<(usize, Message)> = messages
             .into_iter()
@@ -508,14 +508,13 @@ proptest! {
                 (src, Message::new(dst, (seed % 4) as usize, vec![seed; len]))
             })
             .collect();
-        let mut pendings = [seed_pending.clone(), seed_pending.clone(), seed_pending];
+        let mut pendings = [seed_pending.clone(), seed_pending];
         let mut guard = 0;
-        while !scan.quiescent()
+        while !reference.quiescent()
             || !due_only.quiescent()
-            || !full_walk.quiescent()
             || pendings.iter().any(|p| !p.is_empty())
         {
-            for (net, pending) in [&mut scan, &mut due_only, &mut full_walk]
+            for (net, pending) in [&mut reference, &mut due_only]
                 .into_iter()
                 .zip(pendings.iter_mut())
             {
@@ -530,30 +529,18 @@ proptest! {
             }
             prop_assert_eq!(
                 due_only.debug_active_order(),
-                scan.debug_active_order(),
-                "due-only position order diverged from the scan list at cycle {}",
-                scan.current_cycle()
-            );
-            prop_assert_eq!(
-                full_walk.debug_active_order(),
-                scan.debug_active_order(),
-                "calendar-scan list diverged from the scan list at cycle {}",
-                scan.current_cycle()
+                reference.debug_active_order(),
+                "due-only position order diverged from the reference list at cycle {}",
+                reference.current_cycle()
             );
             for tile in 0..16 {
                 for _ in 0..drains {
-                    let a = scan.pop_delivered(tile);
+                    let a = reference.pop_delivered(tile);
                     let b = due_only.pop_delivered(tile);
-                    let c = full_walk.pop_delivered(tile);
                     prop_assert_eq!(
                         a.as_ref().map(|m| m.payload().to_vec()),
                         b.as_ref().map(|m| m.payload().to_vec()),
                         "due-only delivery diverged at tile {}", tile
-                    );
-                    prop_assert_eq!(
-                        a.as_ref().map(|m| m.payload().to_vec()),
-                        c.as_ref().map(|m| m.payload().to_vec()),
-                        "calendar-scan delivery diverged at tile {}", tile
                     );
                     if a.is_none() {
                         break;
@@ -563,10 +550,8 @@ proptest! {
             guard += 1;
             prop_assert!(guard < 50_000, "networks never quiesced");
         }
-        prop_assert_eq!(scan.stats(), due_only.stats());
-        prop_assert_eq!(scan.stats(), full_walk.stats());
-        prop_assert_eq!(scan.flits_per_router(), due_only.flits_per_router());
-        prop_assert_eq!(scan.flits_per_router(), full_walk.flits_per_router());
+        prop_assert_eq!(reference.stats(), due_only.stats());
+        prop_assert_eq!(reference.flits_per_router(), due_only.flits_per_router());
     }
 
     #[test]
@@ -574,27 +559,19 @@ proptest! {
         messages in proptest::collection::vec((0usize..16, 0usize..16, 1usize..4, 1u32..1000), 1..60),
         drains in 1usize..4,
         torus in proptest::bool::ANY,
-        due_only in proptest::bool::ANY,
     ) {
-        // The calendar invariant (ISSUE 5): a router's `next_possible` due
-        // stamp is a *lower bound* on its next commit — whenever a router
-        // actually forwards a message (its forwarded-flit counter moves
-        // during a cycle), the stamp it carried entering that cycle must
-        // have come due.  An overshooting stamp would mean the calendar
-        // walk could skip a router that the scan scheduler would commit,
-        // silently changing the schedule.  ISSUE 10 extends the invariant
-        // to the due-only walk, where an overshoot no longer merely skips
-        // a stamp read — the router is never even visited.
+        // The calendar invariant: a router's `next_possible` due stamp is a
+        // *lower bound* on its next commit — whenever a router actually
+        // forwards a message (its forwarded-flit counter moves during a
+        // cycle), the stamp it carried entering that cycle must have come
+        // due.  An overshooting stamp would mean the due-only walk never
+        // visits a router that the reference scheduler would commit,
+        // silently changing the schedule.
         let topology = if torus { Topology::Torus } else { Topology::Mesh };
-        let scheduler = if due_only {
-            RouterScheduler::Calendar
-        } else {
-            RouterScheduler::CalendarScan
-        };
         let mut net = Network::new(
             NocConfig::new(GridShape::new(4, 4), topology)
                 .with_ejection_buffer_flits(8)
-                .with_router_scheduler(scheduler),
+                .with_router_scheduler(RouterScheduler::Calendar),
         );
         let mut pending: Vec<(usize, Message)> = messages
             .into_iter()

@@ -1,7 +1,7 @@
 //! Repository determinism lint.
 //!
-//! The reproduction's headline property is that all five engines replay
-//! the *identical* schedule — bit-identical cycle counts, stats and
+//! The reproduction's headline property is that the production engine
+//! and its oracle replay the *identical* schedule — bit-identical cycle counts, stats and
 //! output on every run, on every machine.  That property dies quietly
 //! the first time schedule-order code iterates a `HashMap`, timestamps a
 //! modeled event, or grows an unreviewed `unsafe` block.  This lint
@@ -11,15 +11,13 @@
 //!   use `Vec`, `BTreeMap` or index-keyed arenas in modeled code.
 //! - `Instant::now` / `SystemTime` — wall-clock must never reach a
 //!   modeled path; cycle counts are the only clock.
-//! - `unsafe` — confined to the parallel engine's worker handoff
-//!   (`crates/sim/src/engine/par.rs`), which carries the safety
-//!   argument; everywhere else the crates deny it at compile time too.
+//! - `unsafe` — both crates also forbid it at compile time.
 //!
 //! Exemptions live in `tests/repo_lint_allowlist.txt` (`path token`
 //! pairs) so every exception is visible in review.  The scan strips
 //! `//` line comments and matches on word boundaries, so prose about
-//! hash maps and the `#[deny(unsafe_code)]` attribute token do not trip
-//! it.
+//! hash maps and the `#![forbid(unsafe_code)]` attribute token do not
+//! trip it.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -55,7 +55,7 @@ fn single_tile_bfs_terminates_and_matches_the_reference() {
 
 #[test]
 fn single_tile_run_is_identical_across_engines() {
-    // The engine square holds even degenerately (no fabric hops at all:
+    // Engine and oracle agree even degenerately (no fabric hops at all:
     // every message self-delivers through the ejection buffer).
     let graph = RmatConfig::new(9, 6).seed(5).build().unwrap();
     let config = SimConfigBuilder::new(GridConfig::square(1))

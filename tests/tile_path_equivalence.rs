@@ -1,26 +1,24 @@
-//! Schedule-equivalence tests for the engine square: all five cycle
-//! engines must be *indistinguishable*.
+//! Schedule-equivalence tests: the production engine and its oracle must
+//! be *indistinguishable*.
 //!
-//! [`Engine::Skip`] drives the overhauled per-cycle tile path (ring-buffer
-//! queues, inline message payloads, O(1) idle tracking, incrementally
-//! maintained readiness masks, parked-injection elision) under the
-//! skip-to-next-event engine; [`Engine::Calendar`] adds the NoC's
-//! calendar router scheduler (per-router `next_possible` due stamps, a
-//! bucketed calendar of due routers, waiter lists for blocked heads);
-//! [`Engine::Parallel`] fans the calendar engine's tile phase out over a
-//! worker pool of endpoint shards whose cross-tile side effects are
-//! replayed in the frozen walk order; [`Engine::Ticked`] is the same tile
-//! path ticking every cycle; and [`Engine::Reference`] is the preserved
-//! pre-overhaul path.  The five must agree on everything — cycle counts,
-//! gathered outputs, every tile counter and every NoC statistic
-//! (including the per-tile injection rejections the parked-channel
-//! elision and the bulk skip-replay reconstruct instead of
-//! re-attempting) — across every topology, placement and scheduling
-//! policy, in barrierless and barrier mode, and at wider endpoint-drain
-//! budgets.
+//! [`Engine::Calendar`] drives the overhauled per-cycle tile path
+//! (ring-buffer queues, inline message payloads, O(1) idle tracking,
+//! incrementally maintained readiness masks, parked-injection elision)
+//! under skip-to-next-event cycling, against the NoC's calendar router
+//! scheduler (per-router `next_possible` due stamps, a bucketed calendar
+//! of due routers, waiter lists for blocked heads, the due-only walk).
+//! [`Engine::Reference`] is the preserved pre-overhaul tile path ticking
+//! every cycle against the NoC's reference router scheduler.  The two must
+//! agree on everything — cycle counts, gathered outputs, every tile
+//! counter and every NoC statistic (including the per-tile injection
+//! rejections the parked-channel elision and the bulk skip-replay
+//! reconstruct instead of re-attempting) — across every topology,
+//! placement and scheduling policy, in barrierless and barrier mode, at
+//! wider endpoint-drain budgets, under fault plans, and on grids up to
+//! 16x16 (32x32 in the ignored release-mode tier).
 //!
 //! A small golden table additionally pins absolute cycle counts for
-//! non-default configurations, so all engines drifting *together* (a bug
+//! non-default configurations, so both engines drifting *together* (a bug
 //! in shared machinery) still fails loudly.
 
 use dalorex::baseline::Workload;
@@ -33,23 +31,8 @@ use dalorex::sim::{FaultPlan, Simulation, VertexPlacement};
 fn assert_paths_identical(sim: &Simulation, workload: Workload, label: &str) -> u64 {
     let kernel = workload.kernel();
     let reference = sim.run_with_engine(kernel.as_ref(), Engine::Reference).unwrap();
-    // `Engine::ALL` carries `Parallel { workers: 0 }` (auto-detected pool
-    // size); also pin explicit pool sizes, including one that does not
-    // divide the tile count evenly, so shard-boundary bugs cannot hide
-    // behind a single-worker auto-detection on small CI machines.
-    let engines = Engine::ALL
-        .into_iter()
-        .chain([Engine::Parallel { workers: 2 }, Engine::Parallel { workers: 3 }]);
-    for engine in engines {
-        let outcome = sim.run_with_engine(kernel.as_ref(), engine).unwrap();
-        assert_outcomes_match(&outcome, &reference, &format!("{label}/{engine}"));
-    }
-    // Both router schedulers: the calendar engine under the preserved
-    // full-walk baseline (`RouterScheduler::CalendarScan`) must reproduce
-    // the square too — it is the schedule oracle the due-only walk is
-    // pinned to, so a divergence here localizes a bug to the walk itself.
-    let baseline = sim.run_calendar_scan(kernel.as_ref()).unwrap();
-    assert_outcomes_match(&baseline, &reference, &format!("{label}/calendar-scan"));
+    let outcome = sim.run_with_engine(kernel.as_ref(), Engine::Calendar).unwrap();
+    assert_outcomes_match(&outcome, &reference, label);
     reference.cycles
 }
 
@@ -116,37 +99,57 @@ fn fast_path_matches_reference_across_topologies_placements_and_policies() {
     }
 }
 
+/// Every kernel on a `side`x`side` grid, unfaulted and under a seeded
+/// random fault plan: the production engine must reproduce the oracle.
+fn assert_every_workload_matches_reference(side: usize, graph: &CsrGraph) {
+    let faults: FaultPlan = "random:seed=7,count=12,horizon=20000".parse().unwrap();
+    for plan in [FaultPlan::empty(), faults] {
+        let base = || {
+            SimConfigBuilder::new(GridConfig::square(side))
+                .scratchpad_bytes(1 << 20)
+                .faults(plan.clone())
+        };
+        let sim = Simulation::new(base().build().unwrap(), graph).unwrap();
+        for workload in [
+            Workload::Bfs { root: 0 },
+            Workload::Sssp { root: 0 },
+            Workload::Wcc,
+            Workload::Spmv,
+        ] {
+            let label = format!("{side}x{side}/{}/faults={plan}", workload.name());
+            assert_paths_identical(&sim, workload, &label);
+        }
+        // PageRank exercises the epoch-barrier wake path.
+        let barrier = base().barrier_mode(BarrierMode::EpochBarrier).build().unwrap();
+        let sim = Simulation::new(barrier, graph).unwrap();
+        let label = format!("{side}x{side}/pagerank-barrier/faults={plan}");
+        assert_paths_identical(&sim, Workload::PageRank { epochs: 3 }, &label);
+    }
+}
+
 #[test]
 fn fast_path_matches_reference_for_every_workload() {
-    let graph = graph();
-    let config = SimConfigBuilder::new(GridConfig::square(4))
-        .scratchpad_bytes(1 << 20)
-        .build()
-        .unwrap();
-    let sim = Simulation::new(config.clone(), &graph).unwrap();
-    for workload in [
-        Workload::Bfs { root: 0 },
-        Workload::Sssp { root: 0 },
-        Workload::Wcc,
-        Workload::Spmv,
-    ] {
-        assert_paths_identical(&sim, workload, workload.name());
-    }
-    // PageRank exercises the epoch-barrier wake path.
-    let barrier = SimConfigBuilder::new(GridConfig::square(4))
-        .scratchpad_bytes(1 << 20)
-        .barrier_mode(BarrierMode::EpochBarrier)
-        .build()
-        .unwrap();
-    let sim = Simulation::new(barrier, &graph).unwrap();
-    assert_paths_identical(&sim, Workload::PageRank { epochs: 3 }, "pagerank-barrier");
+    assert_every_workload_matches_reference(4, &graph());
+    // The scaled tier: 256 tiles, a few vertices each.
+    let rmat10 = RmatConfig::new(10, 8).seed(17).build().unwrap();
+    assert_every_workload_matches_reference(16, &rmat10);
+}
+
+/// The 32x32 tier on RMAT-12: minutes in a debug build, so it runs in
+/// release (`cargo test --release --test tile_path_equivalence --
+/// --ignored`).
+#[test]
+#[ignore = "32x32 oracle tier; run in release with --ignored"]
+fn fast_path_matches_reference_for_every_workload_at_32x32() {
+    let rmat12 = RmatConfig::new(12, 8).seed(17).build().unwrap();
+    assert_every_workload_matches_reference(32, &rmat12);
 }
 
 #[test]
 fn fast_path_matches_reference_at_wider_endpoint_budgets() {
     // The drain/inject budget interacts with the parked-channel rejection
     // accounting (channels beyond the budget's break point accrue no
-    // rejection) and with how much the skip engine can jump (wider
+    // rejection) and with how far the calendar engine can jump (wider
     // endpoints change the back-pressure pattern), so sweep budget ×
     // topology explicitly.
     let graph = graph();
@@ -190,9 +193,8 @@ fn fast_path_matches_reference_under_tight_buffers() {
 /// Epoch-barrier PageRank produces exactly that shape — a burst of rank
 /// updates per epoch, then a global quiesce before the barrier releases
 /// the next wave — and tight ejection buffers plus a 2-wide endpoint
-/// budget add blocked-head waiter churn on top.  All five engines (and
-/// both router schedulers, via `assert_paths_identical`) must stay
-/// bit-identical through the alternation.
+/// budget add blocked-head waiter churn on top.  The engine and its oracle
+/// must stay bit-identical through the alternation.
 #[test]
 fn engines_agree_on_alternating_sparse_dense_traffic() {
     let graph = graph();
@@ -217,8 +219,8 @@ fn engines_agree_on_alternating_sparse_dense_traffic() {
 /// Lazy tile-arena allocation must be schedule-invisible: the eager-init
 /// oracle (`eager_tile_init(true)`, which materializes every tile's arena
 /// slab up front exactly like the pre-arena engine) and the default lazy
-/// mode must agree on cycles, outputs and every statistic, on every
-/// engine.  Only the memory report may differ — and only in its arena
+/// mode must agree on cycles, outputs and every statistic, on both
+/// engines.  Only the memory report may differ — and only in its arena
 /// lines, in the expected direction: lazily materialized tiles are a
 /// subset of the grid, and the physical lines (CSR, NoC buffers) are
 /// identical.
@@ -253,9 +255,8 @@ fn lazy_tile_allocation_is_schedule_invisible() {
     }
 }
 
-/// The fault-injection half of the equivalence square: all five engines
-/// (plus the explicit parallel pool sizes) must stay bit-identical under
-/// non-empty fault plans — including the per-event `FaultReport` — and a
+/// The fault-injection half of the equivalence tests: the engine and its
+/// oracle must stay bit-identical under non-empty fault plans — including the per-event `FaultReport` — and a
 /// faulted run must never finish earlier than its fault-free twin (faults
 /// delay, never drop).
 #[test]
