@@ -37,13 +37,10 @@
 //! [`runner`] configures and runs one simulation per figure cell, and
 //! [`report`] renders tables/CSV/JSON.
 //!
-//! The Criterion benches under `benches/` exercise the same code paths at
-//! small fixed sizes so `cargo bench --workspace` provides regression
-//! tracking for the simulator's hot loops.  `sim_microbench`'s
-//! `torus_64x64_cycle_*` pair measures the calendar `Network::cycle`
-//! against the reference router scheduler on a dense 64x64 torus, and its
-//! `sim_64x64_sssp/tile_path_*` pair measures the production engine
-//! against the reference oracle end to end on a dense 64x64 SSSP.
+//! Simulator speed is measured by the `perf_snapshot` binary and by the
+//! repository's `benchmark/` package, which runs the calendar engine end
+//! to end and reports per-layer timings; `docs/FIGURES.md` says how to
+//! compare two builds with it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,10 +6,10 @@
 //! ([`NocFaultEvent::RouterStall`]).  Faults never drop or corrupt a
 //! message: buffered messages simply wait, upstream back-pressure builds
 //! exactly as it would behind ordinary congestion, and traffic resumes at
-//! `end`.  Because a fault only ever *blocks* commits, every engine-side
-//! skip bound remains a valid lower bound and the forwarding schedule stays
+//! `end`.  Because a fault only ever *blocks* commits, the calendar's due
+//! stamps remain valid lower bounds and the forwarding schedule stays
 //! bit-identical between the calendar and reference schedulers: a
-//! blocked port contributes its window's end as a next-event candidate, so
+//! blocked port contributes its window's end as a due-stamp candidate, so
 //! the calendar wakes the router at the transition just as it wakes it for
 //! a busy link.
 //!
@@ -198,7 +198,7 @@ impl CompiledNocFaults {
     }
 
     /// If `tile`'s router is stalled at network cycle `now`, the network
-    /// cycle at which the last active stall window ends (a valid next-event
+    /// cycle at which the last active stall window ends (a valid due-stamp
     /// candidate: the router provably commits nothing before it).
     #[inline]
     pub(crate) fn stall_candidate(&self, tile: TileId, now: u64) -> Option<u64> {

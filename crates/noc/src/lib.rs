@@ -84,6 +84,11 @@ pub type TileId = usize;
 /// so that a clogged channel cannot block another.
 pub type ChannelId = usize;
 
+/// The most logical channels a [`Network`] carries: the width of each
+/// router's per-port channel-occupancy mask.  The Dalorex kernels use at
+/// most four; `dalorex-sim`'s verifier rejects wider kernels (V015).
+pub const MAX_CHANNELS: usize = 32;
+
 /// How [`Network::cycle`] finds the routers that can act each cycle.
 ///
 /// Both schedulers produce bit-identical forwarding schedules and
@@ -100,8 +105,7 @@ pub enum RouterScheduler {
     /// The schedule oracle: the pre-overhaul walk over an explicit active
     /// list, probing every port of every active router each cycle and
     /// allocating a snapshot per cycle.  Kept only to pin the calendar walk
-    /// (the reference engine in `dalorex-sim` runs on it); it never skips,
-    /// so [`Network::next_event_cycle`] is always the current cycle.
+    /// (the reference engine in `dalorex-sim` runs on it).
     Reference,
 }
 
@@ -113,7 +117,7 @@ pub struct NocConfig {
     /// Physical topology.
     pub topology: Topology,
     /// Number of logical channels (defaults to 4, enough for the 4-task
-    /// kernels of the paper).
+    /// kernels of the paper; at most [`MAX_CHANNELS`]).
     pub channels: usize,
     /// Buffer capacity, in flits, of each per-output-port per-channel FIFO
     /// (default 16).  The paper makes the per-direction pool a tapeout

@@ -100,9 +100,10 @@ pub(crate) struct Router {
     rr_next_channel: [u32; NUM_PORTS],
     /// Messages currently buffered per output port (all channels).
     msgs_per_port: [u32; NUM_PORTS],
-    /// Bitmask of channels with at least one buffered message, per port.
-    /// Lets the channel arbitration skip empty FIFOs without touching
-    /// their heap buffers (each FIFO is its own allocation).
+    /// Bitmask of channels with at least one buffered message, per port
+    /// ([`crate::MAX_CHANNELS`] bits wide).  Lets the channel arbitration
+    /// skip empty FIFOs without touching their heap buffers (each FIFO is
+    /// its own allocation).
     occupied_channels: [u32; NUM_PORTS],
     /// Total messages currently buffered at this router (all ports).
     buffered_messages: usize,
@@ -113,13 +114,6 @@ pub(crate) struct Router {
     pub(crate) busy_covered_until: u64,
     /// Flits forwarded through each output port.
     pub(crate) flits_per_port: [u64; NUM_PORTS],
-    /// Set when some upstream message could not be forwarded because one of
-    /// this router's buffers was full.  The next pop from any of this
-    /// router's buffers (a forward out of it, or an endpoint drain) then
-    /// re-arms the network's next-event bound, because the freed space may
-    /// let that upstream message move.  Sticky until a pop: the blocked
-    /// upstream router re-asserts it on every scan while still blocked.
-    pub(crate) wake_on_pop: bool,
 }
 
 impl Router {
@@ -144,7 +138,6 @@ impl Router {
             busy_cycles: 0,
             busy_covered_until: 0,
             flits_per_port: [0; NUM_PORTS],
-            wake_on_pop: false,
         }
     }
 
@@ -165,9 +158,7 @@ impl Router {
         let index = self.index(port, channel);
         self.buffers[index].push(queued);
         self.msgs_per_port[port.index()] += 1;
-        if self.channels <= 32 {
-            self.occupied_channels[port.index()] |= 1u32 << channel as u32;
-        }
+        self.occupied_channels[port.index()] |= 1u32 << channel as u32;
         self.buffered_messages += 1;
     }
 
@@ -177,7 +168,7 @@ impl Router {
     pub(crate) fn pop(&mut self, port: Port, channel: ChannelId) -> Option<QueuedMessage> {
         let index = self.index(port, channel);
         let queued = self.buffers[index].pop()?;
-        if self.channels <= 32 && self.buffers[index].front().is_none() {
+        if self.buffers[index].front().is_none() {
             self.occupied_channels[port.index()] &= !(1u32 << channel as u32);
         }
         self.msgs_per_port[port.index()] -= 1;
@@ -193,26 +184,18 @@ impl Router {
     }
 
     /// Whether `(port, channel)` holds at least one message, without
-    /// touching the FIFO's heap buffer.  Conservatively true for networks
-    /// with more than 32 channels, where the mask is not maintained.
+    /// touching the FIFO's heap buffer.
     #[inline]
     pub(crate) fn channel_occupied(&self, port: Port, channel: ChannelId) -> bool {
-        self.channels > 32
-            || self.occupied_channels[port.index()] & (1u32 << channel as u32) != 0
+        self.occupied_channels[port.index()] & (1u32 << channel as u32) != 0
     }
 
     /// Bitmask of channels holding at least one message at `port` (bit `c`
-    /// set for channel `c`).  Exact for networks with at most 32 channels;
-    /// conservatively all-ones beyond that, where the mask is not
-    /// maintained.  The tile simulator iterates this for the local port to
-    /// drain only occupied ejection buffers.
+    /// set for channel `c`).  The tile simulator iterates this for the
+    /// local port to drain only occupied ejection buffers.
     #[inline]
     pub(crate) fn occupied_channel_mask(&self, port: Port) -> u32 {
-        if self.channels > 32 {
-            u32::MAX
-        } else {
-            self.occupied_channels[port.index()]
-        }
+        self.occupied_channels[port.index()]
     }
 
     /// Messages buffered at every port, including the local (ejection)

@@ -73,10 +73,10 @@ pub enum SchedulingPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The production engine and the default: the allocation-free tile
-    /// path with whole-chip skip-to-next-event jumps, driving the NoC's
-    /// calendar router scheduler (per-router `next_possible` due stamps and
-    /// a bucketed calendar, so each network cycle port-scans only the
-    /// routers that could actually commit).
+    /// path, which skips active tiles that provably have nothing to do this
+    /// cycle, driving the NoC's calendar router scheduler (per-router
+    /// `next_possible` due stamps and a bucketed calendar, so each network
+    /// cycle port-scans only the routers that could actually commit).
     #[default]
     Calendar,
     /// The schedule-equivalence oracle: the preserved pre-overhaul tile

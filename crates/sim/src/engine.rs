@@ -40,8 +40,7 @@
 //! [`Simulation::run_reference`] as the schedule-equivalence oracle
 //! ([`Engine::Reference`], which also steps the network with its
 //! reference router scheduler); the two produce cycle-exact identical
-//! outcomes, and `sim_microbench` measures the speedup of the hot path
-//! against it.
+//! outcomes.
 
 use crate::config::{BarrierMode, Engine, SimConfig};
 use crate::context::{InvocationCost, SimBootstrapContext, SimEpochContext, SimTaskContext};
@@ -112,11 +111,9 @@ struct HotTile {
     pu_busy_until: u64,
     /// Whether any IQ or CQ holds words (mirror of `queued_words > 0`).
     queued: bool,
-    /// Whether any task is dispatch-eligible (conservatively `true` when
-    /// the tile's masks are not maintained).
+    /// Whether any task is dispatch-eligible.
     task_ready: bool,
-    /// Whether any CQ holds a full message (conservatively `true` when the
-    /// masks are not maintained).
+    /// Whether any CQ holds a full message.
     cq_ready: bool,
     /// Whether the network delivered messages this tile has not drained
     /// yet (set by delivery events, refreshed after each drain).
@@ -125,12 +122,11 @@ struct HotTile {
 
 impl HotTile {
     fn snapshot(tile: &TileState, delivery_pending: bool) -> Self {
-        let exact = tile.masks_exact();
         HotTile {
             pu_busy_until: tile.pu_busy_until,
             queued: tile.queued_words() > 0,
-            task_ready: !exact || tile.task_ready_mask() != 0,
-            cq_ready: !exact || tile.cq_ready_mask() != 0,
+            task_ready: tile.task_ready_mask() != 0,
+            cq_ready: tile.cq_ready_mask() != 0,
             delivery_pending,
         }
     }
@@ -140,39 +136,6 @@ impl HotTile {
     fn nonidle_after(&self, cycle: u64) -> bool {
         self.queued || self.pu_busy_until > cycle + 1
     }
-}
-
-/// The earliest future cycle at which a tile in state `h` could act — or
-/// otherwise observably change the engine's state — without an external
-/// wake (a delivery, or its router draining a buffer; both only happen on
-/// cycles some *other* event already forces the engine to simulate).
-///
-/// * An undrained delivery must be retried next cycle.
-/// * A ready task dispatches as soon as the PU frees (`pu_busy_until`).
-/// * A tile with queued words but nothing dispatchable or injectable is
-///   inert: only an external wake changes it (fully parked injections are
-///   in this class — their per-skipped-cycle rejections are accounted in
-///   bulk when the skip commits).
-/// * An empty busy-PU tile times out of the active set at `pu_busy_until`,
-///   which can trigger the global-idle epoch check — an event the skip
-///   must not jump past.
-///
-/// Callers pass the cycle the tile was just simulated at; the returned
-/// event is always strictly later.
-fn tile_next_event(h: &HotTile, now: u64) -> u64 {
-    if h.delivery_pending {
-        return now + 1;
-    }
-    if h.task_ready {
-        return h.pu_busy_until.max(now + 1);
-    }
-    if h.queued {
-        return u64::MAX;
-    }
-    if h.pu_busy_until > now + 1 {
-        return h.pu_busy_until;
-    }
-    u64::MAX
 }
 
 /// Builds the structured [`DeadlockDiagnostics`] payload for a watchdog
@@ -334,18 +297,15 @@ impl Simulation {
     /// ([`crate::config::SimConfig::engine`], default [`Engine::Calendar`])
     /// and returns the outcome.
     ///
-    /// The default calendar engine runs the allocation-free tile path —
-    /// ring-buffer queue reads, inline message payloads, O(1) idle checks
-    /// and the incrementally maintained readiness masks — against the
-    /// NoC's calendar router scheduler, under **skip-to-next-event**
-    /// cycling: whenever neither the network (per
-    /// `Network::next_event_cycle`) nor any active tile (pending delivery,
-    /// dispatchable or soon-dispatchable task, unparked injectable message)
-    /// can act before some future cycle, the engine jumps straight to that
-    /// cycle, replaying the skipped no-op cycles' only observable effect
-    /// (parked channels' per-cycle injection rejections and tiles timing
-    /// out of the active set) in O(active tiles).  The modelled schedule
-    /// and every statistic are cycle-exact identical to the
+    /// The default calendar engine simulates every cycle, like the oracle,
+    /// running the allocation-free tile path — ring-buffer queue reads,
+    /// inline message payloads, O(1) idle checks and the incrementally
+    /// maintained readiness masks — against the NoC's calendar router
+    /// scheduler.  An active tile whose dense snapshot proves it can
+    /// neither drain, dispatch nor make an injection attempt not already
+    /// known to fail is not run at all; only its parked channels'
+    /// guaranteed injection rejections are accounted.  The modelled
+    /// schedule and every statistic are cycle-exact identical to the
     /// [`Engine::Reference`] oracle.
     ///
     /// # Errors
@@ -371,10 +331,9 @@ impl Simulation {
     /// task's queues ([`crate::tsu::Scheduler::pick_reference`]), and the
     /// idle check rescans all queues
     /// ([`crate::tile::TileState::is_idle_scan`]).  The network runs its
-    /// reference router scheduler (`RouterScheduler::Reference`), and the
-    /// engine ticks every cycle.  Equivalence tests assert the outcome is
-    /// identical to [`Simulation::run`]'s, and `sim_microbench` measures
-    /// the speedup.
+    /// reference router scheduler (`RouterScheduler::Reference`), and every
+    /// active tile runs every cycle.  Equivalence tests assert the outcome
+    /// is identical to [`Simulation::run`]'s.
     ///
     /// # Errors
     ///
@@ -422,8 +381,8 @@ impl Simulation {
     }
 
     /// Runs `kernel` under an explicitly selected cycle engine, overriding
-    /// the configured one — the single dispatch point every figure binary,
-    /// microbench and equivalence test goes through.
+    /// the configured one — the single dispatch point every figure binary
+    /// and equivalence test goes through.
     ///
     /// # Errors
     ///
@@ -507,7 +466,8 @@ impl Simulation {
         let mut epochs: u64 = 0;
         // Epoch broadcasts advance the engine clock without ticking the
         // network, so the network's counter runs behind the engine cycle by
-        // this accumulated offset; skip targets must be translated.
+        // this accumulated offset; the network's fault windows are shifted
+        // by it to stay in engine time.
         let mut epoch_offset: u64 = 0;
         let mut last_progress_marker = (0u64, 0u64);
         let mut last_progress_cycle = 0u64;
@@ -579,10 +539,7 @@ impl Simulation {
             }
 
             // Advance every active tile, double-buffering the active list
-            // through a persistent scratch vector.  Alongside, accumulate
-            // the earliest cycle at which any tile could act again — the
-            // tile half of the skip-to-next-event decision below.
-            let mut tile_event_min = u64::MAX;
+            // through a persistent scratch vector.
             debug_assert!(active_scratch.is_empty());
             std::mem::swap(&mut active_list, &mut active_scratch);
             for &t in &active_scratch {
@@ -631,7 +588,6 @@ impl Simulation {
                         active[t] = true;
                         active_list.push(t);
                     }
-                    tile_event_min = tile_event_min.min(tile_next_event(&h, cycle));
                     continue;
                 }
                 self.tile_cycle(
@@ -653,16 +609,6 @@ impl Simulation {
                     active[t] = true;
                     active_list.push(t);
                 }
-                let ran_event = if leftover_deliveries
-                    || (hot[t].cq_ready && !parks[t].all_ready_parked)
-                {
-                    // Undrained deliveries or an unparked injectable
-                    // message: the tile must act again next cycle.
-                    cycle + 1
-                } else {
-                    tile_next_event(&hot[t], cycle)
-                };
-                tile_event_min = tile_event_min.min(ran_event);
             }
             active_scratch.clear();
 
@@ -695,92 +641,6 @@ impl Simulation {
                         total_dispatches,
                     ),
                 });
-            }
-
-            // Skip to the next event.  When neither the network (its bound
-            // proves no forward can commit earlier) nor any active tile can
-            // act before `target`, every cycle in `[cycle, target)` is a
-            // no-op whose only observable effects are (a) fully parked
-            // channels failing one injection attempt per cycle and (b) empty
-            // busy-PU tiles timing out of the active set — both replayed
-            // here in O(active tiles).  Tiles keep their list positions, so
-            // the service order of acting tiles — and with it the schedule
-            // and every statistic — is exactly the ticking oracle's.  The
-            // oracle itself never skips.
-            if !reference && (!active_list.is_empty() || !network.is_idle()) {
-                // The network bound is in network time (its counter lags the
-                // engine cycle by the accumulated epoch-broadcast offset);
-                // translate it before comparing with the tile events.
-                let network_event = network.next_event_cycle().saturating_add(epoch_offset);
-                let target = network_event.min(tile_event_min);
-                // Clamp to the failure horizons so the cycle-limit and
-                // watchdog errors fire at the same cycle as when ticking,
-                // and to the next fault transition so the engine lands on
-                // every window edge instead of jumping it (the skipped
-                // cycles are proven no-ops either way; the clamp is the
-                // belt over the network's own recovery candidates).
-                let deadline = last_progress_cycle + self.config.watchdog_cycles + 1;
-                let fault_edge = self
-                    .faults
-                    .as_deref()
-                    .map_or(u64::MAX, |f| f.next_transition_after(cycle));
-                let stop = target
-                    .min(self.config.max_cycles)
-                    .min(deadline)
-                    .min(fault_edge);
-                if stop > cycle {
-                    let span = stop - cycle;
-                    let mut kept = 0;
-                    for i in 0..active_list.len() {
-                        let t = active_list[i];
-                        let h = hot[t];
-                        debug_assert!(
-                            !h.delivery_pending,
-                            "a pending delivery forces an event at the current cycle"
-                        );
-                        if h.cq_ready {
-                            // Every inject-ready channel is parked (an
-                            // unparked one would have forced an event now);
-                            // the ticking oracle attempts and fails each
-                            // once per cycle.
-                            let owed = span * u64::from(parks[t].ready_count);
-                            if owed > 0 {
-                                network.count_injection_backpressure(t, owed);
-                            }
-                        }
-                        if h.queued || h.pu_busy_until > stop {
-                            active_list[kept] = t;
-                            kept += 1;
-                        } else {
-                            active[t] = false;
-                        }
-                    }
-                    active_list.truncate(kept);
-                    network.advance_to(stop - epoch_offset);
-                    cycle = stop;
-                    if cycle >= self.config.max_cycles {
-                        return Err(SimError::CycleLimitExceeded {
-                            limit: self.config.max_cycles,
-                        });
-                    }
-                    if cycle - last_progress_cycle > self.config.watchdog_cycles {
-                        let queued: u64 = tiles
-                            .iter()
-                            .map(|t| t.iqs().iter().map(|q| q.len() as u64).sum::<u64>())
-                            .sum();
-                        return Err(SimError::Deadlock {
-                            cycle,
-                            network_messages: network.in_flight() + network.awaiting_ejection(),
-                            queued_invocations: queued,
-                            diagnostics: deadlock_diagnostics(
-                                &tiles,
-                                &network,
-                                last_progress_cycle,
-                                total_dispatches,
-                            ),
-                        });
-                    }
-                }
             }
         }
 
@@ -911,10 +771,9 @@ impl Simulation {
     }
 
     /// Applies any active PU-slowdown fault at `tile` to a dispatch cost,
-    /// accounting the stretch in the tile's fault counters.  Dispatches
-    /// only happen on simulated cycles (a dispatchable tile always forces
-    /// an engine event), so the factor is sampled at the same cycle by the
-    /// engine and its oracle.
+    /// accounting the stretch in the tile's fault counters.  Both engines
+    /// dispatch on the same cycles, so the factor is sampled at the same
+    /// cycle by the engine and its oracle.
     fn fault_slowed_cost(&self, tile: &mut TileState, cycle: u64, cost: u64) -> u64 {
         let Some(armed) = self.faults.as_deref() else {
             return cost;
@@ -932,7 +791,7 @@ impl Simulation {
     /// The endpoint drain/inject budget effective at `tile` on `cycle`:
     /// the configured budget unless an endpoint-throttle window is active
     /// (never below 1, so a throttle delays progress but cannot deny it —
-    /// which is also what keeps the engine's bulk parked-rejection
+    /// which is also what keeps the no-op skip's parked-rejection
     /// accounting exact under throttles).
     fn fault_endpoint_budget(&self, tile: usize, cycle: u64) -> usize {
         let configured = self.config.endpoint_drains_per_cycle;
@@ -952,9 +811,8 @@ impl Simulation {
     /// The dispatch step consults the incrementally maintained task-ready
     /// mask through [`Scheduler::pick`] and auto-pops parameters into a
     /// stack buffer.  Every decision is bit-identical to
-    /// [`Simulation::tile_cycle_reference`]; kernels whose declarations
-    /// exceed the mask widths (more than 32 channels for the drain mask, 64
-    /// for the inject mask) fall back to the reference loops.
+    /// [`Simulation::tile_cycle_reference`].  The verifier (V015) keeps
+    /// every kernel within the mask widths.
     #[allow(clippy::too_many_arguments)]
     fn tile_cycle(
         &self,
@@ -972,24 +830,6 @@ impl Simulation {
     ) {
         let tile_id = tile.tile;
         let endpoint_budget = self.fault_endpoint_budget(tile_id, cycle);
-        let masked = tile.masks_exact() && channels.len() <= 32;
-        if !masked {
-            // Declarations beyond the mask widths: keep the exact reference
-            // behaviour (no real kernel reaches this — the paper's declare
-            // at most four tasks and channels).
-            self.tile_cycle_reference(
-                kernel,
-                tasks,
-                channels,
-                tile,
-                scheduler,
-                network,
-                barrier_mode,
-                cycle,
-                total_dispatches,
-            );
-            return;
-        }
 
         // 1. Drain up to `endpoint_budget` arriving messages into their
         //    tasks' IQs (head decode: global index -> local offset).  The
@@ -1135,7 +975,7 @@ impl Simulation {
         if endpoint_budget < self.config.endpoint_drains_per_cycle {
             // Throttled this cycle: count the traffic that moved under the
             // cap (idle throttled tiles contribute 0, identically in every
-            // engine — skipped cycles move no messages).
+            // engine — skipped tiles move no messages).
             tile.counters.fault_throttled_messages += (drained + injected) as u64;
         }
 
@@ -1265,19 +1105,16 @@ impl Simulation {
         }
 
         // 2. Inject: scan the channels in declaration order, parking
-        //    rejected ones.  Kernels with more than 64 channels fall back
-        //    to a single pass so a rejected channel is never re-attempted,
-        //    keeping the per-tile rejection counters exact.
+        //    rejected ones for the rest of the cycle.
         let mut injected = 0usize;
         let mut rejected_channels: u64 = 0;
-        let multi_pass = channels.len() <= 64;
         'inject: loop {
             let mut progressed = false;
             for (channel, decl) in channels.iter().enumerate() {
                 if injected == endpoint_budget {
                     break 'inject;
                 }
-                if multi_pass && rejected_channels & (1u64 << (channel as u32 % 64)) != 0 {
+                if rejected_channels & (1u64 << channel) != 0 {
                     continue;
                 }
                 let flits = decl.flits_per_message;
@@ -1297,13 +1134,11 @@ impl Simulation {
                     }
                     Err(rejected) => {
                         tile.restore_cq_front(channel, &rejected.message.into_payload());
-                        if multi_pass {
-                            rejected_channels |= 1u64 << (channel as u32 % 64);
-                        }
+                        rejected_channels |= 1u64 << channel;
                     }
                 }
             }
-            if !progressed || !multi_pass || injected == endpoint_budget {
+            if !progressed || injected == endpoint_budget {
                 break;
             }
         }

@@ -17,11 +17,10 @@
 //!   the window (never below 1, so progress is delayed, not denied).
 //!
 //! Faults *degrade* and never *drop*: every message still arrives, every
-//! task still runs, and the run still quiesces — later.  Because every
-//! fault only blocks or lengthens work, the engine-side skip bounds remain
-//! valid lower bounds, and the schedule under a fault plan is bit-identical
-//! between the engine and its oracle (pinned by the equivalence tests in
-//! `tests/tile_path_equivalence.rs`).  An empty plan is schedule-invisible
+//! task still runs, and the run still quiesces — later.  Both engines read
+//! the fault state on every cycle they simulate, so the schedule under a
+//! fault plan is bit-identical between the engine and its oracle (pinned
+//! by the equivalence tests in `tests/tile_path_equivalence.rs`).  An empty plan is schedule-invisible
 //! and costs one branch per hot-path decision.
 //!
 //! # Spec format
@@ -577,17 +576,13 @@ struct TileFaultWindow {
 }
 
 /// A resolved, compiled fault plan, armed on a `Simulation`: the resolved
-/// event list, the sorted transition cycles the engine clamps its
-/// horizons to, the tile-side windows grouped per tile, and the mapping
+/// event list, the tile-side windows grouped per tile, and the mapping
 /// from the fabric-side schedule back to plan order.  Only ever allocated
 /// for a non-empty plan.
 #[derive(Debug, Clone)]
 pub(crate) struct ArmedFaults {
     /// Resolved events, in plan order.
     pub(crate) events: Vec<FaultEvent>,
-    /// Every window start and end, sorted and deduplicated: the fault
-    /// transitions the engine clamps its event horizons to.
-    transitions: Vec<u64>,
     /// Per tile: `(offset, len)` into `tile_windows`.
     tile_index: Vec<(u32, u32)>,
     /// Tile-side (slowdown/throttle) windows, grouped by tile.
@@ -606,15 +601,6 @@ impl ArmedFaults {
         if events.is_empty() {
             return Ok(None);
         }
-        let mut transitions: Vec<u64> = events
-            .iter()
-            .flat_map(|e| {
-                let (start, end) = e.window();
-                [start, end]
-            })
-            .collect();
-        transitions.sort_unstable();
-        transitions.dedup();
         let mut noc_faults = NocFaults::default();
         let mut noc_event_map = Vec::new();
         let mut per_tile: Vec<Vec<TileFaultWindow>> = vec![Vec::new(); num_tiles];
@@ -670,20 +656,11 @@ impl ArmedFaults {
         }
         Ok(Some(Box::new(ArmedFaults {
             events,
-            transitions,
             tile_index,
             tile_windows,
             noc_faults,
             noc_event_map,
         })))
-    }
-
-    /// The first fault transition strictly after `cycle` (`u64::MAX` when
-    /// none remain) — the engine's extra horizon clamp.
-    #[inline]
-    pub(crate) fn next_transition_after(&self, cycle: u64) -> u64 {
-        let idx = self.transitions.partition_point(|&t| t <= cycle);
-        self.transitions.get(idx).copied().unwrap_or(u64::MAX)
     }
 
     #[inline]
@@ -899,11 +876,6 @@ mod tests {
         assert_eq!(armed.endpoint_budget(2, 20, 4), 4);
         // The clamp: a throttle can never zero the budget.
         assert_eq!(armed.endpoint_budget(2, 10, 1), 1);
-        // Transitions: sorted dedup of all starts and ends.
-        assert_eq!(armed.next_transition_after(0), 5);
-        assert_eq!(armed.next_transition_after(5), 10);
-        assert_eq!(armed.next_transition_after(15), 20);
-        assert_eq!(armed.next_transition_after(25), u64::MAX);
     }
 
     #[test]

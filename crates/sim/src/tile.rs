@@ -50,10 +50,9 @@
 //! [`crate::tsu::Scheduler::pick_reference`], which the engine's reference
 //! tile path and the equivalence tests drive.
 //!
-//! Masks are maintained exactly for kernels with at most 64 tasks and 64
-//! channels (the paper's kernels declare at most four of each); beyond
-//! that [`TileState::masks_exact`] reports `false` and consumers fall back
-//! to the scanning path.
+//! The masks are [`MAX_TASKS`] and [`dalorex_noc::MAX_CHANNELS`] bits wide
+//! (the paper's kernels declare at most four tasks and channels); the
+//! verifier rejects wider kernels before the first cycle (V015).
 
 use crate::kernel::{
     ArrayInit, ChannelDecl, LocalArrayDecl, LocalArrayLen, QueueCapacity, TaskDecl, TaskParams,
@@ -62,6 +61,10 @@ use crate::placement::{ArraySpace, Placement};
 use crate::queues::WordQueue;
 use dalorex_graph::CsrGraph;
 use std::sync::Arc;
+
+/// The most tasks a kernel may declare: the width of the per-tile
+/// task-ready bitmask.
+pub const MAX_TASKS: usize = 64;
 
 /// The read-only chunk of the dataset owned by one tile.
 ///
@@ -184,9 +187,6 @@ struct ReadyMeta {
     iq_watchers: Vec<Box<[usize]>>,
     /// Per channel, the words of one full message (`flits_per_message`).
     cq_msg_words: Vec<usize>,
-    /// Whether the bitmasks are maintained exactly (tasks and channels both
-    /// fit 64 bits).
-    exact: bool,
 }
 
 impl ReadyMeta {
@@ -231,7 +231,6 @@ impl ReadyMeta {
             cq_watchers: cq_watchers.into_iter().map(Vec::into_boxed_slice).collect(),
             iq_watchers: iq_watchers.into_iter().map(Vec::into_boxed_slice).collect(),
             cq_msg_words: channels.iter().map(|c| c.flits_per_message).collect(),
-            exact: tasks.len() <= 64 && channels.len() <= 64,
         }
     }
 }
@@ -255,12 +254,25 @@ pub struct TileInit {
 
 impl TileInit {
     /// Captures the kernel declarations' tile-shaping facts.
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than [`MAX_TASKS`] tasks or more than
+    /// [`dalorex_noc::MAX_CHANNELS`] channels, which the readiness masks
+    /// cannot represent (the verifier reports such kernels as V015).
     pub fn new(
         tasks: &[TaskDecl],
         channels: &[ChannelDecl],
         arrays: &[LocalArrayDecl],
         num_vars: usize,
     ) -> Self {
+        assert!(
+            tasks.len() <= MAX_TASKS && channels.len() <= dalorex_noc::MAX_CHANNELS,
+            "a tile supports at most {MAX_TASKS} tasks and {} channels, got {} and {}",
+            dalorex_noc::MAX_CHANNELS,
+            tasks.len(),
+            channels.len()
+        );
         TileInit {
             iq_capacity: tasks.iter().map(|t| t.iq_capacity).collect(),
             cq_capacity_words: channels.iter().map(|c| c.cq_capacity_words).collect(),
@@ -362,11 +374,9 @@ pub struct TileState {
     pub counters: TileCounters,
     /// Total words queued across every IQ and CQ (the O(1) idle signal).
     queued_words: usize,
-    /// Bit `t` set when task `t` is dispatch-eligible (valid when
-    /// `meta.exact`).
+    /// Bit `t` set when task `t` is dispatch-eligible.
     task_ready: u64,
-    /// Bit `c` set when channel `c`'s CQ holds at least one full message
-    /// (valid when `meta.exact`).
+    /// Bit `c` set when channel `c`'s CQ holds at least one full message.
     cq_ready: u64,
 }
 
@@ -375,6 +385,11 @@ impl TileState {
     /// tile's share of the dataset, materialized eagerly (the historical
     /// constructor, used by tests and the eager-init oracle; runs share one
     /// [`TileInit`] via [`TileState::hollow`] instead).
+    ///
+    /// # Panics
+    ///
+    /// Panics on declarations wider than the readiness masks (see
+    /// [`TileInit::new`]).
     pub fn new(
         tile: usize,
         placement: &Placement,
@@ -524,22 +539,13 @@ impl TileState {
         &self.cqs
     }
 
-    /// Whether the readiness bitmasks are maintained exactly (at most 64
-    /// tasks and 64 channels).  When false, consumers fall back to the
-    /// scanning paths.
-    pub fn masks_exact(&self) -> bool {
-        self.init.meta.exact
-    }
-
     /// Bitmask of dispatch-eligible tasks (bit `t` set when task `t`
-    /// satisfies [`crate::tsu::Scheduler::is_eligible`]).  Only meaningful
-    /// when [`TileState::masks_exact`].
+    /// satisfies [`crate::tsu::Scheduler::is_eligible`]).
     pub fn task_ready_mask(&self) -> u64 {
         self.task_ready
     }
 
-    /// Bitmask of channels whose CQ holds at least one full message.  Only
-    /// meaningful when [`TileState::masks_exact`].
+    /// Bitmask of channels whose CQ holds at least one full message.
     pub fn cq_ready_mask(&self) -> u64 {
         self.cq_ready
     }
@@ -797,9 +803,6 @@ impl TileState {
     /// Recomputes every readiness bit from scratch (materialization and
     /// debug-mode validation).
     fn rebuild_masks(&mut self) {
-        if !self.init.meta.exact {
-            return;
-        }
         self.task_ready = 0;
         for task in 0..self.iqs.len() {
             if self.compute_task_ready(task) {
@@ -832,9 +835,6 @@ impl TileState {
 
     #[inline]
     fn note_iq_changed(&mut self, task: usize) {
-        if !self.init.meta.exact {
-            return;
-        }
         let bit = 1u64 << task;
         if self.compute_task_ready(task) {
             self.task_ready |= bit;
@@ -857,9 +857,6 @@ impl TileState {
 
     #[inline]
     fn note_cq_changed(&mut self, channel: usize) {
-        if !self.init.meta.exact {
-            return;
-        }
         let bit = 1u64 << channel;
         if self.cqs[channel].len() >= self.init.meta.cq_msg_words[channel] {
             self.cq_ready |= bit;
@@ -1023,7 +1020,6 @@ mod tests {
         assert_eq!(state.iqs().len(), 2);
         assert_eq!(state.cqs().len(), 1);
         assert!(state.is_idle(0));
-        assert!(state.masks_exact());
         assert!(state.kernel_footprint_bytes() > 0);
         // The arena holds exactly the modelled scratchpad image.
         assert_eq!(state.arena_bytes(), state.kernel_footprint_bytes());

@@ -18,9 +18,7 @@
 //! mask comparison, and an eligible task is found by bit tests in the same
 //! arbitration order as before.  The pre-overhaul full rescan is preserved
 //! as [`Scheduler::pick_reference`] — the engine's reference tile path
-//! drives it, equivalence tests pin the two against each other, and it
-//! remains the fallback for kernels whose declarations exceed the mask
-//! width (more than 64 tasks).
+//! drives it, and equivalence tests pin the two against each other.
 
 use crate::config::SchedulingPolicy;
 use crate::kernel::{TaskDecl, TaskParams};
@@ -122,9 +120,6 @@ impl Scheduler {
     /// Consults the tile's task-ready bitmask; decisions are identical to
     /// [`Scheduler::pick_reference`], which rescans the queues instead.
     pub fn pick(&mut self, tile: &TileState, tasks: &[TaskDecl]) -> Option<usize> {
-        if !tile.masks_exact() {
-            return self.pick_reference(tile, tasks);
-        }
         let ready = tile.task_ready_mask();
         if ready == 0 {
             debug_assert!((0..tasks.len()).all(|t| !Self::is_eligible(tile, tasks, t)));
@@ -177,8 +172,7 @@ impl Scheduler {
     /// The pre-overhaul pick: probes every task's queues through
     /// [`Scheduler::is_eligible`] on every call.  Preserved as the
     /// correctness oracle for [`Scheduler::pick`] (equivalence tests drive
-    /// both over identical runs), as the engine's reference tile path, and
-    /// as the fallback when the ready mask is not maintained.
+    /// both over identical runs) and as the engine's reference tile path.
     pub fn pick_reference(&mut self, tile: &TileState, tasks: &[TaskDecl]) -> Option<usize> {
         let num_tasks = tasks.len();
         if num_tasks == 0 {

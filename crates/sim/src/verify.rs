@@ -9,8 +9,9 @@
 //! runs a pass pipeline over it, producing structured [`Diagnostic`]s with
 //! stable codes (`V001`…).  The passes:
 //!
-//! 1. **Structural** (`V001`–`V014`) — dangling task/channel indices,
-//!    zero-sized queues, messages that cannot fit their queues.  These
+//! 1. **Structural** (`V001`–`V015`) — dangling task/channel indices,
+//!    zero-sized queues, messages that cannot fit their queues, kernels
+//!    wider than the hardware's ready and channel masks.  These
 //!    would corrupt or abort a run, so they are fatal under every
 //!    [`VerifyMode`], exactly as the engine's pre-verifier validation was.
 //! 2. **Dataflow** (`V02x`) — unreachable tasks, tasks that can never
@@ -44,6 +45,8 @@
 
 use crate::config::SchedulingPolicy;
 use crate::kernel::{ChannelDecl, Kernel, QueueCapacity, TaskDecl, TaskParams};
+use crate::tile::MAX_TASKS;
+use dalorex_noc::MAX_CHANNELS;
 use std::fmt;
 use std::str::FromStr;
 
@@ -355,6 +358,18 @@ fn structural_pass(
             "a kernel must declare at least one task".to_string(),
         );
         return;
+    }
+    if tasks.len() > MAX_TASKS || channels.len() > MAX_CHANNELS {
+        error(
+            "V015",
+            "kernel".to_string(),
+            format!(
+                "declares {} tasks and {} channels; the TSU's ready masks hold at most \
+                 {MAX_TASKS} tasks and the router's channel mask at most {MAX_CHANNELS} channels",
+                tasks.len(),
+                channels.len()
+            ),
+        );
     }
     for (i, task) in tasks.iter().enumerate() {
         let subject = task_subject(tasks, i);

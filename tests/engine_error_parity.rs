@@ -1,16 +1,16 @@
 //! Engine parity at the exact error boundaries.
 //!
-//! The calendar engine clamps its event-horizon jumps to the failure
-//! horizons — `max_cycles` and the watchdog deadline
-//! `last_progress_cycle + watchdog_cycles + 1` — so that
-//! [`SimError::CycleLimitExceeded`] and [`SimError::Deadlock`] fire at the
-//! *identical* cycle as the reference oracle, which ticks every cycle.
-//! These tests pin that contract at the boundary itself: limits landing
-//! exactly on, one before and one after the interesting cycle, plus a
-//! property-style sweep of `max_cycles`/`watchdog_cycles` near the event
-//! horizon.  Any off-by-one in the clamp shows up as the engine erroring a
-//! cycle early, a cycle late, or with different queue/message counts in
-//! the payload.
+//! [`SimError::CycleLimitExceeded`] and [`SimError::Deadlock`] must fire
+//! at the *identical* cycle, with the identical payload, on the calendar
+//! engine and on the reference oracle: `max_cycles`, and the watchdog
+//! deadline `last_progress_cycle + watchdog_cycles + 1`, are checked by
+//! both engines' loops, and the deadlock diagnostics read only
+//! schedule-identical state.  These tests pin that contract at the
+//! boundary itself: limits landing exactly on, one before and one after
+//! the interesting cycle, plus a property-style sweep of
+//! `max_cycles`/`watchdog_cycles` near the completion cycle.  Any
+//! divergence shows up as the engine erroring a cycle early, a cycle late,
+//! or with different queue/message counts in the payload.
 
 use dalorex::graph::generators::rmat::RmatConfig;
 use dalorex::graph::CsrGraph;
@@ -65,8 +65,7 @@ fn sim_with_limits(graph: &CsrGraph, max_cycles: u64, watchdog_cycles: u64) -> S
 /// The cycle-limit boundary: `max_cycles` landing exactly on, just below
 /// and just above the run's natural completion cycle must produce the
 /// same outcome — success or `CycleLimitExceeded { limit }` — on both
-/// engines.  The calendar engine jumps straight at the horizon, so this is
-/// where a clamp off-by-one would live.
+/// engines.
 #[test]
 fn cycle_limit_fires_identically_at_the_exact_boundary() {
     let graph = graph();
@@ -153,11 +152,9 @@ fn watchdog_deadline_fires_identically_on_wedged_pipelines() {
     }
 }
 
-/// The cycle-limit boundary under a non-empty fault plan: the calendar
-/// engine now juggles three horizon clamps (`max_cycles`, the watchdog
-/// deadline and the next fault transition), and the tightest must win on
-/// both engines — `CycleLimitExceeded` still fires on the identical cycle
-/// with the identical payload.
+/// The cycle-limit boundary under a non-empty fault plan:
+/// `CycleLimitExceeded` still fires on the identical cycle with the
+/// identical payload on both engines.
 #[test]
 fn cycle_limit_fires_identically_under_faults() {
     let graph = graph();
@@ -189,12 +186,10 @@ fn cycle_limit_fires_identically_under_faults() {
     }
 }
 
-/// The watchdog boundary under a non-empty fault plan, including the nasty
-/// corner the issue calls out: a fault transition landing *exactly on* the
-/// watchdog deadline, where the engine's fault-edge clamp and the
-/// deadline clamp pick the same stop cycle.  Both engines must report the
-/// identical `Deadlock` payload — `SimError` is `PartialEq`, so the
-/// comparison covers the structured diagnostics too.
+/// The watchdog boundary under a non-empty fault plan, including a fault
+/// transition landing *exactly on* the watchdog deadline.  Both engines
+/// must report the identical `Deadlock` payload — `SimError` is
+/// `PartialEq`, so the comparison covers the structured diagnostics too.
 #[test]
 fn watchdog_fires_identically_under_faults_even_on_a_transition_cycle() {
     let graph = RmatConfig::new(7, 4).seed(9).build().unwrap();
@@ -223,8 +218,7 @@ fn watchdog_fires_identically_under_faults_even_on_a_transition_cycle() {
     }
     // Observe the deadline under the base plan, then open a window exactly
     // on it.  A window opening at the deadline cannot affect any earlier
-    // cycle, so the deadline must not move — but the calendar engine lands
-    // on it through two coinciding clamps.
+    // cycle, so the deadline must not move.
     let watchdog = 64u64;
     let SimError::Deadlock { cycle: deadline, .. } =
         build(base.clone(), watchdog).run(&StuckKernel).unwrap_err()
@@ -248,10 +242,10 @@ fn watchdog_fires_identically_under_faults_even_on_a_transition_cycle() {
     assert_error_parity(&sim, &StuckKernel, "faulted/transition-on-deadline");
 }
 
-/// Property-style sweep of both limits near the event horizon: a grid of
-/// `max_cycles` × `watchdog_cycles` values straddling the completion
-/// cycle, including combinations where both horizons clamp the same jump
-/// and the tighter one must win on every engine.
+/// Property-style sweep of both limits near the completion cycle: a grid
+/// of `max_cycles` × `watchdog_cycles` values straddling it, including
+/// combinations where both limits fall on the same cycle and the tighter
+/// one must win on every engine.
 #[test]
 fn limit_sweep_near_the_event_horizon_stays_in_parity() {
     let graph = graph();
@@ -260,8 +254,8 @@ fn limit_sweep_near_the_event_horizon_stays_in_parity() {
         .run(&kernel)
         .expect("unlimited run completes")
         .cycles;
-    // Offsets around the horizon: deep inside the run, hugging the
-    // boundary from both sides, and past it.
+    // Offsets around the completion cycle: deep inside the run, hugging
+    // the boundary from both sides, and past it.
     let max_cycle_points = [completion / 3, completion - 1, completion, completion + 3];
     let watchdog_points = [
         completion / 4,

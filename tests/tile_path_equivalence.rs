@@ -3,16 +3,16 @@
 //!
 //! [`Engine::Calendar`] drives the overhauled per-cycle tile path
 //! (ring-buffer queues, inline message payloads, O(1) idle tracking,
-//! incrementally maintained readiness masks, parked-injection elision)
-//! under skip-to-next-event cycling, against the NoC's calendar router
+//! incrementally maintained readiness masks, parked-injection elision, the
+//! no-op skip of action-free tiles) against the NoC's calendar router
 //! scheduler (per-router `next_possible` due stamps, a bucketed calendar
 //! of due routers, waiter lists for blocked heads, the due-only walk).
-//! [`Engine::Reference`] is the preserved pre-overhaul tile path ticking
-//! every cycle against the NoC's reference router scheduler.  The two must
-//! agree on everything — cycle counts, gathered outputs, every tile
-//! counter and every NoC statistic (including the per-tile injection
-//! rejections the parked-channel elision and the bulk skip-replay
-//! reconstruct instead of re-attempting) — across every topology,
+//! [`Engine::Reference`] is the preserved pre-overhaul tile path running
+//! every active tile every cycle against the NoC's reference router
+//! scheduler.  The two must agree on everything — cycle counts, gathered
+//! outputs, every tile counter and every NoC statistic (including the
+//! per-tile injection rejections the parked-channel elision and the no-op
+//! skip account instead of re-attempting) — across every topology,
 //! placement and scheduling policy, in barrierless and barrier mode, at
 //! wider endpoint-drain budgets, under fault plans, and on grids up to
 //! 16x16 (32x32 in the ignored release-mode tier).
@@ -318,7 +318,7 @@ fn armed_but_never_firing_plan_is_schedule_invisible() {
     let graph = graph();
     let base = SimConfigBuilder::new(GridConfig::square(4)).scratchpad_bytes(1 << 20);
     let empty_sim = Simulation::new(base.clone().build().unwrap(), &graph).unwrap();
-    // Far beyond any 4x4 SSSP horizon (the golden run quiesces near 10^4).
+    // Far beyond any 4x4 SSSP run (the golden run quiesces near 10^4).
     let plan: FaultPlan = "link:tile=1,start=40000000,end=50000000;\
                            stall:tile=2,start=40000000,end=50000000;\
                            slow:tile=3,factor=8,start=40000000,end=50000000;\

@@ -178,6 +178,75 @@ fn deny_rejects_hazards_before_the_first_cycle_and_warn_does_not() {
     }
 }
 
+/// A kernel `tasks` tasks and `channels` channels wide, every declaration
+/// otherwise valid.  Its bootstrap panics: a kernel the verifier rejects
+/// must never reach cycle 0.
+struct WideKernel {
+    tasks: usize,
+    channels: usize,
+}
+
+impl Kernel for WideKernel {
+    fn name(&self) -> &str {
+        "wide"
+    }
+    fn tasks(&self) -> Vec<TaskDecl> {
+        (0..self.tasks)
+            .map(|_| TaskDecl::new("t", 8, TaskParams::AutoPop(1)))
+            .collect()
+    }
+    fn channels(&self) -> Vec<ChannelDecl> {
+        (0..self.channels)
+            .map(|_| ChannelDecl::new("c", 0, ArraySpace::Vertex, 1, 8))
+            .collect()
+    }
+    fn arrays(&self) -> Vec<LocalArrayDecl> {
+        vec![]
+    }
+    fn output_arrays(&self) -> Vec<&'static str> {
+        vec![]
+    }
+    fn bootstrap(&self, _ctx: &mut dyn BootstrapContext) {
+        panic!("a kernel wider than the masks must be rejected before cycle 0");
+    }
+    fn execute(&self, _task: TaskId, _params: &[u32], _ctx: &mut dyn TaskContext) {}
+    fn on_global_idle(&self, _epoch: usize, _ctx: &mut dyn EpochContext) -> EpochDecision {
+        EpochDecision::Finish
+    }
+}
+
+/// V015: more than 64 tasks (the TSU's ready-mask width) or more than 32
+/// channels (the router's channel-mask width) is a structural error under
+/// every mode, returned before the first cycle.  The widths themselves
+/// verify clean.
+#[test]
+fn kernels_wider_than_the_masks_are_rejected_with_v015() {
+    let graph = mesh4x4();
+    for (tasks, channels) in [(1, 33), (65, 1)] {
+        let kernel = WideKernel { tasks, channels };
+        for mode in [VerifyMode::Off, VerifyMode::Deny] {
+            let config = SimConfigBuilder::new(GridConfig::square(2))
+                .scratchpad_bytes(1 << 20)
+                .verify(mode)
+                .build()
+                .unwrap();
+            let sim = Simulation::new(config, &graph).unwrap();
+            match sim.run(&kernel) {
+                Err(SimError::Verification { report }) => {
+                    assert!(report.has_code("V015"), "{report}");
+                }
+                other => panic!("{tasks} tasks, {channels} channels: expected V015, got {other:?}"),
+            }
+        }
+    }
+    let widest = WideKernel {
+        tasks: 64,
+        channels: 32,
+    };
+    let report = verify_kernel(&widest, &ctx());
+    assert!(!report.has_code("V015"), "{report}");
+}
+
 // ---------------------------------------------------------------------------
 // Property test: verifier-clean graphs terminate on a single tile.
 // ---------------------------------------------------------------------------
