@@ -139,7 +139,14 @@ pub fn run_rung(
     side: usize,
     scratchpad_bytes: usize,
 ) -> Result<AblationOutcome, SimError> {
-    run_rung_with_engine(rung, graph, workload, side, scratchpad_bytes, Engine::default())
+    run_rung_with_engine(
+        rung,
+        graph,
+        workload,
+        side,
+        scratchpad_bytes,
+        Engine::default(),
+    )
 }
 
 /// Like [`run_rung`], with an explicit cycle engine for the Dalorex rungs
@@ -160,7 +167,8 @@ pub fn run_rung_with_engine(
 ) -> Result<AblationOutcome, SimError> {
     match rung {
         AblationRung::Tesseract => {
-            let model = TesseractModel::new(TesseractConfig::paper_default().with_cores(side * side));
+            let model =
+                TesseractModel::new(TesseractConfig::paper_default().with_cores(side * side));
             let outcome = model.run(graph, workload);
             Ok(AblationOutcome {
                 cycles: outcome.cycles,
@@ -199,13 +207,21 @@ fn run_dalorex_rung(
     let traffic_aware = rung >= AblationRung::TrafficAware;
     let torus = rung >= AblationRung::TorusNoc;
     let barrierless = rung >= AblationRung::Dalorex && !workload.requires_barrier();
-    let endpoint_drains = if rung >= AblationRung::WideEndpoint { 2 } else { 1 };
+    let endpoint_drains = if rung >= AblationRung::WideEndpoint {
+        2
+    } else {
+        1
+    };
 
     let prepared = workload.prepare_graph(graph);
     let config = SimConfigBuilder::new(GridConfig::square(side))
         .scratchpad_bytes(scratchpad_bytes)
         .endpoint_drains_per_cycle(endpoint_drains)
-        .topology(if torus { Topology::Torus } else { Topology::Mesh })
+        .topology(if torus {
+            Topology::Torus
+        } else {
+            Topology::Mesh
+        })
         .scheduling(if traffic_aware {
             SchedulingPolicy::OccupancyPriority
         } else {
@@ -288,8 +304,7 @@ mod tests {
     fn dalorex_full_beats_tesseract_on_bfs() {
         let graph = small_graph();
         let workload = Workload::Bfs { root: 0 };
-        let tesseract =
-            run_rung(AblationRung::Tesseract, &graph, workload, 4, 1 << 20).unwrap();
+        let tesseract = run_rung(AblationRung::Tesseract, &graph, workload, 4, 1 << 20).unwrap();
         let dalorex = run_rung(AblationRung::Dalorex, &graph, workload, 4, 1 << 20).unwrap();
         let speedup = dalorex.speedup_over(&tesseract);
         let energy_gain = dalorex.energy_gain_over(&tesseract);
@@ -304,10 +319,8 @@ mod tests {
         // and that rung must beat Tesseract.
         let graph = small_graph();
         let workload = Workload::Sssp { root: 0 };
-        let tesseract =
-            run_rung(AblationRung::Tesseract, &graph, workload, 4, 1 << 20).unwrap();
-        let data_local =
-            run_rung(AblationRung::DataLocal, &graph, workload, 4, 1 << 20).unwrap();
+        let tesseract = run_rung(AblationRung::Tesseract, &graph, workload, 4, 1 << 20).unwrap();
+        let data_local = run_rung(AblationRung::DataLocal, &graph, workload, 4, 1 << 20).unwrap();
         let full = run_rung(AblationRung::Dalorex, &graph, workload, 4, 1 << 20).unwrap();
         assert!(data_local.cycles < tesseract.cycles);
         assert!(full.cycles < data_local.cycles);

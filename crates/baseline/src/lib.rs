@@ -43,6 +43,6 @@ pub mod roofline;
 pub mod tesseract;
 pub mod workload;
 
-pub use ablation::{AblationRung, AblationOutcome};
+pub use ablation::{AblationOutcome, AblationRung};
 pub use tesseract::{TesseractConfig, TesseractModel, TesseractOutcome};
 pub use workload::Workload;

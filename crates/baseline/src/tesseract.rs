@@ -407,7 +407,12 @@ mod tests {
         for workload in [Workload::Bfs { root: 0 }, Workload::PageRank { epochs: 3 }] {
             let b = base.run(&graph(), workload);
             let c = cached.run(&graph(), workload);
-            assert!(c.cycles < b.cycles, "{workload:?} cycles {} !< {}", c.cycles, b.cycles);
+            assert!(
+                c.cycles < b.cycles,
+                "{workload:?} cycles {} !< {}",
+                c.cycles,
+                b.cycles
+            );
             assert!(c.total_energy_j() < b.total_energy_j());
         }
     }

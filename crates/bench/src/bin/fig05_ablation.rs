@@ -37,8 +37,20 @@ fn main() {
     let workloads = Workload::figure5_set();
     let labels = DatasetLabel::figure5_set();
 
-    let mut perf = Table::new(vec!["app", "dataset", "config", "cycles", "perf-improvement"]);
-    let mut energy = Table::new(vec!["app", "dataset", "config", "energy-J", "energy-improvement"]);
+    let mut perf = Table::new(vec![
+        "app",
+        "dataset",
+        "config",
+        "cycles",
+        "perf-improvement",
+    ]);
+    let mut energy = Table::new(vec![
+        "app",
+        "dataset",
+        "config",
+        "energy-J",
+        "energy-improvement",
+    ]);
     // (rung -> improvements over the previous rung), for the geomean ladder.
     let mut step_speedups: BTreeMap<AblationRung, Vec<f64>> = BTreeMap::new();
     let mut step_energy: BTreeMap<AblationRung, Vec<f64>> = BTreeMap::new();
@@ -92,7 +104,11 @@ fn main() {
                     cycles: outcome.cycles,
                     energy_j: outcome.energy_j,
                     value: speedup,
-                    endpoint_drains: if rung == AblationRung::WideEndpoint { 2 } else { 1 },
+                    endpoint_drains: if rung == AblationRung::WideEndpoint {
+                        2
+                    } else {
+                        1
+                    },
                     rejected_injections: 0,
                     // The analytical Tesseract rungs carry no memory model,
                     // so their rows omit the memory object entirely.
@@ -132,7 +148,13 @@ fn main() {
     );
 
     // Section V-A compound factors.
-    let mut ladder = Table::new(vec!["step", "paper (perf)", "measured (perf)", "paper (energy)", "measured (energy)"]);
+    let mut ladder = Table::new(vec![
+        "step",
+        "paper (perf)",
+        "measured (perf)",
+        "paper (energy)",
+        "measured (energy)",
+    ]);
     let paper_perf: &[(&str, &str)] = &[
         ("Data-Local", "6.2x"),
         ("Basic-TSU", "4.7x"),

@@ -149,7 +149,7 @@ fn paper_scale_rung(
     let options = RunOptions::new(max_side, scratchpad)
         .with_engine(cli.engine)
         .with_faults(cli.faults.clone())
-                    .with_verify(cli.verify);
+        .with_verify(cli.verify);
     let outcome = match run_dalorex(&graph, workload, options) {
         Ok(outcome) => outcome,
         Err(err) => {

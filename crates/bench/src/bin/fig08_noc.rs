@@ -74,8 +74,8 @@ fn main() {
                         .with_topology(topology)
                         .with_endpoint_drains(drains)
                         .with_engine(cli.engine)
-                    .with_faults(cli.faults.clone())
-                    .with_verify(cli.verify);
+                        .with_faults(cli.faults.clone())
+                        .with_verify(cli.verify);
                     let outcome = match run_dalorex(&graph, workload, options) {
                         Ok(outcome) => outcome,
                         Err(err) => {

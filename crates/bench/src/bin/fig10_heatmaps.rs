@@ -37,7 +37,9 @@ fn main() {
     let requested = cli.max_side.unwrap_or_else(datasets::max_grid_side);
     let side = requested.clamp(4, 16);
     if side != requested {
-        eprintln!("clamping grid side {requested} to {side} (ASCII heatmaps are one digit per tile)");
+        eprintln!(
+            "clamping grid side {requested} to {side} (ASCII heatmaps are one digit per tile)"
+        );
     }
     let graph = datasets::build(DatasetLabel::Rmat(22));
     let workload = Workload::Sssp { root: 0 };

@@ -151,8 +151,9 @@ impl FigureCli {
             FlagLookup::Value(value) => faults_value_to_plan(&value)?,
             FlagLookup::ValueMissing => return Err(faults_value_missing()),
             FlagLookup::Absent => match env_faults {
-                Some(value) => faults_value_to_plan(value)
-                    .map_err(|err| format!("DALOREX_FAULTS: {err}"))?,
+                Some(value) => {
+                    faults_value_to_plan(value).map_err(|err| format!("DALOREX_FAULTS: {err}"))?
+                }
                 None => FaultPlan::empty(),
             },
         };
@@ -304,8 +305,10 @@ fn drains_flag(args: &[String]) -> Result<Option<Vec<usize>>, String> {
     let list = match lookup_flag(args, "drains") {
         FlagLookup::Absent => return Ok(None),
         FlagLookup::ValueMissing => {
-            return Err("--drains requires a value (a comma-separated list of positive integers)"
-                .to_string())
+            return Err(
+                "--drains requires a value (a comma-separated list of positive integers)"
+                    .to_string(),
+            )
         }
         FlagLookup::Value(list) => list,
     };
@@ -461,15 +464,18 @@ mod tests {
         }
         let err =
             FigureCli::parse_from(&args(&["--verify", "strict"]), None, None, None).unwrap_err();
-        assert!(err.contains("strict"), "diagnostic names the bad value: {err}");
+        assert!(
+            err.contains("strict"),
+            "diagnostic names the bad value: {err}"
+        );
 
         // Env default, env error prefix, and flag-wins.
         let cli = FigureCli::parse_from(&[], None, None, Some("deny")).unwrap();
         assert_eq!(cli.verify, VerifyMode::Deny);
         let err = FigureCli::parse_from(&[], None, None, Some("strict")).unwrap_err();
         assert!(err.starts_with("DALOREX_VERIFY:"), "{err}");
-        let cli =
-            FigureCli::parse_from(&args(&["--verify", "warn"]), None, None, Some("strict")).unwrap();
+        let cli = FigureCli::parse_from(&args(&["--verify", "warn"]), None, None, Some("strict"))
+            .unwrap();
         assert_eq!(cli.verify, VerifyMode::Warn);
     }
 
@@ -478,16 +484,23 @@ mod tests {
         let cli = FigureCli::parse_from(&[], None, None, None).unwrap();
         assert!(cli.faults.is_empty());
         let cli = FigureCli::parse_from(
-            &args(&["--faults", "stall:tile=3,start=50,end=400;link:tile=1,start=10,end=20"]),
+            &args(&[
+                "--faults",
+                "stall:tile=3,start=50,end=400;link:tile=1,start=10,end=20",
+            ]),
             None,
             None,
             None,
         )
         .unwrap();
         assert_eq!(cli.faults.events.len(), 2);
-        let cli =
-            FigureCli::parse_from(&args(&["--faults=random:seed=7,count=4,horizon=2000"]), None, None, None)
-                .unwrap();
+        let cli = FigureCli::parse_from(
+            &args(&["--faults=random:seed=7,count=4,horizon=2000"]),
+            None,
+            None,
+            None,
+        )
+        .unwrap();
         assert!(cli.faults.random.is_some());
     }
 
@@ -513,13 +526,20 @@ mod tests {
     #[test]
     fn faults_errors_are_fatal_and_the_flag_wins_over_the_env() {
         let expected = faults_value_missing();
-        for case in [args(&["--faults"]), args(&["--faults", "--csv"]), args(&["--faults="])] {
+        for case in [
+            args(&["--faults"]),
+            args(&["--faults", "--csv"]),
+            args(&["--faults="]),
+        ] {
             let err = FigureCli::parse_from(&case, None, None, None).unwrap_err();
             assert_eq!(err, expected, "case: {case:?}");
         }
-        let err =
-            FigureCli::parse_from(&args(&["--faults", "warp:tile=1"]), None, None, None).unwrap_err();
-        assert!(err.contains("warp"), "diagnostic names the bad value: {err}");
+        let err = FigureCli::parse_from(&args(&["--faults", "warp:tile=1"]), None, None, None)
+            .unwrap_err();
+        assert!(
+            err.contains("warp"),
+            "diagnostic names the bad value: {err}"
+        );
 
         let cli =
             FigureCli::parse_from(&[], None, Some("stall:tile=0,start=1,end=2"), None).unwrap();
@@ -554,7 +574,8 @@ mod tests {
 
     #[test]
     fn partially_invalid_drains_list_keeps_the_valid_entries() {
-        let cli = FigureCli::parse_from(&args(&["--drains", "1,oops,4"]), None, None, None).unwrap();
+        let cli =
+            FigureCli::parse_from(&args(&["--drains", "1,oops,4"]), None, None, None).unwrap();
         assert_eq!(cli.drains(), vec![1, 4]);
     }
 

@@ -303,7 +303,10 @@ pub fn to_json_array(measurements: &[Measurement]) -> String {
 /// # Errors
 ///
 /// Propagates I/O errors.
-pub fn write_json(path: &str, measurements: &[Measurement]) -> Result<(), Box<dyn std::error::Error>> {
+pub fn write_json(
+    path: &str,
+    measurements: &[Measurement],
+) -> Result<(), Box<dyn std::error::Error>> {
     std::fs::write(path, to_json_array(measurements))?;
     Ok(())
 }

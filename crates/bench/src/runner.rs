@@ -142,8 +142,7 @@ mod tests {
             Workload::PageRank { epochs: 2 },
             Workload::Spmv,
         ] {
-            let outcome =
-                run_dalorex(&graph, workload, RunOptions::new(2, 1 << 20)).unwrap();
+            let outcome = run_dalorex(&graph, workload, RunOptions::new(2, 1 << 20)).unwrap();
             assert!(outcome.cycles > 0, "{workload:?}");
         }
     }
@@ -202,8 +201,12 @@ mod tests {
             RunOptions::new(2, 1 << 20).with_faults(plan),
         )
         .unwrap();
-        let clean = run_dalorex(&graph, Workload::Bfs { root: 0 }, RunOptions::new(2, 1 << 20))
-            .unwrap();
+        let clean = run_dalorex(
+            &graph,
+            Workload::Bfs { root: 0 },
+            RunOptions::new(2, 1 << 20),
+        )
+        .unwrap();
         // Faults delay, never drop: same answer, a non-empty impact report.
         assert_eq!(faulted.output, clean.output);
         assert!(!faulted.fault.is_empty());

@@ -329,7 +329,10 @@ mod tests {
     #[test]
     fn from_raw_parts_rejects_out_of_bounds_destination() {
         let err = CsrGraph::from_raw_parts(vec![0, 1], vec![7], vec![1]).unwrap_err();
-        assert!(matches!(err, GraphError::VertexOutOfBounds { vertex: 7, .. }));
+        assert!(matches!(
+            err,
+            GraphError::VertexOutOfBounds { vertex: 7, .. }
+        ));
     }
 
     #[test]

@@ -139,9 +139,8 @@ impl ScaleFreeConfig {
         // `attachment` holds one entry per existing edge endpoint plus one
         // per vertex, so sampling uniformly from it is degree-proportional
         // sampling (the classic Barabási–Albert urn).
-        let mut attachment: Vec<VertexId> = Vec::with_capacity(
-            self.num_vertices + self.num_vertices * self.avg_degree,
-        );
+        let mut attachment: Vec<VertexId> =
+            Vec::with_capacity(self.num_vertices + self.num_vertices * self.avg_degree);
         attachment.push(0);
         let per_vertex_pref = (self.avg_degree / 2).max(1);
         let per_vertex_rand = self.avg_degree - per_vertex_pref;
@@ -225,7 +224,10 @@ mod tests {
         assert_eq!(RealWorldDataset::Amazon.label(), "AZ");
         assert_eq!(RealWorldDataset::Wikipedia.label(), "WK");
         assert_eq!(RealWorldDataset::LiveJournal.label(), "LJ");
-        assert!(RealWorldDataset::Wikipedia.average_degree() > RealWorldDataset::Amazon.average_degree());
+        assert!(
+            RealWorldDataset::Wikipedia.average_degree()
+                > RealWorldDataset::Amazon.average_degree()
+        );
         let g = RealWorldDataset::Amazon.config(512).build().unwrap();
         assert_eq!(g.num_vertices(), 512);
     }
@@ -251,8 +253,7 @@ mod tests {
         // average out-degree plus the reverse-edge surplus.
         let requested = 12.0;
         assert!(
-            stats.mean_total_degree > 1.5 * requested
-                && stats.mean_total_degree < 4.0 * requested,
+            stats.mean_total_degree > 1.5 * requested && stats.mean_total_degree < 4.0 * requested,
             "mean total degree {} inconsistent with requested average {}",
             stats.mean_total_degree,
             requested

@@ -192,7 +192,11 @@ mod tests {
 
     #[test]
     fn symmetric_mode_produces_reverse_edges() {
-        let g = RmatConfig::new(6, 4).seed(2).symmetric(true).build().unwrap();
+        let g = RmatConfig::new(6, 4)
+            .seed(2)
+            .symmetric(true)
+            .build()
+            .unwrap();
         for v in 0..g.num_vertices() as VertexId {
             for (dst, _) in g.neighbors(v) {
                 assert!(

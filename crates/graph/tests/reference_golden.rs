@@ -103,13 +103,13 @@ fn golden_pagerank_one_epoch_by_hand() {
     let base = PAGERANK_ONE - PAGERANK_DAMPING;
     let half = PAGERANK_DAMPING / 2;
     let expected = [
-        base,                        // 0: no in-edges
+        base,                           // 0: no in-edges
         base + half + PAGERANK_DAMPING, // 1: from 0 (half) and 2 (full)
         base + half + PAGERANK_DAMPING, // 2: from 0 (half) and 4 (full)
-        base + PAGERANK_DAMPING,     // 3: from 1
-        base + PAGERANK_DAMPING,     // 4: from 3
-        base + PAGERANK_DAMPING,     // 5: from 6
-        base + PAGERANK_DAMPING,     // 6: from 5
+        base + PAGERANK_DAMPING,        // 3: from 1
+        base + PAGERANK_DAMPING,        // 4: from 3
+        base + PAGERANK_DAMPING,        // 5: from 6
+        base + PAGERANK_DAMPING,        // 6: from 5
     ];
     let result = reference::pagerank(&golden_graph(), 1);
     assert_eq!(result.ranks(), &expected);

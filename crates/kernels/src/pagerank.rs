@@ -15,8 +15,8 @@
 
 use dalorex_graph::reference::{PAGERANK_DAMPING, PAGERANK_ONE};
 use dalorex_sim::kernel::{
-    ArrayInit, BootstrapContext, ChannelDecl, EpochContext, EpochDecision, Kernel,
-    LocalArrayDecl, LocalArrayLen, TaskContext, TaskDecl, TaskParams,
+    ArrayInit, BootstrapContext, ChannelDecl, EpochContext, EpochDecision, Kernel, LocalArrayDecl,
+    LocalArrayLen, TaskContext, TaskDecl, TaskParams,
 };
 use dalorex_sim::ArraySpace;
 
@@ -126,7 +126,8 @@ impl PageRankKernel {
                         continue;
                     }
                     let rank = u64::from(ctx.read(RANK, v));
-                    let share = ((rank * PAGERANK_DAMPING / PAGERANK_ONE) / u64::from(degree)) as u32;
+                    let share =
+                        ((rank * PAGERANK_DAMPING / PAGERANK_ONE) / u64::from(degree)) as u32;
                     ctx.charge_ops(3);
                     (begin, end, share)
                 };
@@ -197,7 +198,13 @@ impl Kernel for PageRankKernel {
     fn channels(&self) -> Vec<ChannelDecl> {
         vec![
             ChannelDecl::new("CQ1", T2_EXPAND, ArraySpace::Edge, 3, 96),
-            ChannelDecl::new("CQ2", T3_ACCUMULATE, ArraySpace::Vertex, 2, 4 * OQT2 as usize),
+            ChannelDecl::new(
+                "CQ2",
+                T3_ACCUMULATE,
+                ArraySpace::Vertex,
+                2,
+                4 * OQT2 as usize,
+            ),
         ]
     }
 

@@ -20,8 +20,8 @@
 //! difference is captured by [`PropagationMode`].
 
 use dalorex_sim::kernel::{
-    ArrayInit, BootstrapContext, ChannelDecl, EpochContext, EpochDecision, Kernel,
-    LocalArrayDecl, LocalArrayLen, QueueCapacity, TaskContext, TaskDecl, TaskParams,
+    ArrayInit, BootstrapContext, ChannelDecl, EpochContext, EpochDecision, Kernel, LocalArrayDecl,
+    LocalArrayLen, QueueCapacity, TaskContext, TaskDecl, TaskParams,
 };
 use dalorex_sim::ArraySpace;
 
@@ -230,8 +230,7 @@ impl Kernel for PropagationKernel {
             TaskDecl::new("T2-expand", 192, TaskParams::AutoPop(3))
                 .requires_cq_space(CQ2_TO_VERTICES, 2 * OQT2 as usize)
                 .sends(CQ2_TO_VERTICES),
-            TaskDecl::new("T3-update", 2048, TaskParams::AutoPop(2))
-                .pushes_local(T4_FRONTIER),
+            TaskDecl::new("T3-update", 2048, TaskParams::AutoPop(2)).pushes_local(T4_FRONTIER),
             // T4's output queue is T1's IQ: without the dispatch-time space
             // guarantee, occupancy-priority scheduling can pin a large-IQ4
             // tile on T4 forever while IQ1 sits full (each invocation finds
@@ -415,7 +414,11 @@ mod tests {
 
     #[test]
     fn wcc_matches_reference_on_symmetric_rmat() {
-        let graph = RmatConfig::new(7, 4).seed(9).symmetric(true).build().unwrap();
+        let graph = RmatConfig::new(7, 4)
+            .seed(9)
+            .symmetric(true)
+            .build()
+            .unwrap();
         let expected = reference::wcc(&graph);
         let kernel = PropagationKernel::new(PropagationMode::MinLabel, None);
         let value = run(

@@ -17,8 +17,8 @@
 //! * **T4 — accumulate**: `y[row] += product`.
 
 use dalorex_sim::kernel::{
-    ArrayInit, BootstrapContext, ChannelDecl, EpochContext, EpochDecision, Kernel,
-    LocalArrayDecl, LocalArrayLen, TaskContext, TaskDecl, TaskParams,
+    ArrayInit, BootstrapContext, ChannelDecl, EpochContext, EpochDecision, Kernel, LocalArrayDecl,
+    LocalArrayLen, TaskContext, TaskDecl, TaskParams,
 };
 use dalorex_sim::ArraySpace;
 use std::sync::Arc;

@@ -114,7 +114,10 @@ mod tests {
         let outcome = sim.run(&WccKernel::new()).unwrap();
         let expected = reference::wcc(&graph);
         assert_eq!(outcome.output.as_u32_array("value"), expected.labels());
-        assert!(expected.num_components() > 1, "test graph should be disconnected");
+        assert!(
+            expected.num_components() > 1,
+            "test graph should be disconnected"
+        );
     }
 
     #[test]

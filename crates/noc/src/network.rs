@@ -299,7 +299,10 @@ impl Network {
             crate::MAX_CHANNELS,
             config.channels
         );
-        assert!(config.buffer_flits > 0, "buffers must hold at least one flit");
+        assert!(
+            config.buffer_flits > 0,
+            "buffers must hold at least one flit"
+        );
         assert!(
             config.ejection_buffer_flits > 0,
             "ejection buffers must hold at least one flit"
@@ -325,7 +328,10 @@ impl Network {
             .filter(|&p| p != Port::Local && (has_ruche || !p.is_ruche()))
             .collect();
         let ruche = config.topology.ruche_factor().unwrap_or(1) as isize;
-        let (width, height) = (config.shape.width() as isize, config.shape.height() as isize);
+        let (width, height) = (
+            config.shape.width() as isize,
+            config.shape.height() as isize,
+        );
         let mut link_dest = vec![0 as TileId; num_tiles * Port::ALL.len()];
         for tile in 0..num_tiles {
             let (x, y) = config.shape.coords(tile);
@@ -344,8 +350,7 @@ impl Network {
                 };
                 let nx = (x + dx).rem_euclid(width) as usize;
                 let ny = (y + dy).rem_euclid(height) as usize;
-                link_dest[tile * Port::ALL.len() + port.index()] =
-                    config.shape.tile_at(nx, ny);
+                link_dest[tile * Port::ALL.len() + port.index()] = config.shape.tile_at(nx, ny);
             }
         }
         let coords = (0..num_tiles)
@@ -384,7 +389,11 @@ impl Network {
                 Vec::new()
             },
             cal_refile: Vec::new(),
-            pos: if calendar { vec![0; num_tiles] } else { Vec::new() },
+            pos: if calendar {
+                vec![0; num_tiles]
+            } else {
+                Vec::new()
+            },
             cal_heap: BinaryHeap::new(),
             cal_visited: if calendar {
                 vec![u64::MAX; num_tiles]
@@ -598,7 +607,11 @@ impl Network {
     pub fn try_inject(&mut self, src: TileId, message: Message) -> Result<(), Rejected> {
         let num_tiles = self.routers.len();
         if src >= num_tiles || message.dest() >= num_tiles {
-            let tile = if src >= num_tiles { src } else { message.dest() };
+            let tile = if src >= num_tiles {
+                src
+            } else {
+                message.dest()
+            };
             return Err(Rejected {
                 error: NocError::TileOutOfRange { tile, num_tiles },
                 message,
@@ -619,7 +632,10 @@ impl Network {
             return Err(Rejected {
                 error: NocError::MessageTooLong {
                     flits,
-                    capacity: self.config.buffer_flits.min(self.config.ejection_buffer_flits),
+                    capacity: self
+                        .config
+                        .buffer_flits
+                        .min(self.config.ejection_buffer_flits),
                 },
                 message,
             });
@@ -740,7 +756,9 @@ impl Network {
 
     /// Number of flits waiting in `tile`'s ejection buffer for `channel`.
     pub fn ejection_occupancy(&self, tile: TileId, channel: ChannelId) -> usize {
-        self.routers[tile].buffer(Port::Local, channel).occupied_flits()
+        self.routers[tile]
+            .buffer(Port::Local, channel)
+            .occupied_flits()
     }
 
     /// Advances the network by one cycle: every output link that is free and
@@ -1135,9 +1153,9 @@ impl Network {
                     let (next_port, entering) =
                         self.routed_port(next_tile, dest, port_dimension(port));
                     let bubble = flits;
-                    if !self.routers[next_tile].can_accept(
-                        next_port, channel, flits, entering, bubble,
-                    ) {
+                    if !self.routers[next_tile]
+                        .can_accept(next_port, channel, flits, entering, bubble)
+                    {
                         // Blocked on a full downstream buffer: this head can
                         // only move after a pop frees space there, so it
                         // contributes no time candidate — this router
@@ -1251,8 +1269,7 @@ impl Network {
             self.awaiting_ejection += 1;
             self.stats.delivered_messages += 1;
             self.stats.delivered_flits += flits as u64;
-            self.stats.total_latency_cycles +=
-                now + serialization - arriving.message.injected_at;
+            self.stats.total_latency_cycles += now + serialization - arriving.message.injected_at;
             self.note_delivery(next_tile);
             self.routers[next_tile].push(next_port, channel, arriving);
         } else {
@@ -1368,7 +1385,8 @@ mod tests {
             Topology::TorusRuche { factor: 2 },
         ] {
             let mut net = small_net(topology);
-            net.try_inject(0, Message::new(15, 1, vec![10, 20, 30])).unwrap();
+            net.try_inject(0, Message::new(15, 1, vec![10, 20, 30]))
+                .unwrap();
             run_until_idle(&mut net, 1000);
             let msg = net.pop_delivered(15).expect("delivered");
             assert_eq!(msg.payload(), &[10, 20, 30]);
@@ -1407,9 +1425,8 @@ mod tests {
 
     #[test]
     fn rejects_oversized_messages() {
-        let mut net = Network::new(
-            NocConfig::new(GridShape::new(2, 2), Topology::Mesh).with_buffer_flits(4),
-        );
+        let mut net =
+            Network::new(NocConfig::new(GridShape::new(2, 2), Topology::Mesh).with_buffer_flits(4));
         let err = net
             .try_inject(0, Message::new(3, 0, vec![0; 4]))
             .unwrap_err();
@@ -1425,8 +1442,11 @@ mod tests {
         );
         // Each message is 3 flits + 3 bubble slack = 6; the second one needs
         // another 3 + bubble which no longer fits an 8-flit buffer.
-        net.try_inject(0, Message::new(1, 0, vec![1, 2, 3])).unwrap();
-        let err = net.try_inject(0, Message::new(1, 0, vec![4, 5, 6])).unwrap_err();
+        net.try_inject(0, Message::new(1, 0, vec![1, 2, 3]))
+            .unwrap();
+        let err = net
+            .try_inject(0, Message::new(1, 0, vec![4, 5, 6]))
+            .unwrap_err();
         assert!(matches!(err.error, NocError::InjectionBackpressure));
         assert_eq!(net.stats().injection_backpressure_events, 1);
         // The rejection is attributed to the injecting tile.
@@ -1485,7 +1505,10 @@ mod tests {
             let mut net = Network::new(NocConfig::new(GridShape::new(8, 8), topology));
             for src in 0..64usize {
                 let dst = (src + 37) % 64;
-                while net.try_inject(src, Message::new(dst, 0, vec![1, 2])).is_err() {
+                while net
+                    .try_inject(src, Message::new(dst, 0, vec![1, 2]))
+                    .is_err()
+                {
                     net.cycle();
                 }
             }
@@ -1547,7 +1570,8 @@ mod tests {
     #[test]
     fn latency_statistics_are_positive_after_traffic() {
         let mut net = small_net(Topology::Mesh);
-        net.try_inject(0, Message::new(15, 0, vec![1, 2, 3])).unwrap();
+        net.try_inject(0, Message::new(15, 0, vec![1, 2, 3]))
+            .unwrap();
         run_until_idle(&mut net, 1000);
         assert!(net.stats().average_latency() > 0.0);
         assert!(net.stats().average_hops_per_flit() >= 1.0);
@@ -1671,7 +1695,10 @@ mod tests {
                 assert!(guard < 10_000, "never drained on {topology:?}");
             }
             assert_eq!(calendar.stats(), reference.stats(), "{topology:?}");
-            assert_eq!(calendar.router_utilization(), reference.router_utilization());
+            assert_eq!(
+                calendar.router_utilization(),
+                reference.router_utilization()
+            );
             assert_eq!(calendar.flits_per_router(), reference.flits_per_router());
         }
     }
@@ -1797,7 +1824,10 @@ mod tests {
         // them for the drain below to exercise the dirty path.
         let members = due_only.debug_active_order();
         assert_eq!(members, reference.debug_active_order());
-        assert!(members.len() > 1, "need several active routers: {members:?}");
+        assert!(
+            members.len() > 1,
+            "need several active routers: {members:?}"
+        );
         assert!(members.contains(&5));
         // Drain ONE tile; its router empties and must leave the membership.
         due_only.pop_delivered(5).unwrap();
@@ -1817,7 +1847,10 @@ mod tests {
         assert_eq!(due_only.stats().walk_routers_scanned, scanned);
         // ...and the modelled schedule is the oracle's.
         assert_eq!(due_only.stats(), reference.stats());
-        assert_eq!(due_only.debug_active_order(), reference.debug_active_order());
+        assert_eq!(
+            due_only.debug_active_order(),
+            reference.debug_active_order()
+        );
         // The drained router is gone from the active order.
         assert!(!due_only.debug_active_order().contains(&5));
         assert_eq!(due_only.debug_active_order().len(), members.len() - 1);
@@ -1846,8 +1879,10 @@ mod tests {
                         let i = (2 * step + k) as usize;
                         let (src, dst) = (i % 16, (i * 7 + 3) % 16);
                         let (channel, len) = (i % 4, 1 + i % 3);
-                        let a = calendar.try_inject(src, Message::new(dst, channel, vec![7u32; len]));
-                        let b = reference.try_inject(src, Message::new(dst, channel, vec![7u32; len]));
+                        let a =
+                            calendar.try_inject(src, Message::new(dst, channel, vec![7u32; len]));
+                        let b =
+                            reference.try_inject(src, Message::new(dst, channel, vec![7u32; len]));
                         assert_eq!(a.is_ok(), b.is_ok(), "injection diverged at step {step}");
                     }
                 }
@@ -1883,7 +1918,10 @@ mod tests {
                     }
                 }
             }
-            assert!(compactions >= 100, "only {compactions} non-trivial compactions");
+            assert!(
+                compactions >= 100,
+                "only {compactions} non-trivial compactions"
+            );
             let mut guard = 0;
             while !calendar.is_idle() || !reference.is_idle() {
                 calendar.cycle();
@@ -1897,7 +1935,10 @@ mod tests {
                 assert!(guard < 10_000, "never drained on {topology:?}");
             }
             assert_eq!(calendar.stats(), reference.stats(), "{topology:?}");
-            assert_eq!(calendar.router_utilization(), reference.router_utilization());
+            assert_eq!(
+                calendar.router_utilization(),
+                reference.router_utilization()
+            );
             assert_eq!(calendar.flits_per_router(), reference.flits_per_router());
         }
     }

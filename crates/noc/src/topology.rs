@@ -324,7 +324,10 @@ impl RoutingGrid {
 
     fn hop_in_x(&self, cx: usize, cy: usize, delta: isize) -> Hop {
         let width = self.shape.width;
-        let ruche = self.topology.ruche_factor().filter(|&r| delta.unsigned_abs() >= r);
+        let ruche = self
+            .topology
+            .ruche_factor()
+            .filter(|&r| delta.unsigned_abs() >= r);
         let (port, step) = match (delta > 0, ruche) {
             (true, Some(r)) => (Port::RucheEast, r as isize),
             (true, None) => (Port::East, 1),
@@ -340,7 +343,10 @@ impl RoutingGrid {
 
     fn hop_in_y(&self, cx: usize, cy: usize, delta: isize) -> Hop {
         let height = self.shape.height;
-        let ruche = self.topology.ruche_factor().filter(|&r| delta.unsigned_abs() >= r);
+        let ruche = self
+            .topology
+            .ruche_factor()
+            .filter(|&r| delta.unsigned_abs() >= r);
         let (port, step) = match (delta > 0, ruche) {
             (true, Some(r)) => (Port::RucheNorth, r as isize),
             (true, None) => (Port::North, 1),

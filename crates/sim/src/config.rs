@@ -400,7 +400,9 @@ mod tests {
 
     #[test]
     fn defaults_follow_the_paper() {
-        let config = SimConfigBuilder::new(GridConfig::square(16)).build().unwrap();
+        let config = SimConfigBuilder::new(GridConfig::square(16))
+            .build()
+            .unwrap();
         assert_eq!(config.topology, Topology::Torus);
         assert_eq!(config.scheduling, SchedulingPolicy::OccupancyPriority);
         assert_eq!(config.vertex_placement, VertexPlacement::Interleaved);
@@ -421,9 +423,13 @@ mod tests {
 
     #[test]
     fn large_grids_default_to_ruche_torus() {
-        let config = SimConfigBuilder::new(GridConfig::square(64)).build().unwrap();
+        let config = SimConfigBuilder::new(GridConfig::square(64))
+            .build()
+            .unwrap();
         assert_eq!(config.topology, Topology::TorusRuche { factor: 4 });
-        let small = SimConfigBuilder::new(GridConfig::square(32)).build().unwrap();
+        let small = SimConfigBuilder::new(GridConfig::square(32))
+            .build()
+            .unwrap();
         assert_eq!(small.topology, Topology::Torus);
     }
 
@@ -453,7 +459,9 @@ mod tests {
 
     #[test]
     fn tile_init_defaults_to_lazy() {
-        let config = SimConfigBuilder::new(GridConfig::square(4)).build().unwrap();
+        let config = SimConfigBuilder::new(GridConfig::square(4))
+            .build()
+            .unwrap();
         assert!(!config.eager_tile_init);
         let eager = SimConfigBuilder::new(GridConfig::square(4))
             .eager_tile_init(true)
@@ -464,7 +472,9 @@ mod tests {
 
     #[test]
     fn engine_defaults_parses_and_round_trips() {
-        let config = SimConfigBuilder::new(GridConfig::square(4)).build().unwrap();
+        let config = SimConfigBuilder::new(GridConfig::square(4))
+            .build()
+            .unwrap();
         assert_eq!(config.engine, Engine::Calendar);
         let reference = SimConfigBuilder::new(GridConfig::square(4))
             .engine(Engine::Reference)
@@ -484,7 +494,9 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        assert!(SimConfigBuilder::new(GridConfig::new(0, 4)).build().is_err());
+        assert!(SimConfigBuilder::new(GridConfig::new(0, 4))
+            .build()
+            .is_err());
         assert!(SimConfigBuilder::new(GridConfig::square(4))
             .scratchpad_bytes(0)
             .build()

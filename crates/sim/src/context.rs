@@ -82,7 +82,8 @@ impl TaskContext for SimTaskContext<'_> {
 
     fn global_vertex(&self, local: usize) -> u32 {
         index_to_u32(
-            self.placement.to_global(ArraySpace::Vertex, self.tile.tile, local),
+            self.placement
+                .to_global(ArraySpace::Vertex, self.tile.tile, local),
             "global vertex id",
         )
     }
@@ -196,7 +197,10 @@ impl TaskContext for SimTaskContext<'_> {
         // nothing (the Vec-returning `split_edge_range` shim builds on
         // this for the reference path and for kernels that want a Vec).
         let mut parts = 0u64;
-        for (tile, b, e) in self.placement.split_edge_range(begin as usize, end as usize) {
+        for (tile, b, e) in self
+            .placement
+            .split_edge_range(begin as usize, end as usize)
+        {
             parts += 1;
             part(
                 tile,
@@ -242,7 +246,8 @@ impl BootstrapContext for SimBootstrapContext<'_> {
 
     fn global_vertex(&self, local: usize) -> u32 {
         index_to_u32(
-            self.placement.to_global(ArraySpace::Vertex, self.tile.tile, local),
+            self.placement
+                .to_global(ArraySpace::Vertex, self.tile.tile, local),
             "global vertex id",
         )
     }
@@ -320,7 +325,13 @@ mod tests {
     use crate::tile::distribute_graph;
     use dalorex_graph::generators::grid2d::GridConfig;
 
-    fn setup() -> (Placement, Vec<TileCsr>, Vec<TaskDecl>, Vec<ChannelDecl>, Vec<LocalArrayDecl>) {
+    fn setup() -> (
+        Placement,
+        Vec<TileCsr>,
+        Vec<TaskDecl>,
+        Vec<ChannelDecl>,
+        Vec<LocalArrayDecl>,
+    ) {
         let graph = GridConfig::new(4, 4).build().unwrap();
         let placement = Placement::new(
             4,

@@ -175,10 +175,7 @@ impl EnergyModel {
     /// Total SRAM leakage power of the chip, in Watts.
     pub fn sram_leakage_watts(&self) -> f64 {
         let macros_per_tile = self.scratchpad_bytes_per_tile as f64 / (32.0 * 1024.0);
-        self.constants.sram_leakage_uw_per_32kb
-            * macros_per_tile
-            * self.num_tiles as f64
-            * UW_TO_W
+        self.constants.sram_leakage_uw_per_32kb * macros_per_tile * self.num_tiles as f64 * UW_TO_W
     }
 
     /// Total PU leakage power of the chip, in Watts.

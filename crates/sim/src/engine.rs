@@ -42,6 +42,7 @@
 //! reference router scheduler); the two produce cycle-exact identical
 //! outcomes.
 
+use crate::area::{AreaConstants, AreaModel};
 use crate::config::{BarrierMode, Engine, SimConfig};
 use crate::context::{InvocationCost, SimBootstrapContext, SimEpochContext, SimTaskContext};
 use crate::energy::{EnergyBreakdown, EnergyConstants, EnergyModel};
@@ -54,7 +55,6 @@ use crate::placement::{ArraySpace, Placement};
 use crate::stats::SimStats;
 use crate::tile::{distribute_graph, TileCsr, TileInit, TileState};
 use crate::tsu::Scheduler;
-use crate::area::{AreaConstants, AreaModel};
 use dalorex_graph::CsrGraph;
 use dalorex_noc::{Message, Network, NocConfig, RouterScheduler};
 
@@ -259,10 +259,11 @@ impl Simulation {
         // `SimConfig::build` already validated the plan, but arming must
         // stay correct for configs constructed before a grid resize or
         // hand-assembled in tests.
-        let faults = ArmedFaults::arm(&config.faults, num_tiles)
-            .map_err(|reason| SimError::InvalidConfig {
+        let faults = ArmedFaults::arm(&config.faults, num_tiles).map_err(|reason| {
+            SimError::InvalidConfig {
                 reason: format!("invalid fault plan: {reason}"),
-            })?;
+            }
+        })?;
         Ok(Simulation {
             config,
             placement,
@@ -496,8 +497,7 @@ impl Simulation {
                         for tile in woken {
                             // The epoch trigger pushed invocations outside
                             // tile_cycle: refresh the action snapshot.
-                            hot[tile] =
-                                HotTile::snapshot(&tiles[tile], hot[tile].delivery_pending);
+                            hot[tile] = HotTile::snapshot(&tiles[tile], hot[tile].delivery_pending);
                             if !active[tile] {
                                 active[tile] = true;
                                 active_list.push(tile);
@@ -581,8 +581,7 @@ impl Simulation {
                         // Every inject-ready channel is parked: the
                         // reference engine would attempt and fail each one
                         // once this cycle.
-                        network
-                            .count_injection_backpressure(t, u64::from(parks[t].ready_count));
+                        network.count_injection_backpressure(t, u64::from(parks[t].ready_count));
                     }
                     if h.nonidle_after(cycle) {
                         active[t] = true;
@@ -644,7 +643,15 @@ impl Simulation {
             }
         }
 
-        self.finish_outcome(kernel, &arrays, tasks.len(), &tiles, &network, cycle, epochs)
+        self.finish_outcome(
+            kernel,
+            &arrays,
+            tasks.len(),
+            &tiles,
+            &network,
+            cycle,
+            epochs,
+        )
     }
 
     /// Gathers statistics, output and the derived energy/area figures into
@@ -920,8 +927,7 @@ impl Simulation {
                 let mut flit_buf = [0u32; dalorex_noc::MAX_FLITS];
                 let popped = tile.pop_cq_into(channel, flits, &mut flit_buf);
                 debug_assert!(popped);
-                match network.try_inject(tile_id, Message::new(dest, channel, &flit_buf[..flits]))
-                {
+                match network.try_inject(tile_id, Message::new(dest, channel, &flit_buf[..flits])) {
                     Ok(()) => {
                         // Reading the words out of the CQ costs scratchpad
                         // reads once the router accepts the message.

@@ -177,7 +177,10 @@ impl fmt::Display for FaultEvent {
                 factor,
                 start,
                 end,
-            } => write!(f, "slow:tile={tile},factor={factor},start={start},end={end}"),
+            } => write!(
+                f,
+                "slow:tile={tile},factor={factor},start={start},end={end}"
+            ),
             FaultEvent::EndpointThrottle {
                 tile,
                 budget,
@@ -803,7 +806,10 @@ mod tests {
             start: 10,
             end: 10,
         }]);
-        assert!(empty_window.resolve(16).unwrap_err().contains("empty window"));
+        assert!(empty_window
+            .resolve(16)
+            .unwrap_err()
+            .contains("empty window"));
         let zero_budget = FaultPlan::from_events(vec![FaultEvent::EndpointThrottle {
             tile: 0,
             budget: 0,

@@ -49,7 +49,10 @@ impl KernelOutput {
     /// The array gathered under `name`, widened to `u64` (convenient for
     /// comparing against the fixed-point PageRank reference).
     pub fn as_u64_array(&self, name: &str) -> Vec<u64> {
-        self.as_u32_array(name).iter().map(|&v| u64::from(v)).collect()
+        self.as_u32_array(name)
+            .iter()
+            .map(|&v| u64::from(v))
+            .collect()
     }
 }
 

@@ -124,7 +124,10 @@ pub fn distribute_graph(graph: &CsrGraph, placement: &Placement) -> Vec<TileCsr>
     }
     for e in 0..graph.num_edges() {
         let tile = placement.owner(ArraySpace::Edge, e);
-        debug_assert_eq!(placement.to_local(ArraySpace::Edge, e), chunks[tile].edge_idx.len());
+        debug_assert_eq!(
+            placement.to_local(ArraySpace::Edge, e),
+            chunks[tile].edge_idx.len()
+        );
         chunks[tile].edge_idx.push(graph.edge_idx()[e]);
         chunks[tile].edge_values.push(graph.edge_values()[e]);
     }
@@ -714,7 +717,11 @@ impl TileState {
     /// Declared length of kernel array `array` on this tile (hollow-safe).
     pub fn array_len(&self, array: usize) -> usize {
         let decl = &self.init.arrays[array];
-        declared_array_len(decl.len, self.local_vertices as usize, self.local_edges as usize)
+        declared_array_len(
+            decl.len,
+            self.local_vertices as usize,
+            self.local_edges as usize,
+        )
     }
 
     /// Kernel array `array` as a slice.
@@ -745,9 +752,7 @@ impl TileState {
                 ArrayInit::Zero => 0,
                 ArrayInit::Const(v) => *v,
                 ArrayInit::MaxU32 => u32::MAX,
-                ArrayInit::GlobalVertexId => {
-                    (self.vertex_base + index * self.vertex_stride) as u32
-                }
+                ArrayInit::GlobalVertexId => (self.vertex_base + index * self.vertex_stride) as u32,
                 ArrayInit::PerVertexFn(f) => {
                     f((self.vertex_base + index * self.vertex_stride) as u32)
                 }
@@ -967,8 +972,7 @@ mod tests {
             // Edge chunks concatenate back to the global arrays.
             let all_edges: Vec<u32> = chunks.iter().flat_map(|c| c.edge_idx.clone()).collect();
             assert_eq!(all_edges, graph.edge_idx());
-            let all_values: Vec<u32> =
-                chunks.iter().flat_map(|c| c.edge_values.clone()).collect();
+            let all_values: Vec<u32> = chunks.iter().flat_map(|c| c.edge_values.clone()).collect();
             assert_eq!(all_values, graph.edge_values());
         }
     }
@@ -993,7 +997,11 @@ mod tests {
             vec![
                 LocalArrayDecl::new("dist", LocalArrayLen::PerVertex, ArrayInit::MaxU32),
                 LocalArrayDecl::new("frontier", LocalArrayLen::VertexBitmap, ArrayInit::Zero),
-                LocalArrayDecl::new("labels", LocalArrayLen::PerVertex, ArrayInit::GlobalVertexId),
+                LocalArrayDecl::new(
+                    "labels",
+                    LocalArrayLen::PerVertex,
+                    ArrayInit::GlobalVertexId,
+                ),
                 LocalArrayDecl::new(
                     "x",
                     LocalArrayLen::PerVertex,
@@ -1036,7 +1044,10 @@ mod tests {
         assert_eq!(hollow.arena_bytes(), 0);
         // The modelled footprint is declaration-derived, not
         // allocation-derived.
-        assert_eq!(hollow.kernel_footprint_bytes(), eager.kernel_footprint_bytes());
+        assert_eq!(
+            hollow.kernel_footprint_bytes(),
+            eager.kernel_footprint_bytes()
+        );
         // Hollow reads compute exactly what the eager build stored.
         for array in 0..5 {
             assert_eq!(hollow.array_len(array), eager.array(array).len());

@@ -341,7 +341,10 @@ mod tests {
         // state so the round-robin pointers evolve identically) and assert
         // every decision matches.
         let (tasks, _, _) = decls();
-        for policy in [SchedulingPolicy::RoundRobin, SchedulingPolicy::OccupancyPriority] {
+        for policy in [
+            SchedulingPolicy::RoundRobin,
+            SchedulingPolicy::OccupancyPriority,
+        ] {
             let mut tile = tile();
             let mut fast = Scheduler::new(policy);
             let mut reference = Scheduler::new(policy);

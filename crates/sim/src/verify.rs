@@ -374,14 +374,17 @@ fn structural_pass(
     for (i, task) in tasks.iter().enumerate() {
         let subject = task_subject(tasks, i);
         if task.iq_capacity == QueueCapacity::Words(0) {
-            error("V002", subject.clone(), "declares a zero-sized IQ".to_string());
+            error(
+                "V002",
+                subject.clone(),
+                "declares a zero-sized IQ".to_string(),
+            );
         }
         if task.params == TaskParams::AutoPop(0) {
             error(
                 "V003",
                 subject.clone(),
-                "auto-pops zero parameters; it could dispatch forever on an empty IQ"
-                    .to_string(),
+                "auto-pops zero parameters; it could dispatch forever on an empty IQ".to_string(),
             );
         }
         for &(channel, words) in &task.cq_space_required {
@@ -643,8 +646,7 @@ fn capacity_cycle_pass(
     report: &mut VerifyReport,
 ) {
     let n = tasks.len();
-    let blockable: Vec<&ProduceEdge> =
-        edges.iter().filter(|e| edge_can_block(e, tasks)).collect();
+    let blockable: Vec<&ProduceEdge> = edges.iter().filter(|e| edge_can_block(e, tasks)).collect();
     // Transitive closure over the blockable edges (task counts are tiny).
     let mut reach = vec![vec![false; n]; n];
     for edge in &blockable {
@@ -872,11 +874,7 @@ fn drop_hazard_pass(tasks: &[TaskDecl], channels: &[ChannelDecl], report: &mut V
 /// changing them changes the modelled schedule (and the golden cycle
 /// counts pinning it) — suppress per kernel via
 /// [`Kernel::verify_suppressions`] with a justification.
-fn geometry_warning_pass(
-    tasks: &[TaskDecl],
-    channels: &[ChannelDecl],
-    report: &mut VerifyReport,
-) {
+fn geometry_warning_pass(tasks: &[TaskDecl], channels: &[ChannelDecl], report: &mut VerifyReport) {
     for (i, channel) in channels.iter().enumerate() {
         if channel.flits_per_message > 0
             && channel.cq_capacity_words % channel.flits_per_message != 0
@@ -1007,7 +1005,10 @@ mod tests {
             &[],
             &ctx(),
         );
-        assert!(report.has_code("V004") && report.has_code("V006"), "{report}");
+        assert!(
+            report.has_code("V004") && report.has_code("V006"),
+            "{report}"
+        );
         // V005/V007: gates wider than the watched queue.
         let report = verify_decls(
             "t",
@@ -1020,7 +1021,10 @@ mod tests {
             &[ChannelDecl::new("c", 1, ArraySpace::Vertex, 1, 8)],
             &ctx(),
         );
-        assert!(report.has_code("V005") && report.has_code("V007"), "{report}");
+        assert!(
+            report.has_code("V005") && report.has_code("V007"),
+            "{report}"
+        );
         // V013/V014: declared dataflow out of range.
         let report = verify_decls(
             "t",
@@ -1030,7 +1034,10 @@ mod tests {
             &[],
             &ctx(),
         );
-        assert!(report.has_code("V013") && report.has_code("V014"), "{report}");
+        assert!(
+            report.has_code("V013") && report.has_code("V014"),
+            "{report}"
+        );
     }
 
     #[test]
@@ -1057,7 +1064,13 @@ mod tests {
         let report = verify_decls(
             "t",
             &[TaskDecl::new("a", 10 * huge, TaskParams::AutoPop(1))],
-            &[ChannelDecl::new("c", 0, ArraySpace::Vertex, huge, 10 * huge)],
+            &[ChannelDecl::new(
+                "c",
+                0,
+                ArraySpace::Vertex,
+                huge,
+                10 * huge,
+            )],
             &ctx(),
         );
         assert!(report.has_code("V010"), "{report}");
@@ -1104,14 +1117,20 @@ mod tests {
         let report = verify_decls(
             "t",
             &[
-                TaskDecl::new("a", 8, TaskParams::AutoPop(1)).entry().sends(0),
+                TaskDecl::new("a", 8, TaskParams::AutoPop(1))
+                    .entry()
+                    .sends(0),
                 TaskDecl::new("b", 8, TaskParams::AutoPop(1)),
                 TaskDecl::new("dead", 8, TaskParams::AutoPop(1)),
             ],
             &[ChannelDecl::new("c", 1, ArraySpace::Vertex, 1, 8)],
             &ctx(),
         );
-        let v020: Vec<_> = report.diagnostics.iter().filter(|d| d.code == "V020").collect();
+        let v020: Vec<_> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == "V020")
+            .collect();
         assert_eq!(v020.len(), 1, "{report}");
         assert!(v020[0].subject.contains("dead"));
         assert!(report.dataflow_analyzed);
@@ -1160,8 +1179,11 @@ mod tests {
         let report = verify_decls(
             "t",
             &[
-                TaskDecl::new("explore", 64, TaskParams::SelfManaged).sends(0).entry(),
-                TaskDecl::new("expand", 192, TaskParams::AutoPop(3)).sends(1)
+                TaskDecl::new("explore", 64, TaskParams::SelfManaged)
+                    .sends(0)
+                    .entry(),
+                TaskDecl::new("expand", 192, TaskParams::AutoPop(3))
+                    .sends(1)
                     .requires_cq_space(1, 128),
                 TaskDecl::new("update", 2048, TaskParams::AutoPop(2)).pushes_local(3),
                 TaskDecl::with_capacity(
@@ -1180,12 +1202,19 @@ mod tests {
         );
         assert!(report.has_code("V031"), "{report}");
         // The V031 subject is the spinning producer.
-        let diag = report.diagnostics.iter().find(|d| d.code == "V031").unwrap();
+        let diag = report
+            .diagnostics
+            .iter()
+            .find(|d| d.code == "V031")
+            .unwrap();
         assert!(diag.subject.contains("frontier"), "{diag}");
         // The shipped fix — the requires_iq_space gate — clears it.
         let mut tasks = vec![
-            TaskDecl::new("explore", 64, TaskParams::SelfManaged).sends(0).entry(),
-            TaskDecl::new("expand", 192, TaskParams::AutoPop(3)).sends(1)
+            TaskDecl::new("explore", 64, TaskParams::SelfManaged)
+                .sends(0)
+                .entry(),
+            TaskDecl::new("expand", 192, TaskParams::AutoPop(3))
+                .sends(1)
                 .requires_cq_space(1, 128),
             TaskDecl::new("update", 2048, TaskParams::AutoPop(2)).pushes_local(3),
             TaskDecl::with_capacity(
@@ -1215,7 +1244,9 @@ mod tests {
     #[test]
     fn livelock_passes_are_scheduling_aware() {
         let tasks = [
-            TaskDecl::new("big", 64, TaskParams::SelfManaged).entry().pushes_local(1),
+            TaskDecl::new("big", 64, TaskParams::SelfManaged)
+                .entry()
+                .pushes_local(1),
             TaskDecl::new("small", 8, TaskParams::AutoPop(1)),
         ];
         let occupancy = verify_decls("t", &tasks, &[], &ctx());
@@ -1238,7 +1269,9 @@ mod tests {
         let report = verify_decls(
             "t",
             &[
-                TaskDecl::new("big", 64, TaskParams::SelfManaged).entry().sends(0),
+                TaskDecl::new("big", 64, TaskParams::SelfManaged)
+                    .entry()
+                    .sends(0),
                 TaskDecl::new("small", 8, TaskParams::AutoPop(1)),
             ],
             &[ChannelDecl::new("c", 1, ArraySpace::Vertex, 1, 8)],
@@ -1250,7 +1283,9 @@ mod tests {
         let report = verify_decls(
             "t",
             &[
-                TaskDecl::new("small", 8, TaskParams::SelfManaged).entry().sends(0),
+                TaskDecl::new("small", 8, TaskParams::SelfManaged)
+                    .entry()
+                    .sends(0),
                 TaskDecl::new("big", 64, TaskParams::AutoPop(1)),
             ],
             &[ChannelDecl::new("c", 1, ArraySpace::Vertex, 1, 8)],
@@ -1289,7 +1324,10 @@ mod tests {
         let report = verify_decls(
             "t",
             &[
-                TaskDecl::new("a", 8, TaskParams::AutoPop(1)).entry().sends(0).pushes_local(1),
+                TaskDecl::new("a", 8, TaskParams::AutoPop(1))
+                    .entry()
+                    .sends(0)
+                    .pushes_local(1),
                 TaskDecl::new("b", 8, TaskParams::AutoPop(1)),
             ],
             &[ChannelDecl::new("c", 1, ArraySpace::Vertex, 1, 8)],
@@ -1301,12 +1339,10 @@ mod tests {
         let report = verify_decls(
             "t",
             &[
-                TaskDecl::new("a", 8, TaskParams::AutoPop(1)).entry().pushes_local(1),
-                TaskDecl::with_capacity(
-                    "b",
-                    QueueCapacity::VertexBlocks,
-                    TaskParams::SelfManaged,
-                ),
+                TaskDecl::new("a", 8, TaskParams::AutoPop(1))
+                    .entry()
+                    .pushes_local(1),
+                TaskDecl::with_capacity("b", QueueCapacity::VertexBlocks, TaskParams::SelfManaged),
             ],
             &[],
             &ctx(),

@@ -56,14 +56,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 outcome.output.as_u32_array("value") == reference::bfs(&prepared, root).depths()
             }
             Workload::Sssp { root } => {
-                outcome.output.as_u32_array("value")
-                    == reference::sssp(&prepared, root).distances()
+                outcome.output.as_u32_array("value") == reference::sssp(&prepared, root).distances()
             }
             Workload::Wcc => {
                 outcome.output.as_u32_array("value") == reference::wcc(&prepared).labels()
             }
             Workload::PageRank { epochs } => {
-                outcome.output.as_u64_array("rank") == reference::pagerank(&prepared, epochs).ranks()
+                outcome.output.as_u64_array("rank")
+                    == reference::pagerank(&prepared, epochs).ranks()
             }
             Workload::Spmv => {
                 let kernel = dalorex::kernels::SpmvKernel::with_default_input();
@@ -86,7 +86,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             100.0 * outcome.stats.mean_pu_utilization(),
             if checked { "ok" } else { "MISMATCH" }
         );
-        assert!(checked, "{} output diverged from the reference", workload.name());
+        assert!(
+            checked,
+            "{} output diverged from the reference",
+            workload.name()
+        );
     }
     Ok(())
 }

@@ -47,12 +47,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    simulator against x86 runs the same way).
     let expected = reference::bfs(&graph, 0);
     assert_eq!(outcome.output.as_u32_array("value"), expected.depths());
-    println!("result matches the sequential reference ({} vertices reached)", expected.reached());
+    println!(
+        "result matches the sequential reference ({} vertices reached)",
+        expected.reached()
+    );
 
     // 5. Report the run the way the paper's figures do.
     println!("cycles            : {}", outcome.cycles);
-    println!("runtime           : {:.3} ms at 1 GHz", outcome.seconds * 1e3);
-    println!("energy            : {:.3} mJ", outcome.total_energy_j() * 1e3);
+    println!(
+        "runtime           : {:.3} ms at 1 GHz",
+        outcome.seconds * 1e3
+    );
+    println!(
+        "energy            : {:.3} mJ",
+        outcome.total_energy_j() * 1e3
+    );
     println!(
         "energy breakdown  : logic {:.1}% / memory {:.1}% / network {:.1}%",
         outcome.energy.shares_percent().0,

@@ -59,7 +59,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "{:>6}  {:>14}  {:>12}  {:>12}  {:>10}  {:>8}  {:>13}  {:>12}",
-        "tiles", "vertices/tile", "cycles", "speedup", "energy(mJ)", "PU util", "modeled-bytes", "active-tiles"
+        "tiles",
+        "vertices/tile",
+        "cycles",
+        "speedup",
+        "energy(mJ)",
+        "PU util",
+        "modeled-bytes",
+        "active-tiles"
     );
 
     let mut baseline_cycles: Option<u64> = None;
@@ -67,9 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let tiles = side * side;
         // Size the scratchpad to the chunk (plus reserve), as a real
         // deployment would provision it.
-        let per_tile_bytes =
-            ((2 * graph.num_vertices() + 2 * graph.num_edges()) * 4 / tiles + 256 * 1024)
-                .next_power_of_two();
+        let per_tile_bytes = ((2 * graph.num_vertices() + 2 * graph.num_edges()) * 4 / tiles
+            + 256 * 1024)
+            .next_power_of_two();
         let config = SimConfigBuilder::new(GridConfig::square(side))
             .scratchpad_bytes(per_tile_bytes)
             .build()?;

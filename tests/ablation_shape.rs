@@ -52,7 +52,11 @@ fn figure5_shape_every_major_rung_contributes() {
     let graph = graph();
     let mut first = Vec::new();
     let mut last = Vec::new();
-    for workload in [Workload::Bfs { root: 0 }, Workload::Sssp { root: 0 }, Workload::Wcc] {
+    for workload in [
+        Workload::Bfs { root: 0 },
+        Workload::Sssp { root: 0 },
+        Workload::Wcc,
+    ] {
         let data_local =
             run_rung(AblationRung::DataLocal, &graph, workload, 4, SCRATCHPAD).unwrap();
         let dalorex = run_rung(AblationRung::Dalorex, &graph, workload, 4, SCRATCHPAD).unwrap();

@@ -83,7 +83,10 @@ fn bfs_is_correct_across_the_whole_configuration_space() {
         Topology::TorusRuche { factor: 2 },
     ] {
         for placement in [VertexPlacement::Chunked, VertexPlacement::Interleaved] {
-            for scheduling in [SchedulingPolicy::RoundRobin, SchedulingPolicy::OccupancyPriority] {
+            for scheduling in [
+                SchedulingPolicy::RoundRobin,
+                SchedulingPolicy::OccupancyPriority,
+            ] {
                 for barrier in [BarrierMode::Barrierless, BarrierMode::EpochBarrier] {
                     let config = SimConfigBuilder::new(GridConfig::new(4, 2))
                         .scratchpad_bytes(1 << 20)
@@ -174,7 +177,11 @@ fn larger_grids_do_not_change_results_only_performance() {
 
 #[test]
 fn pagerank_and_wcc_share_the_simulator_with_different_epoch_behaviour() {
-    let graph = RmatConfig::new(9, 6).seed(23).symmetric(true).build().unwrap();
+    let graph = RmatConfig::new(9, 6)
+        .seed(23)
+        .symmetric(true)
+        .build()
+        .unwrap();
     let pagerank = run_workload(&graph, Workload::PageRank { epochs: 4 }, 4);
     let wcc = run_workload(&graph, Workload::Wcc, 4);
     // PageRank runs exactly epochs+1 triggers; barrierless WCC runs in one.

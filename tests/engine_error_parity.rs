@@ -220,8 +220,9 @@ fn watchdog_fires_identically_under_faults_even_on_a_transition_cycle() {
     // on it.  A window opening at the deadline cannot affect any earlier
     // cycle, so the deadline must not move.
     let watchdog = 64u64;
-    let SimError::Deadlock { cycle: deadline, .. } =
-        build(base.clone(), watchdog).run(&StuckKernel).unwrap_err()
+    let SimError::Deadlock {
+        cycle: deadline, ..
+    } = build(base.clone(), watchdog).run(&StuckKernel).unwrap_err()
     else {
         panic!("wedged kernel must deadlock");
     };

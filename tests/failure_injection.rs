@@ -33,7 +33,9 @@ fn dataset_larger_than_the_scratchpad_is_rejected_up_front() {
 
 #[test]
 fn zero_sized_configuration_is_rejected() {
-    assert!(SimConfigBuilder::new(GridConfig::new(0, 1)).build().is_err());
+    assert!(SimConfigBuilder::new(GridConfig::new(0, 1))
+        .build()
+        .is_err());
     assert!(SimConfigBuilder::new(GridConfig::square(2))
         .noc_buffer_flits(0)
         .build()
@@ -52,7 +54,10 @@ fn cycle_limit_is_enforced() {
     let sim = Simulation::new(config, &graph).unwrap();
     let err = sim.run(&BfsKernel::new(0)).unwrap_err();
     assert!(
-        matches!(err, SimError::CycleLimitExceeded { limit: 50 } | SimError::Deadlock { .. }),
+        matches!(
+            err,
+            SimError::CycleLimitExceeded { limit: 50 } | SimError::Deadlock { .. }
+        ),
         "unexpected error {err:?}"
     );
 }

@@ -75,7 +75,10 @@ fn golden_memory_budget_64x64_sssp() {
         "64x64 memory budget drifted: {:?}",
         outcome.memory
     );
-    assert_eq!(outcome.memory.csr_bytes, graph.distributed_footprint_bytes());
+    assert_eq!(
+        outcome.memory.csr_bytes,
+        graph.distributed_footprint_bytes()
+    );
 }
 
 /// The idle-tile guarantee, asserted directly: a root with no out-edges
@@ -104,16 +107,15 @@ fn all_idle_tiles_contribute_zero_arena_bytes() {
     );
     assert!(lazy.memory.tile_arena_bytes > 0);
 
-    let eager_sim = Simulation::new(
-        base.eager_tile_init(true).build().unwrap(),
-        &graph,
-    )
-    .unwrap();
+    let eager_sim = Simulation::new(base.eager_tile_init(true).build().unwrap(), &graph).unwrap();
     let eager = eager_sim.run(&SsspKernel::new(0)).unwrap();
     assert_eq!(eager.memory.materialized_tiles, 16);
     // Chunked placement gives every tile the same 4-vertex chunk, so all
     // 16 arenas are the same size: 15 idle tiles contribute exactly 0.
-    assert_eq!(eager.memory.tile_arena_bytes, 16 * lazy.memory.tile_arena_bytes);
+    assert_eq!(
+        eager.memory.tile_arena_bytes,
+        16 * lazy.memory.tile_arena_bytes
+    );
     // And the schedule itself is untouched by laziness.
     assert_eq!(lazy.cycles, eager.cycles);
     assert_eq!(lazy.stats, eager.stats);
@@ -151,5 +153,8 @@ fn arena_bytes_count_exactly_the_materialized_tiles() {
     // Fabric scaling: 4x the routers on a 16x16 grid vs an 8x8 grid means
     // exactly 4x the modeled buffer bytes.
     let small = run_sssp(8, &graph);
-    assert_eq!(lazy.memory.noc_buffer_bytes, small.memory.noc_buffer_bytes * 4);
+    assert_eq!(
+        lazy.memory.noc_buffer_bytes,
+        small.memory.noc_buffer_bytes * 4
+    );
 }

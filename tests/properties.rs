@@ -2,6 +2,7 @@
 //! reproduction: data-structure round trips, placement bijectivity, NoC
 //! delivery, and simulator-vs-reference equivalence on arbitrary graphs.
 
+use dalorex::graph::reference;
 use dalorex::graph::{CsrGraph, Edge, EdgeList};
 use dalorex::kernels::{BfsKernel, SpmvKernel, SsspKernel, WccKernel};
 use dalorex::noc::message::Message;
@@ -10,9 +11,10 @@ use dalorex::noc::topology::{GridShape, Port};
 use dalorex::noc::{NocConfig, RouterScheduler, Topology};
 use dalorex::sim::config::{GridConfig, SimConfigBuilder};
 use dalorex::sim::placement::ArraySpace;
-use dalorex::sim::{FaultEvent, FaultPlan, Placement, RandomFaultSpec, Simulation, VertexPlacement};
-use dalorex::graph::reference;
 use dalorex::sim::queues::WordQueue;
+use dalorex::sim::{
+    FaultEvent, FaultPlan, Placement, RandomFaultSpec, Simulation, VertexPlacement,
+};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -33,14 +35,17 @@ enum QueueOp {
 fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
     // Encoded as a tuple (kind, count, words) so the strategy works with
     // both the vendored proptest stand-in and the real crate.
-    (0usize..4, 1usize..6, proptest::collection::vec(1u32..1_000_000, 1..6)).prop_map(
-        |(kind, count, words)| match kind {
+    (
+        0usize..4,
+        1usize..6,
+        proptest::collection::vec(1u32..1_000_000, 1..6),
+    )
+        .prop_map(|(kind, count, words)| match kind {
             0 => QueueOp::Push(words),
             1 => QueueOp::PopWord,
             2 => QueueOp::PopInvocation(count),
             _ => QueueOp::PopAndRestore(count),
-        },
-    )
+        })
 }
 
 /// Strategy: a random directed weighted graph with up to `max_v` vertices.
@@ -63,8 +68,15 @@ fn arb_graph(max_v: usize, max_degree: usize) -> impl Strategy<Value = CsrGraph>
 /// kinds, windows inside the first couple thousand cycles so they overlap
 /// real traffic.
 fn arb_fault_event() -> impl Strategy<Value = FaultEvent> {
-    (0usize..4, 0usize..4, 0u64..1500, 1u64..400, 2u64..6, 0usize..5).prop_map(
-        |(kind, tile, start, len, factor, port)| {
+    (
+        0usize..4,
+        0usize..4,
+        0u64..1500,
+        1u64..400,
+        2u64..6,
+        0usize..5,
+    )
+        .prop_map(|(kind, tile, start, len, factor, port)| {
             let end = start + len;
             match kind {
                 0 => FaultEvent::LinkOutage {
@@ -93,8 +105,7 @@ fn arb_fault_event() -> impl Strategy<Value = FaultEvent> {
                     end,
                 },
             }
-        },
-    )
+        })
 }
 
 fn small_sim(graph: &CsrGraph, placement: VertexPlacement) -> Simulation {

@@ -25,9 +25,8 @@ fn single_tile_bfs_terminates_and_matches_the_reference() {
     // RMAT-12: 4096 vertices -> 128 frontier blocks on one tile, exceeding
     // T1's 64-word IQ capacity — the tie-break regime that livelocked.
     let graph = RmatConfig::new(12, 8).seed(3).build().unwrap();
-    let per_tile_bytes = ((2 * graph.num_vertices() + 2 * graph.num_edges()) * 4
-        + 256 * 1024)
-        .next_power_of_two();
+    let per_tile_bytes =
+        ((2 * graph.num_vertices() + 2 * graph.num_edges()) * 4 + 256 * 1024).next_power_of_two();
     let config = SimConfigBuilder::new(GridConfig::square(1))
         .scratchpad_bytes(per_tile_bytes)
         // Generous for a healthy run (a few hundred thousand cycles), far

@@ -70,7 +70,11 @@ fn failure_injection_scenarios_are_fast_on_a_2x2_grid() {
         .unwrap();
     let sim = Simulation::new(config, &graph).unwrap();
     let outcome = sim.run(&BfsKernel::new(u32::MAX)).unwrap();
-    assert!(outcome.output.as_u32_array("value").iter().all(|&v| v == u32::MAX));
+    assert!(outcome
+        .output
+        .as_u32_array("value")
+        .iter()
+        .all(|&v| v == u32::MAX));
 
     assert_within_budget("failure-injection smoke", start);
 }
@@ -102,7 +106,11 @@ fn every_workload_completes_quickly_on_a_2x2_grid() {
     let graph = smoke_graph();
     for workload in Workload::full_set() {
         let outcome = run_rung(AblationRung::Dalorex, &graph, workload, 2, 1 << 20).unwrap();
-        assert!(outcome.cycles > 0, "{} produced zero cycles", workload.name());
+        assert!(
+            outcome.cycles > 0,
+            "{} produced zero cycles",
+            workload.name()
+        );
     }
     assert_within_budget("all-workloads smoke", start);
 }

@@ -30,8 +30,12 @@ use dalorex::sim::{FaultPlan, Simulation, VertexPlacement};
 
 fn assert_paths_identical(sim: &Simulation, workload: Workload, label: &str) -> u64 {
     let kernel = workload.kernel();
-    let reference = sim.run_with_engine(kernel.as_ref(), Engine::Reference).unwrap();
-    let outcome = sim.run_with_engine(kernel.as_ref(), Engine::Calendar).unwrap();
+    let reference = sim
+        .run_with_engine(kernel.as_ref(), Engine::Reference)
+        .unwrap();
+    let outcome = sim
+        .run_with_engine(kernel.as_ref(), Engine::Calendar)
+        .unwrap();
     assert_outcomes_match(&outcome, &reference, label);
     reference.cycles
 }
@@ -41,10 +45,7 @@ fn assert_outcomes_match(
     reference: &dalorex::sim::SimOutcome,
     label: &str,
 ) {
-    assert_eq!(
-        outcome.cycles, reference.cycles,
-        "{label}: cycles diverged"
-    );
+    assert_eq!(outcome.cycles, reference.cycles, "{label}: cycles diverged");
     assert_eq!(
         outcome.output, reference.output,
         "{label}: outputs diverged"
@@ -120,7 +121,10 @@ fn assert_every_workload_matches_reference(side: usize, graph: &CsrGraph) {
             assert_paths_identical(&sim, workload, &label);
         }
         // PageRank exercises the epoch-barrier wake path.
-        let barrier = base().barrier_mode(BarrierMode::EpochBarrier).build().unwrap();
+        let barrier = base()
+            .barrier_mode(BarrierMode::EpochBarrier)
+            .build()
+            .unwrap();
         let sim = Simulation::new(barrier, graph).unwrap();
         let label = format!("{side}x{side}/pagerank-barrier/faults={plan}");
         assert_paths_identical(&sim, Workload::PageRank { epochs: 3 }, &label);
@@ -230,8 +234,7 @@ fn lazy_tile_allocation_is_schedule_invisible() {
     for workload in [Workload::Sssp { root: 0 }, Workload::Wcc] {
         let kernel = workload.kernel();
         let base = SimConfigBuilder::new(GridConfig::square(4)).scratchpad_bytes(1 << 20);
-        let lazy_sim =
-            Simulation::new(base.clone().build().unwrap(), &graph).unwrap();
+        let lazy_sim = Simulation::new(base.clone().build().unwrap(), &graph).unwrap();
         let eager_sim =
             Simulation::new(base.eager_tile_init(true).build().unwrap(), &graph).unwrap();
         for engine in Engine::ALL {
@@ -339,7 +342,10 @@ fn armed_but_never_firing_plan_is_schedule_invisible() {
             armed.total_energy_j(),
             "{label}: energy diverged"
         );
-        assert!(empty.fault.is_empty(), "{label}: empty plan must report nothing");
+        assert!(
+            empty.fault.is_empty(),
+            "{label}: empty plan must report nothing"
+        );
         assert_eq!(armed.fault.entries.len(), 4, "{label}: one entry per event");
         assert!(
             armed.fault.is_zero_impact(),
@@ -381,7 +387,10 @@ fn golden_cycles_pin_both_paths() {
             .unwrap();
         let sim = Simulation::new(config, &graph).unwrap();
         let cycles = assert_paths_identical(&sim, Workload::Sssp { root: 0 }, label);
-        assert_eq!(cycles, golden, "{label}: cycle count drifted from the golden");
+        assert_eq!(
+            cycles, golden,
+            "{label}: cycle count drifted from the golden"
+        );
     }
 }
 

@@ -391,7 +391,13 @@ fn arb_graph_spec() -> impl Strategy<Value = GraphSpec> {
             let mut channels = Vec::new();
             for &name in CHANNEL_NAMES.iter().take(num_channels) {
                 let dest = next(num_tasks + 1);
-                channels.push(ChannelDecl::new(name, dest, ArraySpace::Vertex, 1, 1 + next(12)));
+                channels.push(ChannelDecl::new(
+                    name,
+                    dest,
+                    ArraySpace::Vertex,
+                    1,
+                    1 + next(12),
+                ));
             }
             let mut tasks = Vec::new();
             for (t, &name) in TASK_NAMES.iter().enumerate().take(num_tasks) {
