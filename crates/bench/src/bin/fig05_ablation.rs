@@ -16,7 +16,7 @@
 
 use dalorex_baseline::ablation::{geomean, run_rung_with_engine, AblationOutcome, AblationRung};
 use dalorex_baseline::Workload;
-use dalorex_bench::cli::FigureCli;
+use dalorex_bench::cli::{env_number, FigureCli};
 use dalorex_bench::datasets;
 use dalorex_bench::report::{format_factor, Measurement, MemoryColumns, Table};
 use dalorex_graph::datasets::DatasetLabel;
@@ -25,10 +25,14 @@ use std::collections::BTreeMap;
 fn grid_side() -> usize {
     // The paper uses 16x16 = 256 cores to match Tesseract; reduced-scale
     // runs default to 8x8 so the whole matrix stays fast on one machine.
-    std::env::var("DALOREX_FIG5_SIDE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| if datasets::scale_shift() <= 4 { 16 } else { 8 })
+    // Zero or a malformed DALOREX_FIG5_SIDE exits with code 2.
+    env_number("DALOREX_FIG5_SIDE", 1).unwrap_or_else(|| {
+        if datasets::scale_shift() <= 4 {
+            16
+        } else {
+            8
+        }
+    })
 }
 
 fn main() {

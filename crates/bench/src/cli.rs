@@ -45,13 +45,21 @@
 //! label) is exactly the mistake these flags exist to avoid.  This covers
 //! `--engine` (unknown name, missing or empty value, bad env default),
 //! `--faults` (unreadable plan file, malformed spec, bad env default),
-//! `--verify` (unknown mode, missing value, bad env default) and
-//! `--drains` (missing value or no valid entry).  Individually invalid
-//! `--drains` entries alongside valid ones are dropped with a warning so a
-//! long sweep survives one typo, but the run never proceeds on an empty
-//! sweep.
+//! `--verify` (unknown mode, missing value, bad env default),
+//! `--drains` (missing value or no valid entry) and `--max-side` (missing,
+//! zero or non-numeric value).  Individually invalid `--drains` entries
+//! alongside valid ones are dropped with a warning so a long sweep
+//! survives one typo, but the run never proceeds on an empty sweep.  The
+//! numeric reproduction-scale variables `DALOREX_SCALE_SHIFT`,
+//! `DALOREX_MAX_SIDE` and `DALOREX_FIG5_SIDE` are read where they are used,
+//! through [`env_number`], which exits 2 the same way on a malformed value
+//! instead of silently running the default (a much larger or smaller
+//! experiment than the one asked for).  As with `--engine`, a flag that
+//! overrides a variable means the variable is never read.
 
 use dalorex_sim::{Engine, FaultPlan, VerifyMode};
+use std::fmt::Display;
+use std::str::FromStr;
 use std::time::Instant;
 
 /// Default endpoint budget (messages drained/injected per tile per cycle)
@@ -174,7 +182,7 @@ impl FigureCli {
                 FlagLookup::ValueMissing => return Err("--json requires a path".to_string()),
                 FlagLookup::Absent => None,
             },
-            max_side: max_side_flag(args),
+            max_side: max_side_flag(args)?,
             engine,
             faults,
             verify,
@@ -330,26 +338,46 @@ fn drains_flag(args: &[String]) -> Result<Option<Vec<usize>>, String> {
 
 /// Parses the `--max-side <n>` flag overriding the `DALOREX_MAX_SIDE`
 /// environment variable, so one invocation can push a sweep to 32x32 or
-/// 64x64 grids without touching the environment.  An unparsable value is
-/// reported on stderr rather than silently falling back to the default
-/// (the sweep cap only bounds how far a sweep goes — it cannot mislabel a
-/// measurement — so it stays a warning, not an abort).
-fn max_side_flag(args: &[String]) -> Option<usize> {
-    let value = match lookup_flag(args, "max-side") {
-        FlagLookup::Absent => return None,
-        FlagLookup::ValueMissing => {
-            eprintln!("ignoring --max-side with no value (want a positive integer)");
-            return None;
-        }
-        FlagLookup::Value(value) => value,
-    };
-    match value.parse::<usize>() {
-        Ok(side) if side > 0 => Some(side),
-        _ => {
-            eprintln!("ignoring invalid --max-side value {value:?} (want a positive integer)");
-            None
+/// 64x64 grids without touching the environment.  A missing, zero or
+/// unparsable value is fatal, like a bad `--drains`.
+fn max_side_flag(args: &[String]) -> Result<Option<usize>, String> {
+    match lookup_flag(args, "max-side") {
+        FlagLookup::Absent => Ok(None),
+        FlagLookup::ValueMissing => Err("--max-side requires a value (a positive integer)".into()),
+        FlagLookup::Value(value) => match value.parse::<usize>() {
+            Ok(side) if side > 0 => Ok(Some(side)),
+            _ => Err(format!("--max-side {value:?} is not a positive integer")),
+        },
+    }
+}
+
+/// Reads the numeric environment variable `name`: `None` when it is unset,
+/// its value when that is an integer of at least `min`.  Anything else is
+/// fatal under the module's error policy: the diagnostic goes to stderr
+/// and the process exits with code 2.
+pub fn env_number<T: FromStr + PartialOrd + Display>(name: &str, min: T) -> Option<T> {
+    let raw = std::env::var(name).ok();
+    match parse_env_number(name, raw.as_deref(), min) {
+        Ok(value) => value,
+        Err(message) => {
+            eprintln!("{message}");
+            std::process::exit(2);
         }
     }
+}
+
+/// The testable core of [`env_number`]: pure over the variable's raw value
+/// (`None` when unset), returning the diagnostic instead of exiting.
+fn parse_env_number<T: FromStr + PartialOrd + Display>(
+    name: &str,
+    raw: Option<&str>,
+    min: T,
+) -> Result<Option<T>, String> {
+    raw.map(|raw| match raw.parse::<T>() {
+        Ok(value) if value >= min => Ok(value),
+        _ => Err(format!("{name} {raw:?} is not an integer >= {min}")),
+    })
+    .transpose()
 }
 
 #[cfg(test)]
@@ -577,6 +605,56 @@ mod tests {
         let cli =
             FigureCli::parse_from(&args(&["--drains", "1,oops,4"]), None, None, None).unwrap();
         assert_eq!(cli.drains(), vec![1, 4]);
+    }
+
+    #[test]
+    fn max_side_errors_are_fatal_and_name_the_value() {
+        for (case, side) in [
+            (args(&["--max-side", "32"]), 32),
+            (args(&["--max-side=1"]), 1),
+        ] {
+            let cli = FigureCli::parse_from(&case, None, None, None).unwrap();
+            assert_eq!(cli.max_side, Some(side));
+        }
+        for (case, names) in [
+            (args(&["--max-side", "0"]), "\"0\""),
+            (args(&["--max-side", "abc"]), "\"abc\""),
+            (args(&["--max-side"]), "requires a value"),
+            (args(&["--max-side", "--csv"]), "requires a value"),
+            (args(&["--max-side="]), "requires a value"),
+        ] {
+            let err = FigureCli::parse_from(&case, None, None, None).unwrap_err();
+            assert!(
+                err.starts_with("--max-side") && err.contains(names),
+                "{case:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn numeric_env_values_parse_or_name_the_bad_value() {
+        // Unset means the default; a scale shift of 0 is the paper's size.
+        assert_eq!(parse_env_number("DALOREX_MAX_SIDE", None, 1), Ok(None));
+        assert_eq!(
+            parse_env_number("DALOREX_MAX_SIDE", Some("8"), 1),
+            Ok(Some(8))
+        );
+        assert_eq!(
+            parse_env_number("DALOREX_SCALE_SHIFT", Some("0"), 0),
+            Ok(Some(0))
+        );
+        for (name, raw, min) in [
+            ("DALOREX_MAX_SIDE", "0", 1),
+            ("DALOREX_FIG5_SIDE", "", 1),
+            ("DALOREX_SCALE_SHIFT", "abc", 0),
+            ("DALOREX_SCALE_SHIFT", "-1", 0),
+        ] {
+            let err = parse_env_number::<u32>(name, Some(raw), min).unwrap_err();
+            assert!(
+                err.starts_with(name) && err.contains(&format!("{raw:?}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Dataset construction for the figure binaries, honouring the
 //! reproduction-scale environment variables.
 
+use crate::cli::env_number;
 use dalorex_graph::datasets::{DatasetCatalog, DatasetLabel};
 use dalorex_graph::CsrGraph;
 
@@ -10,20 +11,16 @@ pub const DEFAULT_SCALE_SHIFT: u32 = 10;
 
 /// Reads the reproduction scale shift from `DALOREX_SCALE_SHIFT`
 /// (default [`DEFAULT_SCALE_SHIFT`]; `0` reproduces the paper's sizes).
+/// A malformed value exits with code 2 ([`crate::cli::env_number`]).
 pub fn scale_shift() -> u32 {
-    std::env::var("DALOREX_SCALE_SHIFT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SCALE_SHIFT)
+    env_number("DALOREX_SCALE_SHIFT", 0).unwrap_or(DEFAULT_SCALE_SHIFT)
 }
 
 /// Reads the largest grid side allowed for sweeps from `DALOREX_MAX_SIDE`
-/// (default 16, i.e. up to 256 tiles; the paper sweeps up to 128).
+/// (default 16, i.e. up to 256 tiles; the paper sweeps up to 128).  Zero
+/// or a malformed value exits with code 2 ([`crate::cli::env_number`]).
 pub fn max_grid_side() -> usize {
-    std::env::var("DALOREX_MAX_SIDE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16)
+    env_number("DALOREX_MAX_SIDE", 1).unwrap_or(16)
 }
 
 /// The dataset catalog at the configured reproduction scale.

@@ -138,7 +138,7 @@ pub struct WalkColumns {
     /// cycles (0 under the reference scheduler, which counts no walk work).
     pub routers_visited: u64,
     /// Routers the walk actually port-scanned; the gap to
-    /// `routers_visited` is the work the due stamps saved.
+    /// `routers_visited` is the duplicate heap entries.
     pub routers_scanned: u64,
     /// Cycles whose walk was elided outright (calendar fast path).
     pub walks_elided: u64,

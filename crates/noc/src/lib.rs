@@ -91,21 +91,23 @@ pub const MAX_CHANNELS: usize = 32;
 
 /// How [`Network::cycle`] finds the routers that can act each cycle.
 ///
-/// Both schedulers produce bit-identical forwarding schedules and
-/// statistics; they differ only in simulator cost.
+/// Both schedulers visit routers in the same fixed order, ascending tile
+/// id, so space a forward frees is usable in the same cycle by routers
+/// with a larger id and by the rest on the next cycle.  They produce
+/// bit-identical forwarding schedules and statistics and differ only in
+/// simulator cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RouterScheduler {
     /// The production scheduler: per-router `next_possible` due stamps, a
-    /// bucketed calendar of due routers, and a due-only walk that orders
-    /// the due routers by their epoch-numbered list position and
-    /// port-scans exactly those — O(due) per cycle instead of O(active),
-    /// with the arbitration order of an explicit active list.
+    /// bucketed calendar of due routers, and a due-only walk that pops the
+    /// due routers from a min-heap of tile ids and port-scans exactly
+    /// those — O(due) per cycle instead of O(routers).
     #[default]
     Calendar,
-    /// The schedule oracle: the pre-overhaul walk over an explicit active
-    /// list, probing every port of every active router each cycle and
-    /// allocating a snapshot per cycle.  Kept only to pin the calendar walk
-    /// (the reference engine in `dalorex-sim` runs on it).
+    /// The schedule oracle: a plain loop over every router holding a
+    /// forwardable message, probing every port each cycle.  Kept only to
+    /// pin the calendar walk (the reference engine in `dalorex-sim` runs on
+    /// it).
     Reference,
 }
 

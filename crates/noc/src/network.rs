@@ -29,17 +29,27 @@
 //! [`Network::try_inject`] — honours the per-cycle budget.  The tile
 //! simulator in `dalorex-sim` enforces it on both directions.
 //!
+//! # Arbitration order
+//!
+//! Routers act in a fixed priority: every cycle visits them in ascending
+//! tile id.  Buffer space that a forward frees at router `t` is usable in
+//! the same cycle by every router with a larger id (their turn has not come
+//! yet) and by the rest on the next cycle.  Space an endpoint frees between
+//! cycles, by draining its ejection buffer, is usable by every router on
+//! the next cycle.  Between two cycles a tile's calls touch only its own
+//! router, so the order in which the tile simulator visits tiles cannot
+//! change the schedule.
+//!
 //! # Hot path
 //!
-//! [`Network::cycle`] is event-driven end-to-end: only routers holding
-//! *forwardable* (non-local) messages are visited, only their occupied
-//! ports are scanned (per-port message counts in the router), only the
-//! ports the topology actually wires are considered (a mesh or plain torus
-//! never looks at ruche ports), and steady-state cycling performs no heap
-//! allocation.  The pre-overhaul walk survives as the
-//! [`RouterScheduler::Reference`](crate::RouterScheduler) scheduler — the
-//! schedule oracle regression tests drive side by side with the production
-//! walk.
+//! [`Network::cycle`] is event-driven end-to-end: only routers that may
+//! commit a forward this cycle are scanned, only their occupied ports are
+//! visited (per-port message counts in the router), only the ports the
+//! topology actually wires are considered (a mesh or plain torus never
+//! looks at ruche ports), and steady-state cycling performs no heap
+//! allocation.  The [`RouterScheduler::Reference`](crate::RouterScheduler)
+//! scheduler, a plain id-order loop, is the schedule oracle that
+//! regression tests drive side by side with the production walk.
 //!
 //! # The calendar router scheduler
 //!
@@ -61,15 +71,12 @@
 //!
 //! # The due-only walk (O(due) per cycle)
 //!
-//! A calendar cycle never traverses the whole active set.  Every active
-//! router carries an epoch-numbered order key (retained routers keep
-//! theirs, in-walk activations take descending head keys, between-cycle
-//! activations ascending tail keys — so sorting by key reproduces the
-//! reference scheduler's explicit list exactly), and a cycle drains only
-//! its own bucket, orders the due routers by key through a tiny binary
-//! heap, and port-scans exactly those.  Membership changes go through lazy
-//! tombstoning (drops decided at the router's own heap turn) plus a small
-//! dirty-set replay for endpoint-drained routers.
+//! A calendar cycle never looks at a router that is not due.  It drains its
+//! own bucket into a small min-heap of tile ids and port-scans the due
+//! routers as they pop, in ascending id.  A forward that wakes a waiter
+//! with a larger id than the router being scanned pushes the waiter into
+//! the same heap, so it contends this cycle; a waiter with a smaller id has
+//! had its turn and is filed for the next cycle.
 
 use crate::message::Message;
 use crate::router::{QueuedMessage, Router};
@@ -87,31 +94,15 @@ use std::collections::BinaryHeap;
 /// lines.
 const CALENDAR_WIDTH: u64 = 64;
 
-/// Origin of the due-only walk's order-key space: tail keys (between-cycle
-/// activations, appended after everything) count up from here, head keys
-/// (in-walk activations, inserted before everything) count down from here
-/// in strides of [`HEAD_STRIDE`] per walk.
-const POS_ORIGIN: u64 = 1 << 62;
-
-/// Order-key budget one walk's in-walk activations share: each walk lowers
-/// the head base by a full stride so its activations sort below every
-/// earlier walk's, and 2^32 activations per walk is unreachable (a walk
-/// activates at most one router per committed forward).
-const HEAD_STRIDE: u64 = 1 << 32;
-
-/// When the descending head base reaches this floor (after ~2^29 walks),
-/// the next walk renumbers every active router's key from the origin —
-/// O(active log active), amortized to nothing.
-const HEAD_FLOOR: u64 = 1 << 33;
-
 /// The network's contribution to the memory budget report (see
 /// [`Network::memory_report`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NocMemoryReport {
     /// Modelled router buffer capacity across the fabric, in bytes.
     pub buffer_bytes: usize,
-    /// Calendar router-scheduler bookkeeping heap, in bytes (0-ish under
-    /// the reference scheduler: just the dense due/buffered-count mirrors).
+    /// Calendar router-scheduler bookkeeping, in bytes: due stamps, bucket
+    /// ring, waiter lists and the walk's heap.  Under the reference
+    /// scheduler only the (unused) due-stamp array is allocated.
     pub calendar_bytes: usize,
 }
 
@@ -165,13 +156,6 @@ pub struct Network {
     config: NocConfig,
     grid: RoutingGrid,
     routers: Vec<Router>,
-    /// Routers in the active set: activated by a forwardable message and
-    /// retained while they buffer anything (see `cycle_reference`).
-    active: Vec<bool>,
-    /// The reference scheduler's explicit active list, in arbitration
-    /// order.  Unused under the calendar scheduler, whose order lives in
-    /// `pos`.
-    active_list: Vec<TileId>,
     /// Non-local output ports the topology actually wires, in `Port::ALL`
     /// order (mesh and plain torus exclude the four ruche ports).
     forward_ports: Vec<Port>,
@@ -213,10 +197,6 @@ pub struct Network {
     /// means the router holds nothing forwardable (empty, or ejection
     /// deliveries only) and is re-stamped by the next push.
     due: Vec<u64>,
-    /// Dense mirror of each router's `buffered_messages()` so the calendar
-    /// walk can decide active-list retention for skipped routers without
-    /// touching the (much larger) router state.
-    buffered_count: Vec<u32>,
     /// The bucketed calendar: ring of due-router lists indexed by
     /// `stamp % CALENDAR_WIDTH`.  Entries are lazy — a re-stamped router's
     /// old entry is dropped (or re-filed) when its bucket is drained — so
@@ -224,54 +204,27 @@ pub struct Network {
     cal_buckets: Vec<Vec<TileId>>,
     /// Scratch for re-filing still-future entries during a bucket drain.
     cal_refile: Vec<TileId>,
-    /// Order key per tile, valid only while `active[tile]` — the due-only
-    /// walk's *implicit* active list.  Retained routers keep their key, new
-    /// in-walk activations take descending head keys, between-cycle
-    /// activations take ascending tail keys, so sorting the active tiles by
-    /// key reproduces the reference scheduler's `active_list` exactly
-    /// (pinned by [`Network::debug_active_order`] and the property suite).
-    /// Allocated only under [`RouterScheduler::Calendar`].
-    pos: Vec<u64>,
-    /// The due-only walk's per-cycle agenda: `(pos, tile)` pairs, popped in
-    /// ascending key order.  Filled by the bucket drain (due entries), the
-    /// dirty-set replay, and mid-walk wakes of not-yet-visited routers;
-    /// empty between cycles.
-    cal_heap: BinaryHeap<Reverse<(u64, TileId)>>,
-    /// Cycle at which the due-only walk last visited each tile: dedups
-    /// stale heap entries (a tile filed in several buckets, or woken after
-    /// its drain entry) in O(1).  Allocated only under
-    /// [`RouterScheduler::Calendar`].
-    cal_visited: Vec<u64>,
-    /// Key of the router the due-only walk is currently visiting: a
-    /// mid-walk wake for a router with a *larger* key joins this cycle's
-    /// heap (its turn has not come), one with a smaller key waits for its
-    /// bucket (its turn has passed) — exactly the list walk's semantics.
-    walk_cursor: u64,
+    /// The due-only walk's per-cycle agenda: due tile ids, popped in
+    /// ascending order.  Filled by the bucket drain and by mid-walk wakes of
+    /// routers whose turn has not come; empty between cycles.  A router
+    /// filed twice pops twice in a row (wakes only push ids above
+    /// `walk_cursor`), so comparing each pop with the previous one dedups.
+    cal_heap: BinaryHeap<Reverse<TileId>>,
+    /// The router the due-only walk is currently visiting: a mid-walk wake
+    /// for a larger id joins this cycle's heap (its turn has not come), one
+    /// for a smaller id waits for the next cycle's bucket (its turn has
+    /// passed).
+    walk_cursor: TileId,
     /// True while the due-only walk is draining its heap, switching
-    /// `mark_active` to head keys and `wake_waiters` to heap insertion.
+    /// `wake_waiters` to heap insertion.
     in_walk: bool,
-    /// Base of the current walk's head-key block (descends by
-    /// [`HEAD_STRIDE`] per walk).
-    head_base: u64,
-    /// In-walk activations so far this walk (offset within the head block).
-    head_seq: u64,
-    /// Last tail key handed out (between-cycle activations append here).
-    tail_next: u64,
-    /// Tiles whose buffers an endpoint drain emptied since the last walk:
-    /// the next calendar cycle replays exactly these (dropping each where
-    /// the reference scheduler would) instead of walking the whole active
-    /// set.
-    dirty: Vec<TileId>,
-    /// Dedup flags for `dirty` (a tile drained empty twice between walks is
-    /// replayed once).  Allocated only under the calendar scheduler.
-    dirty_pending: Vec<bool>,
     /// Routers whose ready head is blocked on one of `waiters[t]`'s full
     /// buffers (calendar scheduler).  A blocked router registers itself
     /// here and sleeps (due `u64::MAX` unless another port has a
     /// candidate) instead of re-scanning every cycle; any pop at `t` wakes
     /// every waiter.  Spurious wakes (a pop from a buffer the waiter was
-    /// not blocked on) cost one no-op re-scan and re-registration — never
-    /// a schedule change.
+    /// not blocked on, or a registration that outlived its blockage) cost
+    /// one no-op re-scan — never a schedule change.
     waiters: Vec<Vec<TileId>>,
     /// The compiled fault schedule (`None` when [`NocConfig::faults`] is
     /// empty — the hot path then pays one pointer test per router scan).
@@ -368,8 +321,6 @@ impl Network {
         Network {
             grid,
             routers,
-            active: vec![false; num_tiles],
-            active_list: Vec::new(),
             forward_ports,
             link_dest,
             coords,
@@ -382,35 +333,15 @@ impl Network {
             drain_versions: vec![0; num_tiles],
             reference,
             due: vec![u64::MAX; num_tiles],
-            buffered_count: vec![0; num_tiles],
             cal_buckets: if calendar {
                 (0..CALENDAR_WIDTH).map(|_| Vec::new()).collect()
             } else {
                 Vec::new()
             },
             cal_refile: Vec::new(),
-            pos: if calendar {
-                vec![0; num_tiles]
-            } else {
-                Vec::new()
-            },
             cal_heap: BinaryHeap::new(),
-            cal_visited: if calendar {
-                vec![u64::MAX; num_tiles]
-            } else {
-                Vec::new()
-            },
             walk_cursor: 0,
             in_walk: false,
-            head_base: POS_ORIGIN,
-            head_seq: 0,
-            tail_next: POS_ORIGIN,
-            dirty: Vec::new(),
-            dirty_pending: if calendar {
-                vec![false; num_tiles]
-            } else {
-                Vec::new()
-            },
             waiters: if calendar {
                 vec![Vec::new(); num_tiles]
             } else {
@@ -488,7 +419,7 @@ impl Network {
     /// buffer capacity (wired non-local ports at `buffer_flits` plus the
     /// local ejection buffers at `ejection_buffer_flits`, per channel, 4
     /// bytes per flit), and the calendar scheduler's actual bookkeeping
-    /// heap (due stamps, buffered-count mirror, bucket ring, waiter lists —
+    /// (due stamps, bucket ring, waiter lists and the walk's heap —
     /// simulator state, not modelled hardware, so it legitimately differs
     /// between router schedulers).
     pub fn memory_report(&self) -> NocMemoryReport {
@@ -498,7 +429,6 @@ impl Network {
             * self.config.channels
             * FLIT_BYTES;
         let calendar_bytes = self.due.len() * std::mem::size_of::<u64>()
-            + self.buffered_count.len() * std::mem::size_of::<u32>()
             + self
                 .cal_buckets
                 .iter()
@@ -509,13 +439,7 @@ impl Network {
                 .iter()
                 .map(|w| w.capacity() * std::mem::size_of::<TileId>())
                 .sum::<usize>()
-            // Due-only walk state (all empty under the reference scheduler):
-            // order keys, visit stamps, the heap and the dirty set.
-            + self.pos.len() * std::mem::size_of::<u64>()
-            + self.cal_visited.len() * std::mem::size_of::<u64>()
-            + self.cal_heap.capacity() * std::mem::size_of::<Reverse<(u64, TileId)>>()
-            + self.dirty.capacity() * std::mem::size_of::<TileId>()
-            + self.dirty_pending.len();
+            + self.cal_heap.capacity() * std::mem::size_of::<Reverse<TileId>>();
         NocMemoryReport {
             buffer_bytes: per_router * self.routers.len(),
             calendar_bytes,
@@ -659,7 +583,6 @@ impl Network {
             message,
         };
         self.stats.injected_messages += 1;
-        self.buffered_count[src] += 1;
         if port == Port::Local {
             self.awaiting_ejection += 1;
             self.stats.delivered_messages += 1;
@@ -673,44 +596,8 @@ impl Network {
             let candidate = self.cycle.max(self.routers[src].link_busy_until(port));
             self.schedule_due(src, candidate);
             self.routers[src].push(port, channel, queued);
-            self.mark_active(src);
         }
         Ok(())
-    }
-
-    fn mark_active(&mut self, tile: TileId) {
-        if !self.active[tile] {
-            self.active[tile] = true;
-            if self.reference {
-                self.active_list.push(tile);
-            } else {
-                // The implicit list: in-walk activations take the walk's
-                // descending head block (they contend *before* every
-                // surviving router next cycle, in activation order —
-                // exactly where the explicit list pushes them while the
-                // old list is taken out), between-cycle activations take
-                // ascending tail keys (appended after everything).
-                self.pos[tile] = if self.in_walk {
-                    self.head_seq += 1;
-                    self.head_base + self.head_seq
-                } else {
-                    self.tail_next += 1;
-                    self.tail_next
-                };
-            }
-        }
-    }
-
-    /// Queues `tile` for the next walk's dirty-set replay (an endpoint
-    /// drain emptied its buffers while it sat in the active list).  Dedup
-    /// via `dirty_pending` keeps the replay list one entry per tile no
-    /// matter how the drains interleave.
-    #[inline]
-    fn note_membership_dirty(&mut self, tile: TileId) {
-        if !self.dirty_pending[tile] {
-            self.dirty_pending[tile] = true;
-            self.dirty.push(tile);
-        }
     }
 
     /// Pops the next delivered message at `tile`, searching channels in
@@ -732,14 +619,6 @@ impl Network {
     pub fn pop_delivered_on(&mut self, tile: TileId, channel: ChannelId) -> Option<Message> {
         let queued = self.routers[tile].pop(Port::Local, channel)?;
         self.awaiting_ejection -= 1;
-        self.buffered_count[tile] -= 1;
-        if !self.reference && self.buffered_count[tile] == 0 && self.active[tile] {
-            // The drain emptied an active router: the next calendar cycle
-            // must replay exactly this tile so it is dropped at the
-            // position the reference scheduler would drop it (or retained
-            // in place, if something refills it before the walk).
-            self.note_membership_dirty(tile);
-        }
         // The freed ejection space may unblock an upstream waiter on the
         // next simulated cycle.
         self.wake_waiters(tile, self.cycle, self.cycle);
@@ -769,9 +648,10 @@ impl Network {
     /// event-driven hot path: only the routers whose `next_possible` due
     /// stamp has come due are port-scanned, only their occupied topology
     /// ports are visited, and no heap allocation happens in steady state.
-    /// Under [`RouterScheduler::Reference`] the pre-overhaul oracle walk runs
-    /// instead; the forwarding schedule (which message moves on which
-    /// cycle) and every statistic are bit-identical either way.
+    /// Under [`RouterScheduler::Reference`] the oracle walk runs instead;
+    /// the forwarding schedule (which message moves on which cycle) and
+    /// every statistic are bit-identical either way.  Both visit routers in
+    /// ascending tile id (see the module docs' arbitration order).
     pub fn cycle(&mut self) {
         if self.reference {
             self.cycle_reference();
@@ -781,124 +661,36 @@ impl Network {
     }
 
     /// The due-only calendar walk ([`RouterScheduler::Calendar`]): drain
-    /// this cycle's bucket, order the (few) due routers by their list position
-    /// via the heap, and port-scan exactly those — O(due log due) per
-    /// cycle instead of O(active), reconstructing the reference scheduler's
-    /// arbitration order without ever touching a non-due router.
-    ///
-    /// Fidelity rests on four mechanisms, each mirroring one behaviour of
-    /// the reference scheduler's explicit-list walk:
-    /// * retained routers keep their `pos` key (the list walk's requeue
-    ///   preserves relative order);
-    /// * drops happen at the router's own heap turn, reading the buffered
-    ///   mirror *then* (an endpoint-drained router refilled before the walk
-    ///   is retained in place, exactly like the list walk would);
-    /// * mid-walk wakes of routers whose key is past the cursor join this
-    ///   cycle's heap (the list walk would reach them later in the list);
-    /// * in-walk activations take head keys below every live key (the list
-    ///   walk pushes them before the requeued survivors).
+    /// this cycle's bucket into the heap and port-scan the due routers in
+    /// ascending tile id — O(due log due) per cycle.
     fn cycle_calendar(&mut self) {
         let now = self.cycle;
-        self.maybe_compact();
-        let any_due = self.drain_due_bucket(now);
-        if !any_due && self.dirty.is_empty() {
-            debug_assert!(self.cal_heap.is_empty());
-            // No router due, no membership change pending: a provable
-            // no-op for every active router.
+        self.drain_due_bucket(now);
+        if self.cal_heap.is_empty() {
+            // No router due: a provable no-op for every router.
             self.stats.walks_elided += 1;
-            self.cycle += 1;
-            self.stats.cycles = self.cycle;
-            return;
         }
-        // Replay the dirty set: each tile contends (and makes its drop /
-        // retain decision) at its own list position.
-        while let Some(tile) = self.dirty.pop() {
-            self.dirty_pending[tile] = false;
-            if self.active[tile] {
-                self.cal_heap.push(Reverse((self.pos[tile], tile)));
-            }
-        }
-        let mut visited = 0u64;
-        let mut scanned = 0u64;
+        let mut previous = None;
         self.in_walk = true;
-        self.head_base -= HEAD_STRIDE;
-        self.head_seq = 0;
-        self.walk_cursor = 0;
-        while let Some(Reverse((key, tile))) = self.cal_heap.pop() {
-            if !self.active[tile] || self.pos[tile] != key || self.cal_visited[tile] == now {
-                // Stale entry: the tile was dropped (and possibly re-added
-                // under a fresh key) since this entry was filed, or it was
-                // already visited this cycle via another bucket.
+        while let Some(Reverse(tile)) = self.cal_heap.pop() {
+            self.stats.walk_routers_visited += 1;
+            if previous == Some(tile) {
+                // Filed twice: the duplicate pops right after the first.
                 continue;
             }
-            self.cal_visited[tile] = now;
-            self.walk_cursor = key;
-            visited += 1;
-            debug_assert_eq!(
-                self.buffered_count[tile] as usize,
-                self.routers[tile].buffered_messages(),
-                "dense buffered-message mirror drifted"
-            );
-            if self.due[tile] <= now {
-                self.due[tile] = u64::MAX;
-                scanned += 1;
-                let stamp = self.scan_router(tile, now);
-                self.set_due(tile, stamp);
-            }
-            if self.buffered_count[tile] == 0 {
-                // Dropped at exactly the position the list walk would drop
-                // it.  Clearing the stamp keeps the invariant that an
-                // inactive router's due is `u64::MAX`, so a later push's
-                // `schedule_due` is guaranteed to file a fresh bucket
-                // entry (stamps only ever *lower*).
-                self.active[tile] = false;
-                self.due[tile] = u64::MAX;
-            }
+            previous = Some(tile);
+            self.walk_cursor = tile;
+            // Only the router's own scan raises its stamp, so every first
+            // pop is due.
+            debug_assert!(self.due[tile] <= now);
+            self.due[tile] = u64::MAX;
+            self.stats.walk_routers_scanned += 1;
+            let stamp = self.scan_router(tile, now);
+            self.set_due(tile, stamp);
         }
         self.in_walk = false;
-        self.stats.walk_routers_visited += visited;
-        self.stats.walk_routers_scanned += scanned;
         self.cycle += 1;
         self.stats.cycles = self.cycle;
-    }
-
-    /// Renumbers every active router's order key from the origin when the
-    /// descending head-key space nears exhaustion (every ~2^29 walks).
-    /// Runs before the bucket drain, while the heap is empty and the
-    /// buckets hold plain tile ids — nothing else stores keys, so the
-    /// renumbering is invisible to the schedule.
-    fn maybe_compact(&mut self) {
-        if self.head_base > HEAD_FLOOR {
-            return;
-        }
-        let mut order: Vec<(u64, TileId)> = (0..self.active.len())
-            .filter(|&t| self.active[t])
-            .map(|t| (self.pos[t], t))
-            .collect();
-        order.sort_unstable();
-        self.head_base = POS_ORIGIN;
-        self.tail_next = POS_ORIGIN;
-        for (_, tile) in order {
-            self.tail_next += 1;
-            self.pos[tile] = self.tail_next;
-        }
-    }
-
-    /// The arbitration order the next walk would visit routers in — the
-    /// explicit `active_list` under the reference scheduler, the active
-    /// tiles sorted by order key under the calendar walk.  Test-only
-    /// introspection: the property suite asserts the two stay byte-
-    /// identical cycle by cycle.
-    pub fn debug_active_order(&self) -> Vec<TileId> {
-        if self.reference {
-            return self.active_list.clone();
-        }
-        let mut order: Vec<(u64, TileId)> = (0..self.active.len())
-            .filter(|&t| self.active[t])
-            .map(|t| (self.pos[t], t))
-            .collect();
-        order.sort_unstable();
-        order.into_iter().map(|(_, tile)| tile).collect()
     }
 
     /// Lowers `tile`'s due stamp to `stamp` (push/injection events), filing
@@ -906,10 +698,7 @@ impl Network {
     /// reference scheduler and for the "nothing forwardable" sentinel.
     #[inline]
     fn schedule_due(&mut self, tile: TileId, stamp: u64) {
-        if self.reference || stamp == u64::MAX {
-            return;
-        }
-        if stamp < self.due[tile] {
+        if !self.reference && stamp < self.due[tile] {
             self.due[tile] = stamp;
             self.cal_buckets[(stamp % CALENDAR_WIDTH) as usize].push(tile);
         }
@@ -918,34 +707,23 @@ impl Network {
     /// Wakes every router registered as a waiter on `tile`'s buffers: a pop
     /// at `tile` just freed space, so each waiter's blocked head may now
     /// move — its due stamp collapses to `stamp` (the pop's cycle: a waiter
-    /// positioned after `tile` in the current walk contends this very
-    /// cycle, exactly as the reference scheduler's list walk would let it).
-    /// Entries are filed under `bucket_cycle` — the next cycle whose bucket
-    /// is still undrained — so the next walk finds them.
+    /// with a larger id than the router the current walk is visiting
+    /// contends this very cycle).  Entries are filed under `bucket_cycle` —
+    /// the next cycle whose bucket is still undrained — so the next walk
+    /// finds them.  A registration that outlived its blockage costs one
+    /// no-op scan, which sets the stamp back to `u64::MAX`.
     #[inline]
     fn wake_waiters(&mut self, tile: TileId, stamp: u64, bucket_cycle: u64) {
         if self.reference || self.waiters[tile].is_empty() {
             return;
         }
         while let Some(waiter) = self.waiters[tile].pop() {
-            if !self.active[waiter] {
-                // Stale registration: the waiter was dropped from the list
-                // after its blocked head finally moved (the registration
-                // outlives the blockage).  There is nothing to wake — and
-                // lowering an inactive router's stamp would break the
-                // inactive ⇒ due == MAX invariant the due-only walk's
-                // re-activation path depends on (stamps only ever lower,
-                // so a poisoned-low stamp would never file a fresh bucket
-                // entry again).
-                continue;
-            }
             if stamp < self.due[waiter] {
                 self.due[waiter] = stamp;
-                if self.in_walk && self.pos[waiter] > self.walk_cursor {
+                if self.in_walk && waiter > self.walk_cursor {
                     // Woken before its turn in the walk now in progress:
-                    // it contends this very cycle at its own list position
-                    // — exactly when the list walk would reach it.
-                    self.cal_heap.push(Reverse((self.pos[waiter], waiter)));
+                    // it contends this very cycle.
+                    self.cal_heap.push(Reverse(waiter));
                 } else {
                     self.cal_buckets[(bucket_cycle % CALENDAR_WIDTH) as usize].push(waiter);
                 }
@@ -964,25 +742,21 @@ impl Network {
         }
     }
 
-    /// Drains the calendar bucket of cycle `now`, returning whether any
-    /// entry is actually due (stamps are lazy-validated against the dense
-    /// `due` array; still-future entries are re-filed into their stamp's
-    /// bucket).  The network ticks every cycle, so each bucket is drained
-    /// exactly once per lap of the ring.
-    fn drain_due_bucket(&mut self, now: u64) -> bool {
+    /// Drains the calendar bucket of cycle `now` into the walk's heap
+    /// (stamps are lazy-validated against the dense `due` array;
+    /// still-future entries are re-filed into their stamp's bucket).  The
+    /// network ticks every cycle, so each bucket is drained exactly once per
+    /// lap of the ring.
+    fn drain_due_bucket(&mut self, now: u64) {
         let idx = (now % CALENDAR_WIDTH) as usize;
         // Take the bucket out (keeping its allocation) so its entries can
         // be validated against the dense stamps.
         let mut bucket = std::mem::take(&mut self.cal_buckets[idx]);
-        let mut any_due = false;
         debug_assert!(self.cal_refile.is_empty());
         for &tile in &bucket {
             if self.due[tile] <= now {
-                any_due = true;
-                // The walk's agenda: due routers, ordered by their list
-                // position.  Duplicates (a tile filed twice) dedup at the
-                // pop via the visited stamp.
-                self.cal_heap.push(Reverse((self.pos[tile], tile)));
+                // The walk's agenda: due routers, popped in ascending id.
+                self.cal_heap.push(Reverse(tile));
             } else if self.due[tile] != u64::MAX {
                 // Re-stamped into the future since this entry was filed:
                 // keep it alive in its new bucket.
@@ -997,7 +771,6 @@ impl Network {
         }
         refile.clear();
         self.cal_refile = refile;
-        any_due
     }
 
     /// The calendar scheduler's `next_possible` due stamp for `tile`: the
@@ -1010,23 +783,15 @@ impl Network {
         self.due[tile]
     }
 
-    /// The reference scheduler's cycle ([`RouterScheduler::Reference`]),
-    /// the pre-overhaul implementation kept as the schedule oracle.
-    ///
-    /// It walks the explicit active list, scans every port of every active
-    /// router (including ports the topology never wires) and allocates a
-    /// fresh snapshot vector per cycle — exactly what the calendar walk
-    /// replaced.  A router stays in the list while it buffers *any*
-    /// message, including undrained ejection-buffer deliveries: retention
-    /// is not about work, it preserves the router's position in the
-    /// arbitration order, so that when a forwardable message later arrives
-    /// the router contends from the same list slot.
+    /// The reference scheduler's cycle ([`RouterScheduler::Reference`]):
+    /// every router holding a forwardable message, in ascending tile id,
+    /// probes every port (including ports the topology never wires).
     fn cycle_reference(&mut self) {
         let now = self.cycle;
-        let snapshot: Vec<TileId> = std::mem::take(&mut self.active_list);
-        let mut still_active: Vec<TileId> = Vec::with_capacity(snapshot.len());
-        for tile in snapshot {
-            self.active[tile] = false;
+        for tile in 0..self.routers.len() {
+            if self.routers[tile].forwardable_messages() == 0 {
+                continue;
+            }
             // Mirror of the calendar walk's fault gates: a stalled router
             // scans nothing, a blacked-out link forwards nothing.  (The
             // skipped busy-link `account_busy` call is provably a no-op —
@@ -1036,31 +801,27 @@ impl Network {
                 .faults
                 .as_deref()
                 .is_some_and(|f| f.stall_candidate(tile, now).is_some());
-            if !stalled {
-                for port in Port::ALL {
-                    if port == Port::Local {
-                        continue;
-                    }
-                    if self
-                        .faults
-                        .as_deref()
-                        .is_some_and(|f| f.outage_candidate(tile, port, now).is_some())
-                    {
-                        continue;
-                    }
-                    if self.routers[tile].link_busy_until(port) > now {
-                        self.account_busy(tile, now, now + 1);
-                        continue;
-                    }
-                    self.try_forward_reference(tile, port, now);
-                }
+            if stalled {
+                continue;
             }
-            if self.routers[tile].buffered_messages() > 0 && !self.active[tile] {
-                self.active[tile] = true;
-                still_active.push(tile);
+            for port in Port::ALL {
+                if port == Port::Local {
+                    continue;
+                }
+                if self
+                    .faults
+                    .as_deref()
+                    .is_some_and(|f| f.outage_candidate(tile, port, now).is_some())
+                {
+                    continue;
+                }
+                if self.routers[tile].link_busy_until(port) > now {
+                    self.account_busy(tile, now, now + 1);
+                    continue;
+                }
+                self.try_forward_reference(tile, port, now);
             }
         }
-        self.active_list.extend(still_active);
         self.cycle += 1;
         self.stats.cycles = self.cycle;
     }
@@ -1238,16 +999,14 @@ impl Network {
         let queued = self.routers[tile]
             .pop(port, channel)
             .expect("forwardable message exists");
-        self.buffered_count[tile] -= 1;
         if let Some(faults) = self.faults.as_deref_mut() {
             // Attribute the head's wait to any fault window it overlapped —
             // at the commit, the one event every scheduler agrees on.
             faults.record_commit(tile, port, queued.ready_at, now);
         }
         // The freed output-buffer space may unblock an upstream waiter: it
-        // contends at `now` if it sits after this router in the walk (file
-        // under `now + 1`, the first undrained bucket — the current walk
-        // reads the dense stamps directly).
+        // contends at `now` if its id is larger than this router's (file
+        // under `now + 1`, the first undrained bucket, otherwise).
         self.wake_waiters(tile, now, now + 1);
         self.drain_versions[tile] = self.drain_versions[tile].wrapping_add(1);
         let serialization = flits as u64;
@@ -1263,7 +1022,6 @@ impl Network {
             ready_at: now + serialization,
             message: queued.message,
         };
-        self.buffered_count[next_tile] += 1;
         if next_port == Port::Local {
             self.in_flight_messages -= 1;
             self.awaiting_ejection += 1;
@@ -1280,7 +1038,6 @@ impl Network {
                 (now + serialization).max(self.routers[next_tile].link_busy_until(next_port));
             self.schedule_due(next_tile, downstream_due);
             self.routers[next_tile].push(next_port, channel, arriving);
-            self.mark_active(next_tile);
         }
         self.routers[tile].advance_rr(port, self.config.channels);
     }
@@ -1737,209 +1494,69 @@ mod tests {
         }
     }
 
-    /// After a forward, a router is re-stamped to the forwarded port's
-    /// link-free cycle, not to the next cycle, even while an upstream head
-    /// is blocked on its full buffer: the waiter list wakes that upstream
-    /// router, so the forwarding router has nothing to rescan for.
-    #[test]
-    fn forward_restamps_to_the_link_free_cycle() {
-        // Tiles 0 -> 1 -> 2 in a row, one channel, 4-flit messages: each
-        // 8-flit buffer holds two of them, tile 2's ejection buffer one.
+    /// Builds a 3×1 mesh row `upstream -> 1 -> sink` (one channel, 4-flit
+    /// messages, 8-flit buffers, a 4-flit ejection buffer) in which tile 1
+    /// holds two messages behind the sink's full ejection buffer and
+    /// `upstream`'s second message is blocked on tile 1's full buffer.  Then
+    /// it drains the sink and runs one cycle, in which tile 1 forwards.
+    fn blocked_row_after_the_sink_drains(
+        upstream: TileId,
+        sink: TileId,
+        scheduler: RouterScheduler,
+    ) -> Network {
         let mut net = Network::new(
             NocConfig::new(GridShape::new(3, 1), Topology::Mesh)
                 .with_channels(1)
                 .with_buffer_flits(8)
-                .with_ejection_buffer_flits(4),
+                .with_ejection_buffer_flits(4)
+                .with_router_scheduler(scheduler),
         );
-        let msg = |src: u32| Message::new(2, 0, vec![src; 4]);
-        // Fill tile 2's ejection buffer so nothing can reach it.
-        net.try_inject(2, msg(2)).unwrap();
+        let msg = |src: TileId| Message::new(sink, 0, vec![src as u32; 4]);
+        // Fill the sink's ejection buffer so nothing can reach it.
+        net.try_inject(sink, msg(sink)).unwrap();
         net.try_inject(1, msg(1)).unwrap();
-        net.try_inject(0, msg(0)).unwrap();
-        for _ in 0..8 {
-            net.cycle();
-        }
-        // Tile 0's message moved on into tile 1's East buffer, which is now
-        // full (8 of 8 flits); a second message from tile 0 blocks on it.
-        net.try_inject(0, msg(3)).unwrap();
-        for _ in 0..8 {
-            net.cycle();
-        }
+        net.try_inject(upstream, msg(upstream)).unwrap();
+        (0..8).for_each(|_| net.cycle());
+        // The upstream message moved on into tile 1's buffer, which is now
+        // full (8 of 8 flits); a second upstream message blocks on it.
+        net.try_inject(upstream, msg(upstream)).unwrap();
+        (0..8).for_each(|_| net.cycle());
         assert_eq!(net.in_flight(), 3);
-        assert_eq!(net.flits_per_router(), vec![4, 0, 0]);
-        // Free tile 2's ejection buffer: tile 1 forwards one message.
-        assert_eq!(net.pop_delivered(2).unwrap().payload(), &[2; 4]);
+        assert_eq!(net.flits_per_router().iter().sum::<u64>(), 4);
+        assert_eq!(net.flits_per_router()[upstream], 4);
+        assert_eq!(
+            net.pop_delivered(sink).unwrap().payload(),
+            &[sink as u32; 4]
+        );
         let now = net.current_cycle();
         net.cycle();
         assert_eq!(net.flits_per_router()[1], 4, "tile 1 forwarded at {now}");
-        assert_eq!(
-            net.next_possible_stamp(1),
-            now + 4,
-            "re-stamped to the East link's free cycle"
-        );
-        // The blocked upstream head was woken through the waiter list and
-        // moved into the freed space in the same cycle.
-        assert_eq!(net.flits_per_router()[0], 8);
-    }
-
-    /// The dirty-membership replay in miniature: when a single endpoint
-    /// drain empties one router and nothing is due, the due-only walk
-    /// replays exactly that router instead of visiting every active one.
-    /// The modelled schedule and the arbitration order stay the reference
-    /// scheduler's (`NocStats` equality ignores walk counters).
-    #[test]
-    fn dirty_membership_replays_only_the_drained_router() {
-        let mut due_only = small_net(Topology::Torus);
-        let mut reference = reference_net(Topology::Torus);
-        for net in [&mut due_only, &mut reference] {
-            // One-hop messages that nobody drains: every destination router
-            // ends up active (a message parked in its ejection buffer) but
-            // never due again.
-            for tile in 0..16usize {
-                net.try_inject(tile, Message::new((tile + 1) % 16, 0, vec![tile as u32]))
-                    .unwrap();
-            }
-            let mut guard = 0;
-            while net.in_flight() > 0 {
-                net.cycle();
-                guard += 1;
-                assert!(guard < 1_000);
-            }
-            // Let every still-filed due stamp (delivery-cycle residue) fire
-            // and resolve to "nothing forwardable" so only parked ejection
-            // messages remain.
-            for _ in 0..64 {
-                net.cycle();
-            }
+        if scheduler == RouterScheduler::Calendar {
+            // Re-stamped to the forwarded link's free cycle, not `now + 1`:
+            // the waiter list wakes the blocked upstream router, so tile 1
+            // has nothing to rescan for.
+            assert_eq!(net.next_possible_stamp(1), now + 4);
         }
-        assert_eq!(due_only.awaiting_ejection(), 16);
-        // With every message parked, the walk is elided outright.
-        let elided = due_only.stats().walks_elided;
-        due_only.cycle();
-        reference.cycle();
-        assert_eq!(due_only.stats().walks_elided, elided + 1);
-        // Both schedulers agree on the retained membership: the routers
-        // whose ejection message arrived before their own walk-turn drop
-        // (a delivery alone never re-adds a router).  Tile 5 must be among
-        // them for the drain below to exercise the dirty path.
-        let members = due_only.debug_active_order();
-        assert_eq!(members, reference.debug_active_order());
-        assert!(
-            members.len() > 1,
-            "need several active routers: {members:?}"
-        );
-        assert!(members.contains(&5));
-        // Drain ONE tile; its router empties and must leave the membership.
-        due_only.pop_delivered(5).unwrap();
-        reference.pop_delivered(5).unwrap();
-        let visited = due_only.stats().walk_routers_visited;
-        let scanned = due_only.stats().walk_routers_scanned;
-        due_only.cycle();
-        reference.cycle();
-        // The due-only walk replays just the dirty router.
-        assert_eq!(
-            due_only.stats().walk_routers_visited - visited,
-            1,
-            "1-router drain must not visit all {} active routers",
-            members.len()
-        );
-        // It port-scanned nothing (nothing was due)...
-        assert_eq!(due_only.stats().walk_routers_scanned, scanned);
-        // ...and the modelled schedule is the oracle's.
-        assert_eq!(due_only.stats(), reference.stats());
-        assert_eq!(
-            due_only.debug_active_order(),
-            reference.debug_active_order()
-        );
-        // The drained router is gone from the active order.
-        assert!(!due_only.debug_active_order().contains(&5));
-        assert_eq!(due_only.debug_active_order().len(), members.len() - 1);
+        net
     }
 
-    /// The order-key compaction (`maybe_compact`) only fires after ~2^29
-    /// walks in a real run, so force it: every fifth cycle the head base is
-    /// dropped to the floor, and the next walk renumbers every active
-    /// router's key.  Under traffic with partial endpoint drains, the
-    /// per-cycle deliveries, the arbitration order and the final statistics
-    /// must stay the reference scheduler's.
+    /// After a forward, a router is re-stamped to the forwarded port's
+    /// link-free cycle, and the space the forward freed is usable in the
+    /// same cycle only by routers with a larger id: the arbitration order is
+    /// ascending tile id, under both schedulers.
     #[test]
-    fn forced_key_compaction_preserves_the_reference_schedule() {
-        for topology in [
-            Topology::Mesh,
-            Topology::Torus,
-            Topology::TorusRuche { factor: 2 },
-        ] {
-            let mut calendar = small_net(topology);
-            let mut reference = reference_net(topology);
-            // Compactions that renumbered at least two live keys.
-            let mut compactions = 0;
-            for step in 0..600u64 {
-                if step < 550 {
-                    for k in 0..2u64 {
-                        let i = (2 * step + k) as usize;
-                        let (src, dst) = (i % 16, (i * 7 + 3) % 16);
-                        let (channel, len) = (i % 4, 1 + i % 3);
-                        let a =
-                            calendar.try_inject(src, Message::new(dst, channel, vec![7u32; len]));
-                        let b =
-                            reference.try_inject(src, Message::new(dst, channel, vec![7u32; len]));
-                        assert_eq!(a.is_ok(), b.is_ok(), "injection diverged at step {step}");
-                    }
-                }
-                let force = step % 5 == 0;
-                if force {
-                    calendar.head_base = HEAD_FLOOR;
-                    if calendar.debug_active_order().len() > 1 {
-                        compactions += 1;
-                    }
-                }
-                calendar.cycle();
-                reference.cycle();
-                if force {
-                    // The walk started from a freshly renumbered key space.
-                    assert!(calendar.head_base >= POS_ORIGIN - HEAD_STRIDE);
-                }
-                assert_eq!(
-                    calendar.debug_active_order(),
-                    reference.debug_active_order(),
-                    "arbitration order diverged at step {step} on {topology:?}"
-                );
-                // Drain on two of every three cycles, so ejection buffers
-                // back up and membership churns.
-                if step % 3 != 0 {
-                    for tile in 0..16 {
-                        let a = calendar.pop_delivered(tile);
-                        let b = reference.pop_delivered(tile);
-                        assert_eq!(
-                            a.as_ref().map(|m| m.payload().to_vec()),
-                            b.as_ref().map(|m| m.payload().to_vec()),
-                            "delivery diverged at step {step} on {topology:?}"
-                        );
-                    }
-                }
-            }
-            assert!(
-                compactions >= 100,
-                "only {compactions} non-trivial compactions"
-            );
-            let mut guard = 0;
-            while !calendar.is_idle() || !reference.is_idle() {
-                calendar.cycle();
-                reference.cycle();
-                for tile in 0..16 {
-                    let a = calendar.pop_delivered(tile);
-                    let b = reference.pop_delivered(tile);
-                    assert_eq!(a.map(|m| m.dest()), b.map(|m| m.dest()));
-                }
-                guard += 1;
-                assert!(guard < 10_000, "never drained on {topology:?}");
-            }
-            assert_eq!(calendar.stats(), reference.stats(), "{topology:?}");
-            assert_eq!(
-                calendar.router_utilization(),
-                reference.router_utilization()
-            );
-            assert_eq!(calendar.flits_per_router(), reference.flits_per_router());
+    fn forward_restamps_to_the_link_free_cycle() {
+        for scheduler in [RouterScheduler::Calendar, RouterScheduler::Reference] {
+            // Eastward, 0 -> 1 -> 2: tile 0 has had its turn when tile 1
+            // frees the space, so its blocked head moves on the next cycle.
+            let mut net = blocked_row_after_the_sink_drains(0, 2, scheduler);
+            assert_eq!(net.flits_per_router()[0], 4, "{scheduler:?}");
+            net.cycle();
+            assert_eq!(net.flits_per_router()[0], 8, "{scheduler:?}");
+            // Westward, 2 -> 1 -> 0: tile 2's turn comes after tile 1's, so
+            // its blocked head moves into the freed space in the same cycle.
+            let net = blocked_row_after_the_sink_drains(2, 0, scheduler);
+            assert_eq!(net.flits_per_router()[2], 8, "{scheduler:?}");
         }
     }
 }

@@ -105,8 +105,6 @@ pub(crate) struct Router {
     /// skip empty FIFOs without touching their heap buffers (each FIFO is
     /// its own allocation).
     occupied_channels: [u32; NUM_PORTS],
-    /// Total messages currently buffered at this router (all ports).
-    buffered_messages: usize,
     /// Cycles in which at least one output link of this router transmitted.
     pub(crate) busy_cycles: u64,
     /// Cycle up to which `busy_cycles` already covers this router's link
@@ -134,7 +132,6 @@ impl Router {
             rr_next_channel: [0; NUM_PORTS],
             msgs_per_port: [0; NUM_PORTS],
             occupied_channels: [0; NUM_PORTS],
-            buffered_messages: 0,
             busy_cycles: 0,
             busy_covered_until: 0,
             flits_per_port: [0; NUM_PORTS],
@@ -159,7 +156,6 @@ impl Router {
         self.buffers[index].push(queued);
         self.msgs_per_port[port.index()] += 1;
         self.occupied_channels[port.index()] |= 1u32 << channel as u32;
-        self.buffered_messages += 1;
     }
 
     /// Dequeues the head message at `(port, channel)`, keeping the
@@ -172,8 +168,6 @@ impl Router {
             self.occupied_channels[port.index()] &= !(1u32 << channel as u32);
         }
         self.msgs_per_port[port.index()] -= 1;
-        debug_assert!(self.buffered_messages > 0);
-        self.buffered_messages -= 1;
         Some(queued)
     }
 
@@ -198,21 +192,11 @@ impl Router {
         self.occupied_channels[port.index()]
     }
 
-    /// Messages buffered at every port, including the local (ejection)
-    /// port.
-    pub(crate) fn buffered_messages(&self) -> usize {
-        self.buffered_messages
-    }
-
     /// Messages buffered at non-local ports — the ones
-    /// [`crate::Network::cycle`] could still move.  Note the active-set
-    /// retention deliberately does *not* use this: a router holding only
-    /// undrained ejection-buffer messages forwards nothing, but it must
-    /// keep its position in the arbitration order (see the retention
-    /// comment in `Network::cycle`).
-    #[cfg(test)]
-    pub(crate) fn forwardable_messages(&self) -> usize {
-        self.buffered_messages - self.msgs_at(Port::Local) as usize
+    /// [`crate::Network::cycle`] could still move.  The reference walk
+    /// skips routers where this is 0.
+    pub(crate) fn forwardable_messages(&self) -> u32 {
+        self.msgs_per_port.iter().sum::<u32>() - self.msgs_at(Port::Local)
     }
 
     #[inline]
@@ -315,11 +299,10 @@ mod tests {
     #[test]
     fn push_and_pop_keep_per_port_counts_exact() {
         let mut router = Router::new(2, 16, 16);
-        assert_eq!(router.buffered_messages(), 0);
+        assert_eq!(router.forwardable_messages(), 0);
         router.push(Port::East, 0, queued(2));
         router.push(Port::East, 1, queued(3));
         router.push(Port::Local, 0, queued(1));
-        assert_eq!(router.buffered_messages(), 3);
         assert_eq!(router.msgs_at(Port::East), 2);
         assert_eq!(router.msgs_at(Port::Local), 1);
         assert_eq!(router.msgs_at(Port::West), 0);
@@ -327,7 +310,7 @@ mod tests {
         let popped = router.pop(Port::East, 0).unwrap();
         assert_eq!(popped.message.len(), 2);
         assert_eq!(router.msgs_at(Port::East), 1);
-        assert_eq!(router.buffered_messages(), 2);
+        assert_eq!(router.forwardable_messages(), 1);
         assert!(router.pop(Port::East, 0).is_none());
         assert_eq!(router.msgs_at(Port::East), 1);
     }

@@ -567,10 +567,11 @@ impl Simulation {
                 // that is not already known to fail, running `tile_cycle`
                 // would change nothing but the rejection statistics — keep
                 // (or drop) the tile without touching its state or its
-                // router, and account those statistics directly.  Skipped
-                // tiles keep their position in the active list, so the
-                // service order of *acting* tiles — and with it the
-                // schedule — is exactly the reference's.
+                // router, and account those statistics directly.  The
+                // service order of the tiles that do act cannot change the
+                // schedule: between two network cycles a tile's calls touch
+                // only its own router, and routers arbitrate in tile-id
+                // order.
                 let h = hot[t];
                 let dispatchable = h.pu_busy_until <= cycle && h.task_ready;
                 let inject_live = h.cq_ready

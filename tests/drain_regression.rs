@@ -19,11 +19,13 @@ use dalorex::sim::Simulation;
 
 /// Golden outcomes of the 2x2 smoke scenarios (RMAT scale 9, degree 8,
 /// seed 21, 1 MiB scratchpad, paper-default configuration), captured from
-/// the pre-overhaul engine: (cycles, delivered == injected messages).
+/// the pre-overhaul engine: (cycles, delivered == injected messages).  The
+/// WCC row was re-captured when router arbitration became ascending tile
+/// id; the other four rows did not move.
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("BFS", 8843, 3624),
     ("SSSP", 21652, 8885),
-    ("WCC", 22140, 10258),
+    ("WCC", 22155, 10278),
     ("PageRank", 19706, 7138),
     ("SPMV", 19056, 6775),
 ];

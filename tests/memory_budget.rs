@@ -43,7 +43,7 @@ fn golden_memory_budget_16x16_sssp() {
             materialized_tiles: 252,
             total_tiles: 256,
             noc_buffer_bytes: 262_144,
-            calendar_bytes: 147_776,
+            calendar_bytes: 95_776,
         },
         "16x16 memory budget drifted: {:?}",
         outcome.memory
@@ -70,7 +70,7 @@ fn golden_memory_budget_64x64_sssp() {
             materialized_tiles: 4_083,
             total_tiles: 4096,
             noc_buffer_bytes: 6_291_456,
-            calendar_bytes: 2_338_080,
+            calendar_bytes: 1_741_568,
         },
         "64x64 memory budget drifted: {:?}",
         outcome.memory

@@ -399,79 +399,6 @@ proptest! {
     }
 
     #[test]
-    fn due_only_walk_preserves_active_list_order(
-        messages in proptest::collection::vec((0usize..16, 0usize..16, 1usize..4, 1u32..1000), 1..80),
-        drains in 1usize..4,
-        torus in proptest::bool::ANY,
-    ) {
-        // The arbitration-order invariant behind the due-only walk: the
-        // implicit position keys, sorted, reproduce the reference
-        // scheduler's explicit `active_list` byte for byte — every cycle,
-        // under arbitrary traffic with endpoint-drain membership churn
-        // (drops, re-adds, mid-walk wakes).  Any divergence here is a
-        // future schedule divergence even if this cycle's commits matched.
-        let topology = if torus { Topology::Torus } else { Topology::Mesh };
-        let config = NocConfig::new(GridShape::new(4, 4), topology)
-            .with_ejection_buffer_flits(8);
-        let mut reference = Network::new(
-            config.clone().with_router_scheduler(RouterScheduler::Reference),
-        );
-        let mut due_only = Network::new(
-            config.with_router_scheduler(RouterScheduler::Calendar),
-        );
-        let seed_pending: Vec<(usize, Message)> = messages
-            .into_iter()
-            .map(|(src, dst, len, seed)| {
-                (src, Message::new(dst, (seed % 4) as usize, vec![seed; len]))
-            })
-            .collect();
-        let mut pendings = [seed_pending.clone(), seed_pending];
-        let mut guard = 0;
-        while !reference.quiescent()
-            || !due_only.quiescent()
-            || pendings.iter().any(|p| !p.is_empty())
-        {
-            for (net, pending) in [&mut reference, &mut due_only]
-                .into_iter()
-                .zip(pendings.iter_mut())
-            {
-                let mut retry = Vec::new();
-                for (src, msg) in pending.drain(..) {
-                    if let Err(rejected) = net.try_inject(src, msg) {
-                        retry.push((src, rejected.message));
-                    }
-                }
-                *pending = retry;
-                net.cycle();
-            }
-            prop_assert_eq!(
-                due_only.debug_active_order(),
-                reference.debug_active_order(),
-                "due-only position order diverged from the reference list at cycle {}",
-                reference.current_cycle()
-            );
-            for tile in 0..16 {
-                for _ in 0..drains {
-                    let a = reference.pop_delivered(tile);
-                    let b = due_only.pop_delivered(tile);
-                    prop_assert_eq!(
-                        a.as_ref().map(|m| m.payload().to_vec()),
-                        b.as_ref().map(|m| m.payload().to_vec()),
-                        "due-only delivery diverged at tile {}", tile
-                    );
-                    if a.is_none() {
-                        break;
-                    }
-                }
-            }
-            guard += 1;
-            prop_assert!(guard < 50_000, "networks never quiesced");
-        }
-        prop_assert_eq!(reference.stats(), due_only.stats());
-        prop_assert_eq!(reference.flits_per_router(), due_only.flits_per_router());
-    }
-
-    #[test]
     fn calendar_due_stamps_never_overshoot_commits(
         messages in proptest::collection::vec((0usize..16, 0usize..16, 1usize..4, 1u32..1000), 1..60),
         drains in 1usize..4,
@@ -648,5 +575,81 @@ proptest! {
         let base = ActivityCounters { sram_reads: reads, sram_writes: writes, cycles: 1000, ..Default::default() };
         let more = ActivityCounters { sram_reads: reads + extra, ..base };
         prop_assert!(model.breakdown(&more).total_j() > model.breakdown(&base).total_j());
+    }
+}
+
+/// One step of a splitmix64 stream: the seeded shuffle of
+/// [`tile_visit_order_cannot_change_the_schedule`].
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn tile_visit_order_cannot_change_the_schedule(
+        messages in proptest::collection::vec((0usize..16, 0usize..16, 1usize..4, 1u32..1000), 1..80),
+        drains in 1usize..4,
+        torus in proptest::bool::ANY,
+        shuffle_seed in 0u64..u64::MAX,
+    ) {
+        // Routers arbitrate in ascending tile id, and between two cycles a
+        // tile's calls touch only its own router, so the order in which the
+        // endpoints are visited cannot change the schedule.  Two calendar
+        // networks get the same traffic.  After every cycle each tile pops
+        // up to `drains` deliveries, then tries its next pending injection;
+        // one network visits the tiles in ascending order, the other in a
+        // seeded shuffle drawn afresh every cycle.  Tight ejection buffers
+        // keep heads blocked downstream, so waiter wakes are exercised.
+        let topology = if torus { Topology::Torus } else { Topology::Mesh };
+        let config = NocConfig::new(GridShape::new(4, 4), topology)
+            .with_ejection_buffer_flits(8);
+        let mut nets = [Network::new(config.clone()), Network::new(config)];
+        let mut queues: Vec<VecDeque<Message>> = vec![VecDeque::new(); 16];
+        for (src, dst, len, seed) in messages {
+            queues[src].push_back(Message::new(dst, (seed % 4) as usize, vec![seed; len]));
+        }
+        let mut pendings = [queues.clone(), queues];
+        let mut orders: [Vec<usize>; 2] = [(0..16).collect(), (0..16).collect()];
+        let mut rng = shuffle_seed;
+        let mut guard = 0;
+        while nets.iter().any(|net| !net.quiescent())
+            || pendings.iter().flatten().any(|queue| !queue.is_empty())
+        {
+            for i in (1..16).rev() {
+                let j = (splitmix64(&mut rng) % (i as u64 + 1)) as usize;
+                orders[1].swap(i, j);
+            }
+            let mut delivered = [vec![Vec::new(); 16], vec![Vec::new(); 16]];
+            for (((net, pending), got), order) in
+                nets.iter_mut().zip(&mut pendings).zip(&mut delivered).zip(&orders)
+            {
+                net.cycle();
+                for &tile in order {
+                    for _ in 0..drains {
+                        let Some(msg) = net.pop_delivered(tile) else { break };
+                        got[tile].push(msg.payload().to_vec());
+                    }
+                    if let Some(msg) = pending[tile].pop_front() {
+                        if let Err(rejected) = net.try_inject(tile, msg) {
+                            pending[tile].push_front(rejected.message);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(
+                &delivered[0], &delivered[1],
+                "deliveries diverged at cycle {}", nets[0].current_cycle()
+            );
+            guard += 1;
+            prop_assert!(guard < 50_000, "networks never quiesced");
+        }
+        prop_assert_eq!(nets[0].stats(), nets[1].stats());
+        prop_assert_eq!(nets[0].flits_per_router(), nets[1].flits_per_router());
     }
 }
