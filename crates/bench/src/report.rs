@@ -128,19 +128,19 @@ impl MemoryColumns {
 }
 
 /// The walk-efficiency columns a figure row may carry: how much per-cycle
-/// router-walk work the run's scheduler actually did (ISSUE 10).  These
-/// are simulator-efficiency counters — the modeled schedule is identical
+/// router-walk work the run's scheduler actually did.  These are
+/// simulator-efficiency counters — the modeled schedule is identical
 /// across schedulers — so the BENCH series can show the due-only walk's
-/// win (and catch a regression) without touching the figure numbers.
+/// cost (and catch a regression) without touching the figure numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkColumns {
-    /// Routers the calendar walk visited (heap pops), summed over all
-    /// cycles (0 under the reference scheduler, which counts no walk work).
+    /// Stamped routers the calendar walk examined, summed over all cycles
+    /// (0 under the reference scheduler, which counts no walk work).
     pub routers_visited: u64,
     /// Routers the walk actually port-scanned; the gap to
-    /// `routers_visited` is the duplicate heap entries.
+    /// `routers_visited` is the stamped routers not yet due.
     pub routers_scanned: u64,
-    /// Cycles whose walk was elided outright (calendar fast path).
+    /// Cycles in which the calendar walk scanned no router.
     pub walks_elided: u64,
 }
 

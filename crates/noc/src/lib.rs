@@ -99,9 +99,9 @@ pub const MAX_CHANNELS: usize = 32;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RouterScheduler {
     /// The production scheduler: per-router `next_possible` due stamps, a
-    /// bucketed calendar of due routers, and a due-only walk that pops the
-    /// due routers from a min-heap of tile ids and port-scans exactly
-    /// those — O(due) per cycle instead of O(routers).
+    /// bitset of the stamped routers, and a walk over its set bits in
+    /// ascending tile id that port-scans exactly the routers whose stamp
+    /// has come due, never the unstamped ones.
     #[default]
     Calendar,
     /// The schedule oracle: a plain loop over every router holding a

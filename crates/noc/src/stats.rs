@@ -38,17 +38,17 @@ pub struct NocStats {
     /// attributes every rejected attempt to the tile that suffered it so
     /// sweeps can report where endpoint stalls concentrate.
     pub injection_rejections_per_tile: Vec<u64>,
-    /// Routers the calendar walk *visited*: entries popped from its heap,
-    /// duplicates included (a router filed twice pops twice), summed over
-    /// all cycles; the reference scheduler counts no walk work.  A
-    /// simulator-efficiency counter, excluded from equality.
+    /// Routers the calendar walk *visited*: stamped routers (set bits of
+    /// its bitset) it examined, summed over all cycles; the reference
+    /// scheduler counts no walk work.  A simulator-efficiency counter,
+    /// excluded from equality.
     pub walk_routers_visited: u64,
     /// Routers the calendar walk actually *port-scanned*, summed over all
     /// cycles: each due router once per cycle.  The gap to
-    /// [`NocStats::walk_routers_visited`] is the duplicate heap entries.
+    /// [`NocStats::walk_routers_visited`] is the stamped routers whose
+    /// stamp still lay in the future.
     pub walk_routers_scanned: u64,
-    /// Cycles whose walk was elided entirely (the calendar fast path: no
-    /// router due).
+    /// Cycles in which the calendar walk scanned no router (none was due).
     pub walks_elided: u64,
 }
 

@@ -458,9 +458,12 @@ impl Simulation {
         // pre-overhaul cost profile.
         let mut hot: Vec<HotTile> = tiles.iter().map(|t| HotTile::snapshot(t, false)).collect();
         let mut parks: Vec<InjectPark> = vec![InjectPark::default(); num_tiles];
-        let mut active: Vec<bool> = tiles.iter().map(|t| !t.is_idle(0)).collect();
-        let mut active_list: Vec<usize> = (0..num_tiles).filter(|&t| active[t]).collect();
-        let mut active_scratch: Vec<usize> = Vec::new();
+        // The active tiles, one bit each (bit `t % 64` of word `t / 64`),
+        // visited in ascending tile id.
+        let mut active: Vec<u64> = vec![0; num_tiles.div_ceil(64)];
+        for tile in tiles.iter().filter(|t| !t.is_idle(0)) {
+            active[tile.tile / 64] |= 1 << (tile.tile % 64);
+        }
         let mut delivery_events: Vec<usize> = Vec::new();
 
         let mut cycle: u64 = 0;
@@ -476,7 +479,7 @@ impl Simulation {
 
         loop {
             // Global idle: tiles drained, network drained.
-            if active_list.is_empty() && network.is_idle() {
+            if network.is_idle() && active.iter().all(|&word| word == 0) {
                 let mut epoch_ctx = SimEpochContext {
                     tiles: &mut tiles,
                     placement: &self.placement,
@@ -498,15 +501,12 @@ impl Simulation {
                             // The epoch trigger pushed invocations outside
                             // tile_cycle: refresh the action snapshot.
                             hot[tile] = HotTile::snapshot(&tiles[tile], hot[tile].delivery_pending);
-                            if !active[tile] {
-                                active[tile] = true;
-                                active_list.push(tile);
-                            }
+                            active[tile / 64] |= 1 << (tile % 64);
                         }
                         // A kernel that keeps answering Continue without
                         // scheduling work would spin forever; treat it as a
                         // deadlock after the watchdog window.
-                        if active_list.is_empty() {
+                        if active.iter().all(|&word| word == 0) {
                             return Err(SimError::Deadlock {
                                 cycle,
                                 network_messages: 0,
@@ -532,85 +532,83 @@ impl Simulation {
             network.drain_delivery_events_into(&mut delivery_events);
             for &tile in &delivery_events {
                 hot[tile].delivery_pending = true;
-                if !active[tile] {
-                    active[tile] = true;
-                    active_list.push(tile);
-                }
+                active[tile / 64] |= 1 << (tile % 64);
             }
 
-            // Advance every active tile, double-buffering the active list
-            // through a persistent scratch vector.
-            debug_assert!(active_scratch.is_empty());
-            std::mem::swap(&mut active_list, &mut active_scratch);
-            for &t in &active_scratch {
-                active[t] = false;
-                if reference {
-                    self.tile_cycle_reference(
-                        kernel,
-                        &tasks,
-                        &channels,
-                        &mut tiles[t],
-                        &mut schedulers[t],
-                        &mut network,
-                        barrier_mode,
-                        cycle,
-                        &mut total_dispatches,
-                    );
-                    if !tiles[t].is_idle_scan(cycle + 1) || network.delivered_waiting(t) > 0 {
-                        active[t] = true;
-                        active_list.push(t);
+            // Advance every active tile in ascending id.  A tile's cycle
+            // can only change its own bit, so each word is walked from a
+            // copy and the bits of tiles that go idle are cleared in place.
+            for (word, slot) in active.iter_mut().enumerate() {
+                let mut bits = *slot;
+                while bits != 0 {
+                    let bit = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    let t = word * 64 + bit as usize;
+                    let stays_active = if reference {
+                        self.tile_cycle_reference(
+                            kernel,
+                            &tasks,
+                            &channels,
+                            &mut tiles[t],
+                            &mut schedulers[t],
+                            &mut network,
+                            barrier_mode,
+                            cycle,
+                            &mut total_dispatches,
+                        );
+                        !tiles[t].is_idle_scan(cycle + 1) || network.delivered_waiting(t) > 0
+                    } else {
+                        // No-op skip: when the dense snapshots prove the
+                        // tile can neither drain, dispatch nor make an
+                        // injection attempt that is not already known to
+                        // fail, running `tile_cycle` would change nothing
+                        // but the rejection statistics — keep (or drop) the
+                        // tile without touching its state or its router,
+                        // and account those statistics directly.  The
+                        // service order of the tiles that do act cannot
+                        // change the schedule: between two network cycles a
+                        // tile's calls touch only its own router, and
+                        // routers arbitrate in tile-id order.
+                        let h = hot[t];
+                        let dispatchable = h.pu_busy_until <= cycle && h.task_ready;
+                        let inject_live = h.cq_ready
+                            && (!parks[t].all_ready_parked
+                                || network.buffer_drain_version(t) != parks[t].version);
+                        if !h.delivery_pending && !dispatchable && !inject_live {
+                            if h.cq_ready {
+                                // Every inject-ready channel is parked: the
+                                // reference engine would attempt and fail
+                                // each one once this cycle.
+                                network.count_injection_backpressure(
+                                    t,
+                                    u64::from(parks[t].ready_count),
+                                );
+                            }
+                            h.nonidle_after(cycle)
+                        } else {
+                            self.tile_cycle(
+                                kernel,
+                                &tasks,
+                                &channels,
+                                &mut tiles[t],
+                                &mut schedulers[t],
+                                &mut network,
+                                &mut parks[t],
+                                h.delivery_pending,
+                                barrier_mode,
+                                cycle,
+                                &mut total_dispatches,
+                            );
+                            let leftover_deliveries = network.delivered_waiting(t) > 0;
+                            hot[t] = HotTile::snapshot(&tiles[t], leftover_deliveries);
+                            !tiles[t].is_idle(cycle + 1) || leftover_deliveries
+                        }
+                    };
+                    if !stays_active {
+                        *slot &= !(1 << bit);
                     }
-                    continue;
-                }
-                // No-op skip: when the dense snapshots prove the tile can
-                // neither drain, dispatch nor make an injection attempt
-                // that is not already known to fail, running `tile_cycle`
-                // would change nothing but the rejection statistics — keep
-                // (or drop) the tile without touching its state or its
-                // router, and account those statistics directly.  The
-                // service order of the tiles that do act cannot change the
-                // schedule: between two network cycles a tile's calls touch
-                // only its own router, and routers arbitrate in tile-id
-                // order.
-                let h = hot[t];
-                let dispatchable = h.pu_busy_until <= cycle && h.task_ready;
-                let inject_live = h.cq_ready
-                    && (!parks[t].all_ready_parked
-                        || network.buffer_drain_version(t) != parks[t].version);
-                if !h.delivery_pending && !dispatchable && !inject_live {
-                    if h.cq_ready {
-                        // Every inject-ready channel is parked: the
-                        // reference engine would attempt and fail each one
-                        // once this cycle.
-                        network.count_injection_backpressure(t, u64::from(parks[t].ready_count));
-                    }
-                    if h.nonidle_after(cycle) {
-                        active[t] = true;
-                        active_list.push(t);
-                    }
-                    continue;
-                }
-                self.tile_cycle(
-                    kernel,
-                    &tasks,
-                    &channels,
-                    &mut tiles[t],
-                    &mut schedulers[t],
-                    &mut network,
-                    &mut parks[t],
-                    h.delivery_pending,
-                    barrier_mode,
-                    cycle,
-                    &mut total_dispatches,
-                );
-                let leftover_deliveries = network.delivered_waiting(t) > 0;
-                hot[t] = HotTile::snapshot(&tiles[t], leftover_deliveries);
-                if !tiles[t].is_idle(cycle + 1) || leftover_deliveries {
-                    active[t] = true;
-                    active_list.push(t);
                 }
             }
-            active_scratch.clear();
 
             cycle += 1;
             if cycle >= self.config.max_cycles {

@@ -5,8 +5,8 @@
 //! (ring-buffer queues, inline message payloads, O(1) idle tracking,
 //! incrementally maintained readiness masks, parked-injection elision, the
 //! no-op skip of action-free tiles) against the NoC's calendar router
-//! scheduler (per-router `next_possible` due stamps, a bucketed calendar
-//! of due routers, waiter lists for blocked heads, the due-only walk).
+//! scheduler (per-router `next_possible` due stamps, a bitset of stamped
+//! routers walked in tile-id order, waiter lists for blocked heads).
 //! [`Engine::Reference`] is the preserved pre-overhaul tile path running
 //! every active tile every cycle against the NoC's reference router
 //! scheduler.  The two must agree on everything — cycle counts, gathered
