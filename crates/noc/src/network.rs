@@ -845,8 +845,12 @@ impl Network {
                     self.commit_forward(tile, port, channel, flits, next_tile, next_port, now);
                     // Nothing leaves this port before its link frees (the
                     // upstream routers the forward unblocked were woken by
-                    // `commit_forward` through the waiter list).
-                    *stamp = (*stamp).min(self.routers[tile].link_busy_until(port));
+                    // `commit_forward` through the waiter list).  An emptied
+                    // port needs no stamp: the next push re-stamps the
+                    // router with the link's free cycle.
+                    if self.routers[tile].msgs_at(port) > 0 {
+                        *stamp = (*stamp).min(self.routers[tile].link_busy_until(port));
+                    }
                     return;
                 }
             }
