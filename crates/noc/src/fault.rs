@@ -13,10 +13,10 @@
 //! the calendar wakes the router at the transition just as it wakes it for
 //! a busy link.
 //!
-//! Fault windows are expressed in the *driver's* clock (the simulation
-//! engine's cycle count).  Drivers that advance their own clock past the
-//! network's (epoch broadcasts in `dalorex-sim`) keep the two aligned via
-//! [`crate::Network::set_fault_time_offset`].
+//! Fault windows are expressed in network cycles
+//! ([`crate::Network::current_cycle`]).  A driver that ticks the network
+//! every cycle of its own clock, as `dalorex-sim` does through epoch
+//! broadcasts too, sees the windows in its own time.
 //!
 //! The schedule is handed to the network through
 //! [`crate::NocConfig::with_faults`]; an empty [`NocFaults`] compiles to
@@ -135,9 +135,6 @@ pub(crate) struct CompiledNocFaults {
     index: Vec<(u32, u32)>,
     /// All windows, grouped by tile.
     windows: Vec<FaultWindow>,
-    /// Driver-clock minus network-clock (see
-    /// [`crate::Network::set_fault_time_offset`]).
-    pub(crate) offset: u64,
     /// Per-event impact counters, index-aligned with the source schedule.
     pub(crate) impacts: Vec<FaultImpact>,
 }
@@ -186,7 +183,6 @@ impl CompiledNocFaults {
         Some(Box::new(CompiledNocFaults {
             index,
             windows,
-            offset: 0,
             impacts: vec![FaultImpact::default(); faults.events.len()],
         }))
     }
@@ -202,24 +198,19 @@ impl CompiledNocFaults {
     /// candidate: the router provably commits nothing before it).
     #[inline]
     pub(crate) fn stall_candidate(&self, tile: TileId, now: u64) -> Option<u64> {
-        let driver_now = now + self.offset;
         let mut end: Option<u64> = None;
         for window in self.windows_at(tile) {
-            if window.kind == BlockKind::Stall
-                && window.start <= driver_now
-                && driver_now < window.end
-            {
+            if window.kind == BlockKind::Stall && window.start <= now && now < window.end {
                 end = Some(end.map_or(window.end, |e| e.max(window.end)));
             }
         }
-        end.map(|e| e.saturating_sub(self.offset))
+        end
     }
 
     /// If `(tile, port)`'s link is blacked out at network cycle `now`, the
     /// network cycle at which the last active outage window ends.
     #[inline]
     pub(crate) fn outage_candidate(&self, tile: TileId, port: Port, now: u64) -> Option<u64> {
-        let driver_now = now + self.offset;
         let mut end: Option<u64> = None;
         for window in self.windows_at(tile) {
             let blocks = match window.kind {
@@ -227,11 +218,11 @@ impl CompiledNocFaults {
                 BlockKind::Outage(Some(p)) => p == port,
                 BlockKind::Stall => false,
             };
-            if blocks && window.start <= driver_now && driver_now < window.end {
+            if blocks && window.start <= now && now < window.end {
                 end = Some(end.map_or(window.end, |e| e.max(window.end)));
             }
         }
-        end.map(|e| e.saturating_sub(self.offset))
+        end
     }
 
     /// Attributes a just-committed forward at `(tile, port)` to every fault
@@ -241,8 +232,6 @@ impl CompiledNocFaults {
         if now <= ready_at {
             return;
         }
-        let wait_start = ready_at + self.offset;
-        let wait_end = now + self.offset;
         let (offset, len) = self.index[tile];
         for i in offset as usize..(offset + len) as usize {
             let window = self.windows[i];
@@ -253,8 +242,8 @@ impl CompiledNocFaults {
             if !blocks {
                 continue;
             }
-            let lo = window.start.max(wait_start);
-            let hi = window.end.min(wait_end);
+            let lo = window.start.max(ready_at);
+            let hi = window.end.min(now);
             if hi > lo {
                 let impact = &mut self.impacts[window.event as usize];
                 impact.messages_delayed += 1;
@@ -315,25 +304,6 @@ mod tests {
         for port in [Port::East, Port::West, Port::North, Port::South] {
             assert_eq!(compiled.outage_candidate(0, port, 3), Some(8));
         }
-    }
-
-    #[test]
-    fn time_offset_translates_window_membership() {
-        let faults = NocFaults {
-            events: vec![NocFaultEvent::RouterStall {
-                tile: 0,
-                start: 100,
-                end: 110,
-            }],
-        };
-        let mut compiled = CompiledNocFaults::compile(&faults, 1).unwrap();
-        // Without an offset the window sits at network cycles [100, 110).
-        assert_eq!(compiled.stall_candidate(0, 100), Some(110));
-        // With the driver's clock 90 ahead, network cycle 10 is driver
-        // cycle 100: inside the window, recovering at network cycle 20.
-        compiled.offset = 90;
-        assert_eq!(compiled.stall_candidate(0, 10), Some(20));
-        assert_eq!(compiled.stall_candidate(0, 100), None);
     }
 
     #[test]

@@ -325,16 +325,6 @@ impl Network {
         }
     }
 
-    /// Aligns the fault schedule's clock with a driver that advances its
-    /// own cycle count past the network's: fault windows are expressed in
-    /// driver cycles, and the network evaluates them at
-    /// `current_cycle + offset`.  A no-op without a fault schedule.
-    pub fn set_fault_time_offset(&mut self, offset: u64) {
-        if let Some(faults) = self.faults.as_deref_mut() {
-            faults.offset = offset;
-        }
-    }
-
     /// Per-event impact counters, index-aligned with
     /// [`NocConfig::faults`]'s events (empty without a fault schedule).
     /// Derived from committed forwards only, so bit-identical across

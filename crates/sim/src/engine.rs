@@ -468,11 +468,6 @@ impl Simulation {
 
         let mut cycle: u64 = 0;
         let mut epochs: u64 = 0;
-        // Epoch broadcasts advance the engine clock without ticking the
-        // network, so the network's counter runs behind the engine cycle by
-        // this accumulated offset; the network's fault windows are shifted
-        // by it to stay in engine time.
-        let mut epoch_offset: u64 = 0;
         let mut last_progress_marker = (0u64, 0u64);
         let mut last_progress_cycle = 0u64;
         let mut total_dispatches = 0u64;
@@ -492,11 +487,14 @@ impl Simulation {
                     EpochDecision::Finish => break,
                     EpochDecision::Continue => {
                         epochs += 1;
+                        // The idle network ticks through the broadcast, so
+                        // the engine, the network and its fault windows
+                        // share one clock.
+                        for _ in 0..self.config.epoch_broadcast_cycles {
+                            network.cycle();
+                        }
                         cycle += self.config.epoch_broadcast_cycles;
-                        epoch_offset += self.config.epoch_broadcast_cycles;
-                        // Fault windows are in engine time; keep the
-                        // network's compiled schedule in the same clock.
-                        network.set_fault_time_offset(epoch_offset);
+                        debug_assert_eq!(network.current_cycle(), cycle);
                         for tile in woken {
                             // The epoch trigger pushed invocations outside
                             // tile_cycle: refresh the action snapshot.

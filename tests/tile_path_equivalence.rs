@@ -398,3 +398,34 @@ fn golden_cycles_pin_both_paths() {
 
 const GOLDEN_MESH_CHUNKED_RR: u64 = 11120;
 const GOLDEN_TORUS_INTERLEAVED_OCC: u64 = 9476;
+
+/// Fault windows are in engine time, epoch broadcasts included: a faulted
+/// epoch-barrier PageRank run keeps its cycle count and the delay its
+/// fault windows caused.  Both engines agree with each other even if the
+/// network's clock slips behind the engine's at each broadcast, so only a
+/// golden sees that slip (it moves the run to 13,602 cycles and 42,019
+/// delayed cycles).
+#[test]
+fn golden_faulted_epoch_barrier_pagerank_keeps_fault_windows_in_engine_time() {
+    let plan: FaultPlan = "random:seed=7,count=12,horizon=20000".parse().unwrap();
+    let config = SimConfigBuilder::new(GridConfig::square(4))
+        .scratchpad_bytes(1 << 20)
+        .barrier_mode(BarrierMode::EpochBarrier)
+        .faults(plan)
+        .build()
+        .unwrap();
+    let sim = Simulation::new(config, &graph()).unwrap();
+    let kernel = Workload::PageRank { epochs: 3 }.kernel();
+    let reference = sim
+        .run_with_engine(kernel.as_ref(), Engine::Reference)
+        .unwrap();
+    let outcome = sim
+        .run_with_engine(kernel.as_ref(), Engine::Calendar)
+        .unwrap();
+    assert_outcomes_match(&outcome, &reference, "faulted-pagerank-barrier");
+    assert_eq!(
+        (outcome.cycles, outcome.fault.total_delayed_cycles()),
+        (13_578, 41_675),
+        "cycles and fault-delayed cycles drifted from the golden"
+    );
+}
