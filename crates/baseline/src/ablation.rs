@@ -31,6 +31,7 @@ use crate::workload::Workload;
 use dalorex_graph::CsrGraph;
 use dalorex_noc::Topology;
 use dalorex_sim::config::{BarrierMode, Engine, GridConfig, SchedulingPolicy, SimConfigBuilder};
+use dalorex_sim::VerifyMode;
 use dalorex_sim::{SimError, Simulation, VertexPlacement};
 
 /// One rung of the Figure-5 ablation ladder, in the paper's order.
@@ -139,31 +140,33 @@ pub fn run_rung(
     side: usize,
     scratchpad_bytes: usize,
 ) -> Result<AblationOutcome, SimError> {
-    run_rung_with_engine(
+    run_rung_with(
         rung,
         graph,
         workload,
         side,
         scratchpad_bytes,
         Engine::default(),
+        VerifyMode::default(),
     )
 }
 
-/// Like [`run_rung`], with an explicit cycle engine for the Dalorex rungs
-/// (the Tesseract rungs are analytical and ignore it).  Both engines
-/// model the identical schedule; `fig05_ablation`'s `--engine` flag
-/// threads through here for A/B timing of the ladder.
+/// Like [`run_rung`], with an explicit cycle engine and static-verifier
+/// mode for the Dalorex rungs (the Tesseract rungs are analytical and
+/// ignore both).  Both engines model the identical schedule;
+/// `fig05_ablation`'s `--engine` and `--verify` flags thread through here.
 ///
 /// # Errors
 ///
 /// Same as [`run_rung`].
-pub fn run_rung_with_engine(
+pub fn run_rung_with(
     rung: AblationRung,
     graph: &CsrGraph,
     workload: Workload,
     side: usize,
     scratchpad_bytes: usize,
     engine: Engine,
+    verify: VerifyMode,
 ) -> Result<AblationOutcome, SimError> {
     match rung {
         AblationRung::Tesseract => {
@@ -189,7 +192,15 @@ pub fn run_rung_with_engine(
                 memory: None,
             })
         }
-        _ => run_dalorex_rung(rung, graph, workload, side, scratchpad_bytes, engine),
+        _ => run_dalorex_rung(
+            rung,
+            graph,
+            workload,
+            side,
+            scratchpad_bytes,
+            engine,
+            verify,
+        ),
     }
 }
 
@@ -200,6 +211,7 @@ fn run_dalorex_rung(
     side: usize,
     scratchpad_bytes: usize,
     engine: Engine,
+    verify: VerifyMode,
 ) -> Result<AblationOutcome, SimError> {
     // Feature switches accumulate as the ladder climbs.
     let non_interrupting = rung >= AblationRung::BasicTsu;
@@ -239,6 +251,7 @@ fn run_dalorex_rung(
         })
         .invocation_overhead_cycles(if non_interrupting { 0 } else { 50 })
         .engine(engine)
+        .verify(verify)
         .build()?;
     let sim = Simulation::new(config, &prepared)?;
     let kernel = workload.kernel();

@@ -12,13 +12,22 @@
 //! cargo run -p dalorex-bench --release --bin area_report [-- --csv]
 //! ```
 
-use dalorex_bench::cli::FigureCli;
+use dalorex_bench::cli::{CommonFlag, FigureCli};
 use dalorex_bench::report::Table;
 use dalorex_noc::Topology;
 use dalorex_sim::area::{AreaConstants, AreaModel};
 
 fn main() {
     let cli = FigureCli::parse();
+    // An analytical table: no simulation for these flags to act on.
+    cli.reject_unapplied(&[
+        CommonFlag::Json,
+        CommonFlag::MaxSide,
+        CommonFlag::Drains,
+        CommonFlag::Engine,
+        CommonFlag::Faults,
+        CommonFlag::Verify,
+    ]);
     let tile_bytes = (4.2 * 1024.0 * 1024.0) as usize;
     let mut table = Table::new(vec![
         "configuration",

@@ -6,17 +6,21 @@
 //! Usage:
 //! ```text
 //! cargo run -p dalorex-bench --release --bin fig05_ablation -- \
-//!     [--csv] [--json <path>] [--geomean] [--engine <name>]
+//!     [--csv] [--json <path>] [--geomean] [--engine <name>] [--verify <mode>]
 //! ```
+//!
+//! The ladder compares against analytical Tesseract rungs at fixed
+//! endpoint budgets on a `DALOREX_FIG5_SIDE` grid, so `--faults`,
+//! `--drains` and `--max-side` exit 2 instead of being ignored.
 //!
 //! The paper's headline numbers derived from this figure are the compounded
 //! geomean factors of Section V-A (performance: 6.2x, 4.7x, 2.6x, 1.7x,
 //! 1.8x -> 221x; energy -> 325x); pass `--geomean` (default on) to print
 //! the reproduction's factors next to the paper's.
 
-use dalorex_baseline::ablation::{geomean, run_rung_with_engine, AblationOutcome, AblationRung};
+use dalorex_baseline::ablation::{geomean, run_rung_with, AblationOutcome, AblationRung};
 use dalorex_baseline::Workload;
-use dalorex_bench::cli::{env_number, FigureCli};
+use dalorex_bench::cli::{cell_outcome, env_number, CommonFlag, FigureCli};
 use dalorex_bench::datasets;
 use dalorex_bench::report::{format_factor, Measurement, MemoryColumns, Table};
 use dalorex_graph::datasets::DatasetLabel;
@@ -37,6 +41,7 @@ fn grid_side() -> usize {
 
 fn main() {
     let cli = FigureCli::parse();
+    cli.reject_unapplied(&[CommonFlag::Faults, CommonFlag::Drains, CommonFlag::MaxSide]);
     let side = grid_side();
     let workloads = Workload::figure5_set();
     let labels = DatasetLabel::figure5_set();
@@ -69,19 +74,17 @@ fn main() {
             let mut baseline: Option<AblationOutcome> = None;
             let mut previous: Option<AblationOutcome> = None;
             for rung in AblationRung::ALL {
-                let outcome = match run_rung_with_engine(
-                    rung, &graph, workload, side, scratchpad, cli.engine,
-                ) {
-                    Ok(outcome) => outcome,
-                    Err(err) => {
-                        eprintln!(
-                            "skipping {} / {} / {}: {err}",
-                            workload.name(),
-                            label.as_str(),
-                            rung.label()
-                        );
-                        continue;
-                    }
+                let cell = format!(
+                    "{} / {} / {}",
+                    workload.name(),
+                    label.as_str(),
+                    rung.label()
+                );
+                let result = run_rung_with(
+                    rung, &graph, workload, side, scratchpad, cli.engine, cli.verify,
+                );
+                let Some(outcome) = cell_outcome(&cell, result) else {
+                    continue;
                 };
                 let tesseract = *baseline.get_or_insert(outcome);
                 let speedup = outcome.speedup_over(&tesseract);

@@ -18,7 +18,7 @@
 //! engine; the reference oracle reproduces the identical figures, slower.
 
 use dalorex_baseline::Workload;
-use dalorex_bench::cli::FigureCli;
+use dalorex_bench::cli::{cell_outcome, FigureCli};
 use dalorex_bench::datasets;
 use dalorex_bench::report::{Measurement, MemoryColumns, Table, WalkColumns};
 use dalorex_bench::runner::{run_dalorex, scaling_sides, RunOptions};
@@ -66,12 +66,10 @@ fn main() {
                     .with_engine(cli.engine)
                     .with_faults(cli.faults.clone())
                     .with_verify(cli.verify);
-                let outcome = match run_dalorex(&graph, workload, options) {
-                    Ok(outcome) => outcome,
-                    Err(err) => {
-                        eprintln!("skipping {} on {tiles} tiles: {err}", label.as_str());
-                        continue;
-                    }
+                let cell = format!("{} on {tiles} tiles, {drains} drains", label.as_str());
+                let Some(outcome) = cell_outcome(&cell, run_dalorex(&graph, workload, options))
+                else {
+                    continue;
                 };
                 let vertices_per_tile = graph.num_vertices().div_ceil(tiles);
                 let kb_per_tile = (2 * graph.num_vertices().div_ceil(tiles)

@@ -25,7 +25,7 @@
 //! rung CI-feasible: only tiles that saw activity are priced.
 
 use dalorex_baseline::Workload;
-use dalorex_bench::cli::FigureCli;
+use dalorex_bench::cli::{cell_outcome, FigureCli};
 use dalorex_bench::datasets;
 use dalorex_bench::report::{Measurement, MemoryColumns, Table, WalkColumns};
 use dalorex_bench::runner::{run_dalorex, scaling_sides, RunOptions};
@@ -66,12 +66,10 @@ fn main() {
                     .with_engine(cli.engine)
                     .with_faults(cli.faults.clone())
                     .with_verify(cli.verify);
-                let outcome = match run_dalorex(&graph, workload, options) {
-                    Ok(outcome) => outcome,
-                    Err(err) => {
-                        eprintln!("skipping {} on {tiles} tiles: {err}", workload.name());
-                        continue;
-                    }
+                let cell = format!("{} on {tiles} tiles, {drains} drains", workload.name());
+                let Some(outcome) = cell_outcome(&cell, run_dalorex(&graph, workload, options))
+                else {
+                    continue;
                 };
                 let peak = tiles as f64 * 8.0 * clock;
                 table.push_row(vec![
@@ -150,12 +148,9 @@ fn paper_scale_rung(
         .with_engine(cli.engine)
         .with_faults(cli.faults.clone())
         .with_verify(cli.verify);
-    let outcome = match run_dalorex(&graph, workload, options) {
-        Ok(outcome) => outcome,
-        Err(err) => {
-            eprintln!("skipping the paper-scale rung on {tiles} tiles: {err}");
-            return;
-        }
+    let cell = format!("the paper-scale rung on {tiles} tiles");
+    let Some(outcome) = cell_outcome(&cell, run_dalorex(&graph, workload, options)) else {
+        return;
     };
     let memory = &outcome.memory;
     let mut table = Table::new(vec!["line", "bytes"]);

@@ -22,7 +22,7 @@
 //! table and in the `--json` measurements, like fig06/fig07.
 
 use dalorex_baseline::Workload;
-use dalorex_bench::cli::{FigureCli, FABRIC_BOUND_DRAINS};
+use dalorex_bench::cli::{cell_outcome, FigureCli, FABRIC_BOUND_DRAINS};
 use dalorex_bench::datasets;
 use dalorex_bench::report::{Measurement, MemoryColumns, Table, WalkColumns};
 use dalorex_bench::runner::{run_dalorex, RunOptions};
@@ -76,17 +76,15 @@ fn main() {
                         .with_engine(cli.engine)
                         .with_faults(cli.faults.clone())
                         .with_verify(cli.verify);
-                    let outcome = match run_dalorex(&graph, workload, options) {
-                        Ok(outcome) => outcome,
-                        Err(err) => {
-                            eprintln!(
-                                "skipping {} / {} / {} / {drains} drains: {err}",
-                                workload.name(),
-                                label.as_str(),
-                                topology.name()
-                            );
-                            continue;
-                        }
+                    let cell = format!(
+                        "{} / {} / {} / {drains} drains",
+                        workload.name(),
+                        label.as_str(),
+                        topology.name()
+                    );
+                    let Some(outcome) = cell_outcome(&cell, run_dalorex(&graph, workload, options))
+                    else {
+                        continue;
                     };
                     let mesh = *mesh_cycles.get_or_insert(outcome.cycles);
                     let speedup = mesh as f64 / outcome.cycles.max(1) as f64;

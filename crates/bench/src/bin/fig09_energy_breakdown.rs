@@ -19,7 +19,7 @@
 //! every row is emitted in the table and in the `--json` measurements.
 
 use dalorex_baseline::Workload;
-use dalorex_bench::cli::{FigureCli, FABRIC_BOUND_DRAINS};
+use dalorex_bench::cli::{cell_outcome, FigureCli, FABRIC_BOUND_DRAINS};
 use dalorex_bench::datasets;
 use dalorex_bench::report::{Measurement, MemoryColumns, Table, WalkColumns};
 use dalorex_bench::runner::{run_dalorex, RunOptions};
@@ -63,16 +63,10 @@ fn main() {
                     .with_engine(cli.engine)
                     .with_faults(cli.faults.clone())
                     .with_verify(cli.verify);
-                let outcome = match run_dalorex(&graph, workload, options) {
-                    Ok(outcome) => outcome,
-                    Err(err) => {
-                        eprintln!(
-                            "skipping {} / {} / {drains} drains: {err}",
-                            workload.name(),
-                            label.as_str()
-                        );
-                        continue;
-                    }
+                let cell = format!("{} / {} / {drains} drains", workload.name(), label.as_str());
+                let Some(outcome) = cell_outcome(&cell, run_dalorex(&graph, workload, options))
+                else {
+                    continue;
                 };
                 let (logic, memory, network) = outcome.energy.shares_percent();
                 table.push_row(vec![

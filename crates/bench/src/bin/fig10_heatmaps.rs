@@ -8,7 +8,8 @@
 //! Usage:
 //! ```text
 //! cargo run -p dalorex-bench --release --bin fig10_heatmaps -- \
-//!     [--csv] [--json <path>] [--max-side <n>] [--drains <a,b,...>] [--engine <name>]
+//!     [--csv] [--json <path>] [--max-side <n>] [--drains <a,b,...>] [--engine <name>] \
+//!     [--faults <plan>] [--verify <mode>]
 //! ```
 //!
 //! `--max-side` overrides `DALOREX_MAX_SIDE`, **clamped to 4..=16**: the
@@ -24,13 +25,12 @@
 //! summary table and in the `--json` measurements.
 
 use dalorex_baseline::Workload;
-use dalorex_bench::cli::{FigureCli, FABRIC_BOUND_DRAINS};
+use dalorex_bench::cli::{cell_outcome, FigureCli, FABRIC_BOUND_DRAINS};
 use dalorex_bench::datasets;
 use dalorex_bench::report::{Measurement, MemoryColumns, Table, WalkColumns};
+use dalorex_bench::runner::{run_dalorex, RunOptions};
 use dalorex_graph::datasets::DatasetLabel;
 use dalorex_noc::Topology;
-use dalorex_sim::config::{BarrierMode, GridConfig, SimConfigBuilder};
-use dalorex_sim::Simulation;
 
 fn main() {
     let cli = FigureCli::parse();
@@ -58,18 +58,16 @@ fn main() {
 
     for &drains in &drains_sweep {
         for topology in [Topology::Mesh, Topology::Torus] {
-            let config = SimConfigBuilder::new(GridConfig::square(side))
-                .scratchpad_bytes(scratchpad)
-                .topology(topology)
-                .barrier_mode(BarrierMode::Barrierless)
-                .endpoint_drains_per_cycle(drains)
-                .engine(cli.engine)
-                .verify(cli.verify)
-                .build()
-                .expect("valid configuration");
-            let sim = Simulation::new(config, &graph).expect("dataset fits");
-            let kernel = workload.kernel();
-            let outcome = sim.run(kernel.as_ref()).expect("simulation completes");
+            let options = RunOptions::new(side, scratchpad)
+                .with_topology(topology)
+                .with_endpoint_drains(drains)
+                .with_engine(cli.engine)
+                .with_faults(cli.faults.clone())
+                .with_verify(cli.verify);
+            let cell = format!("{} / {drains} drains", topology.name());
+            let Some(outcome) = cell_outcome(&cell, run_dalorex(&graph, workload, options)) else {
+                continue;
+            };
             let pu = outcome.stats.pu_utilization_grid();
             let routers = outcome.stats.router_utilization_grid();
             println!(

@@ -23,7 +23,7 @@
 //! wall-clock only, never the table.
 
 use dalorex_baseline::Workload;
-use dalorex_bench::cli::FigureCli;
+use dalorex_bench::cli::{cell_outcome, CommonFlag, FigureCli};
 use dalorex_bench::datasets;
 use dalorex_bench::report::{format_factor, Measurement, Table, WalkColumns};
 use dalorex_bench::runner::{run_dalorex, RunOptions};
@@ -62,6 +62,7 @@ fn sweep_plan(base: &FaultPlan, num_tiles: usize, count: usize, duration: u64) -
 
 fn main() {
     let cli = FigureCli::parse();
+    cli.reject_unapplied(&[CommonFlag::Drains]);
     let side = cli.max_side.unwrap_or(8).clamp(2, 64);
     let tiles = side * side;
     let label = DatasetLabel::Rmat(20);
@@ -109,12 +110,10 @@ fn main() {
     for &duration in &DURATIONS {
         for &count in &COUNTS {
             let plan = sweep_plan(&cli.faults, tiles, count, duration);
-            let outcome = match run_dalorex(&graph, workload, options(plan)) {
-                Ok(outcome) => outcome,
-                Err(err) => {
-                    eprintln!("skipping {count} faults x {duration} cycles: {err}");
-                    continue;
-                }
+            let cell = format!("{count} faults x {duration} cycles");
+            let Some(outcome) = cell_outcome(&cell, run_dalorex(&graph, workload, options(plan)))
+            else {
+                continue;
             };
             let slowdown = outcome.cycles as f64 / baseline.cycles.max(1) as f64;
             let loss = FaultReport::throughput_loss(baseline.cycles, outcome.cycles);

@@ -37,7 +37,7 @@
 //! schedule-invisible, asserted here where the numbers are published —
 //! and the wall-clock ratio is emitted as the `fault-overhead` row
 //! (target <= 1.02; a ratio above 1.25 aborts the snapshot).
-use dalorex_bench::cli::FigureCli;
+use dalorex_bench::cli::{CommonFlag, FigureCli};
 use dalorex_bench::report::{Measurement, MemoryColumns, Table, WalkColumns};
 use dalorex_graph::generators::rmat::RmatConfig;
 use dalorex_graph::CsrGraph;
@@ -70,6 +70,15 @@ fn peak_rss_bytes() -> Option<usize> {
 
 fn main() {
     let cli = FigureCli::parse();
+    // The snapshot's cells, engines and fault plans are fixed, so its rows
+    // stay comparable across the BENCH series.
+    cli.reject_unapplied(&[
+        CommonFlag::MaxSide,
+        CommonFlag::Drains,
+        CommonFlag::Engine,
+        CommonFlag::Faults,
+        CommonFlag::Verify,
+    ]);
     let full = std::env::args().any(|a| a == "--full");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!("host parallelism: {cores}");

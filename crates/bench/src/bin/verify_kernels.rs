@@ -15,12 +15,20 @@
 //! the summary table.
 
 use dalorex_baseline::Workload;
-use dalorex_bench::cli::FigureCli;
+use dalorex_bench::cli::{CommonFlag, FigureCli};
 use dalorex_bench::report::Table;
 use dalorex_sim::verify::{verify_kernel, VerifyContext, VerifyMode};
 
 fn main() {
     let cli = FigureCli::parse();
+    // Static analysis only: no simulation for these flags to act on.
+    cli.reject_unapplied(&[
+        CommonFlag::Json,
+        CommonFlag::MaxSide,
+        CommonFlag::Drains,
+        CommonFlag::Engine,
+        CommonFlag::Faults,
+    ]);
     let ctx = VerifyContext::paper_default();
 
     let mut table = Table::new(vec![

@@ -35,7 +35,9 @@
 //!   analysis passes.  The `DALOREX_VERIFY` environment variable supplies
 //!   a default exactly like `DALOREX_ENGINE`, and the flag wins.
 //!
-//! Parse once with [`FigureCli::parse`] at the top of `main`.
+//! Parse once with [`FigureCli::parse`] at the top of `main`, then name
+//! the common flags the binary does not apply in
+//! [`FigureCli::reject_unapplied`].
 //!
 //! # Error policy
 //!
@@ -56,8 +58,17 @@
 //! instead of silently running the default (a much larger or smaller
 //! experiment than the one asked for).  As with `--engine`, a flag that
 //! overrides a variable means the variable is never read.
+//!
+//! Every binary parses every common flag, so a binary that does not apply
+//! one (an analytical table has no engine, the ablation ladder no fault
+//! plan) exits 2 when it is set to anything but its default rather than
+//! printing a table that ignores it.  Once running, a figure cell whose
+//! simulation fails goes through [`cell_outcome`]: a dataset too large
+//! for the cell's scratchpad is skipped with a note, and any other error
+//! exits 2 naming the cell, so a sweep never ends with a silently empty
+//! table.
 
-use dalorex_sim::{Engine, FaultPlan, VerifyMode};
+use dalorex_sim::{Engine, FaultPlan, SimError, VerifyMode};
 use std::fmt::Display;
 use std::str::FromStr;
 use std::time::Instant;
@@ -70,6 +81,24 @@ use std::time::Instant;
 /// single local router port; retune it here, in one place, if larger
 /// grids ever move the knee.
 pub const FABRIC_BOUND_DRAINS: usize = 2;
+
+/// A common flag, as named to [`FigureCli::reject_unapplied`] by a binary
+/// that does not apply it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CommonFlag {
+    /// `--json`.
+    Json,
+    /// `--max-side`.
+    MaxSide,
+    /// `--drains`.
+    Drains,
+    /// `--engine` (or `DALOREX_ENGINE`).
+    Engine,
+    /// `--faults` (or `DALOREX_FAULTS`).
+    Faults,
+    /// `--verify` (or `DALOREX_VERIFY`).
+    Verify,
+}
 
 /// The figure binaries' common command-line flags, parsed once.
 #[derive(Debug, Clone)]
@@ -224,6 +253,47 @@ impl FigureCli {
         }
     }
 
+    /// Exits 2 if any of `flags`, which the calling binary does not apply,
+    /// is set to anything but its default, by the flag or by its
+    /// environment variable.  Call right after [`FigureCli::parse`].
+    pub fn reject_unapplied(&self, flags: &[CommonFlag]) {
+        if let Some(message) = self.unapplied(flags) {
+            let program = std::env::args().next().unwrap_or_default();
+            let binary = std::path::Path::new(&program)
+                .file_name()
+                .map_or(program.clone(), |name| name.to_string_lossy().into_owned());
+            eprintln!("{binary}: {message}");
+            std::process::exit(2);
+        }
+    }
+
+    /// The testable core of [`FigureCli::reject_unapplied`]: the
+    /// diagnostic for the first of `flags` that is set, if any.
+    fn unapplied(&self, flags: &[CommonFlag]) -> Option<String> {
+        flags.iter().find_map(|&flag| {
+            let (name, value) = match flag {
+                CommonFlag::Json => ("--json", self.json.clone()?),
+                CommonFlag::MaxSide => ("--max-side", self.max_side?.to_string()),
+                CommonFlag::Drains => ("--drains", format!("{:?}", self.drains.as_ref()?)),
+                CommonFlag::Engine => (
+                    "--engine (or DALOREX_ENGINE)",
+                    (self.engine != Engine::default()).then(|| self.engine.to_string())?,
+                ),
+                CommonFlag::Faults => (
+                    "--faults (or DALOREX_FAULTS)",
+                    (!self.faults.is_empty()).then(|| self.faults.to_string())?,
+                ),
+                CommonFlag::Verify => (
+                    "--verify (or DALOREX_VERIFY)",
+                    (self.verify != VerifyMode::default()).then(|| self.verify.to_string())?,
+                ),
+            };
+            Some(format!(
+                "{name} is set to {value:?}, but this binary does not apply it"
+            ))
+        })
+    }
+
     /// Prints the engine + wall-clock line on stderr (the tables on stdout stay engine-independent
     /// because the modelled schedule is).  Call at the end of `main`.
     pub fn report_wall_clock(&self) {
@@ -244,6 +314,30 @@ impl FigureCli {
             );
         }
     }
+}
+
+/// Unwraps the run of one figure cell, named by `cell` in diagnostics.  A
+/// dataset too large for the cell's scratchpad is the one failure a sweep
+/// steps over: it is noted on stderr and yields `None`.  Any other error
+/// means the cell cannot be measured as asked, so the process exits 2
+/// naming the cell and the error.
+pub fn cell_outcome<T>(cell: &str, result: Result<T, SimError>) -> Option<T> {
+    match result {
+        Ok(outcome) => Some(outcome),
+        Err(err) if skips_cell(&err) => {
+            eprintln!("skipping {cell}: {err}");
+            None
+        }
+        Err(err) => {
+            eprintln!("{cell}: {err}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Whether a cell failing with `err` is skipped rather than fatal.
+fn skips_cell(err: &SimError) -> bool {
+    matches!(err, SimError::DatasetTooLarge { .. })
 }
 
 /// The one `--engine`-without-a-value diagnostic (missing value and empty
@@ -655,6 +749,76 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn only_a_dataset_too_large_skips_a_cell() {
+        assert!(skips_cell(&SimError::DatasetTooLarge {
+            required_bytes: 2,
+            scratchpad_bytes: 1,
+        }));
+        for err in [
+            SimError::InvalidConfig {
+                reason: "fault event 0 names tile 999".to_string(),
+            },
+            SimError::CycleLimitExceeded { limit: 10 },
+            SimError::UnknownKernelResource {
+                resource: "output array \"x\"".to_string(),
+            },
+        ] {
+            assert!(!skips_cell(&err), "{err}");
+        }
+    }
+
+    #[test]
+    fn unapplied_flags_are_named_only_when_set() {
+        let every = [
+            CommonFlag::Json,
+            CommonFlag::MaxSide,
+            CommonFlag::Drains,
+            CommonFlag::Engine,
+            CommonFlag::Faults,
+            CommonFlag::Verify,
+        ];
+        // Defaults, including flags spelled at their default value, pass.
+        for case in [
+            args(&[]),
+            args(&["--csv", "--engine", "calendar", "--verify", "warn"]),
+        ] {
+            let cli = FigureCli::parse_from(&case, None, None, None).unwrap();
+            assert_eq!(cli.unapplied(&every), None, "{case:?}");
+        }
+        for (case, flag, names) in [
+            (args(&["--json", "out.json"]), CommonFlag::Json, "--json"),
+            (
+                args(&["--max-side", "8"]),
+                CommonFlag::MaxSide,
+                "--max-side",
+            ),
+            (args(&["--drains", "1,2"]), CommonFlag::Drains, "--drains"),
+            (
+                args(&["--engine", "reference"]),
+                CommonFlag::Engine,
+                "reference",
+            ),
+            (
+                args(&["--faults", "stall:tile=1,start=1,end=10"]),
+                CommonFlag::Faults,
+                "stall:tile=1",
+            ),
+            (args(&["--verify", "deny"]), CommonFlag::Verify, "deny"),
+        ] {
+            let cli = FigureCli::parse_from(&case, None, None, None).unwrap();
+            let message = cli.unapplied(&every).expect("a set flag is named");
+            assert!(message.contains(names), "{case:?}: {message}");
+            // A binary that applies the flag does not list it.
+            let others: Vec<CommonFlag> = every.into_iter().filter(|&f| f != flag).collect();
+            assert_eq!(cli.unapplied(&others), None, "{case:?}");
+        }
+        // Environment defaults count as set.
+        let cli =
+            FigureCli::parse_from(&[], None, Some("stall:tile=1,start=1,end=10"), None).unwrap();
+        assert!(cli.unapplied(&[CommonFlag::Faults]).is_some());
     }
 
     #[test]
