@@ -75,8 +75,9 @@ pub enum Engine {
     /// The production engine and the default: the allocation-free tile
     /// path, which skips active tiles that provably have nothing to do this
     /// cycle, driving the NoC's calendar router scheduler (per-router
-    /// `next_possible` due stamps and a bucketed calendar, so each network
-    /// cycle port-scans only the routers that could actually commit).
+    /// `next_possible` due stamps and a bitset of stamped routers, so each
+    /// network cycle port-scans only the routers that could actually
+    /// commit).
     #[default]
     Calendar,
     /// The schedule-equivalence oracle: the preserved pre-overhaul tile
@@ -159,7 +160,8 @@ pub struct SimConfig {
     /// Cycles without any progress after which a deadlock is reported.
     pub watchdog_cycles: u64,
     /// Fixed overhead charged at every epoch barrier (host broadcast of the
-    /// "start next epoch" trigger), in cycles.
+    /// "start next epoch" trigger), in cycles.  The idle network ticks
+    /// through them, so its clock stays the chip's.
     pub epoch_broadcast_cycles: u64,
     /// Extra cycles charged on every task dispatch.  Zero for Dalorex's
     /// native, non-interrupting task invocations; the `Data-Local` rung of

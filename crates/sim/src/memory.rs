@@ -30,10 +30,10 @@ pub struct MemoryReport {
     pub total_tiles: usize,
     /// Router port buffers plus ejection buffers, across the whole fabric.
     pub noc_buffer_bytes: usize,
-    /// Calendar router-scheduler bookkeeping (just the dense due and
-    /// buffered-count mirrors under the reference scheduler).
-    /// Engine-dependent by design — this is simulator bookkeeping, not
-    /// modeled hardware.
+    /// Calendar router-scheduler bookkeeping: due stamps, the bitset of
+    /// stamped routers and the waiter lists (just the unused due stamps
+    /// under the reference scheduler).  Engine-dependent by design — this
+    /// is simulator bookkeeping, not modeled hardware.
     pub calendar_bytes: usize,
 }
 

@@ -191,7 +191,7 @@ fn fast_path_matches_reference_under_tight_buffers() {
 }
 
 /// The worst case for due-stamp churn: traffic that alternates between
-/// dense waves (every router due nearly every cycle — the due-only heap
+/// dense waves (every router due nearly every cycle — the due-only walk
 /// at its fullest) and sparse trickles (long elided stretches broken only
 /// by endpoint drains waking blocked waiters).
 /// Epoch-barrier PageRank produces exactly that shape — a burst of rank
