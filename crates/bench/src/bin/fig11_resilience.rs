@@ -76,12 +76,11 @@ fn main() {
             .with_verify(cli.verify)
     };
 
-    let baseline = match run_dalorex(&graph, workload, options(cli.faults.clone())) {
-        Ok(outcome) => outcome,
-        Err(err) => {
-            eprintln!("baseline run failed on {tiles} tiles: {err}");
-            std::process::exit(1);
-        }
+    let cell = format!("the baseline on {tiles} tiles");
+    let baseline = run_dalorex(&graph, workload, options(cli.faults.clone()));
+    let Some(baseline) = cell_outcome(&cell, baseline) else {
+        // Every cell is measured against the baseline.
+        std::process::exit(1);
     };
 
     let mut table = Table::new(vec![

@@ -258,11 +258,7 @@ impl FigureCli {
     /// environment variable.  Call right after [`FigureCli::parse`].
     pub fn reject_unapplied(&self, flags: &[CommonFlag]) {
         if let Some(message) = self.unapplied(flags) {
-            let program = std::env::args().next().unwrap_or_default();
-            let binary = std::path::Path::new(&program)
-                .file_name()
-                .map_or(program.clone(), |name| name.to_string_lossy().into_owned());
-            eprintln!("{binary}: {message}");
+            eprintln!("{message}");
             std::process::exit(2);
         }
     }

@@ -533,16 +533,18 @@ impl Simulation {
                 active[tile / 64] |= 1 << (tile % 64);
             }
 
-            // Advance every active tile in ascending id.  A tile's cycle
-            // can only change its own bit, so each word is walked from a
-            // copy and the bits of tiles that go idle are cleared in place.
+            // Advance every active tile in ascending id.  Only delivery
+            // events and epoch pushes activate tiles, never a tile's cycle,
+            // so each word is walked from a copy: a tile's bit is cleared,
+            // then set again if the tile stays active.
             for (word, slot) in active.iter_mut().enumerate() {
                 let mut bits = *slot;
                 while bits != 0 {
                     let bit = bits.trailing_zeros();
                     bits &= bits - 1;
                     let t = word * 64 + bit as usize;
-                    let stays_active = if reference {
+                    *slot &= !(1 << bit);
+                    if reference {
                         self.tile_cycle_reference(
                             kernel,
                             &tasks,
@@ -554,56 +556,56 @@ impl Simulation {
                             cycle,
                             &mut total_dispatches,
                         );
-                        !tiles[t].is_idle_scan(cycle + 1) || network.delivered_waiting(t) > 0
-                    } else {
-                        // No-op skip: when the dense snapshots prove the
-                        // tile can neither drain, dispatch nor make an
-                        // injection attempt that is not already known to
-                        // fail, running `tile_cycle` would change nothing
-                        // but the rejection statistics — keep (or drop) the
-                        // tile without touching its state or its router,
-                        // and account those statistics directly.  The
-                        // service order of the tiles that do act cannot
-                        // change the schedule: between two network cycles a
-                        // tile's calls touch only its own router, and
-                        // routers arbitrate in tile-id order.
-                        let h = hot[t];
-                        let dispatchable = h.pu_busy_until <= cycle && h.task_ready;
-                        let inject_live = h.cq_ready
-                            && (!parks[t].all_ready_parked
-                                || network.buffer_drain_version(t) != parks[t].version);
-                        if !h.delivery_pending && !dispatchable && !inject_live {
-                            if h.cq_ready {
-                                // Every inject-ready channel is parked: the
-                                // reference engine would attempt and fail
-                                // each one once this cycle.
-                                network.count_injection_backpressure(
-                                    t,
-                                    u64::from(parks[t].ready_count),
-                                );
-                            }
-                            h.nonidle_after(cycle)
-                        } else {
-                            self.tile_cycle(
-                                kernel,
-                                &tasks,
-                                &channels,
-                                &mut tiles[t],
-                                &mut schedulers[t],
-                                &mut network,
-                                &mut parks[t],
-                                h.delivery_pending,
-                                barrier_mode,
-                                cycle,
-                                &mut total_dispatches,
-                            );
-                            let leftover_deliveries = network.delivered_waiting(t) > 0;
-                            hot[t] = HotTile::snapshot(&tiles[t], leftover_deliveries);
-                            !tiles[t].is_idle(cycle + 1) || leftover_deliveries
+                        if !tiles[t].is_idle_scan(cycle + 1) || network.delivered_waiting(t) > 0 {
+                            *slot |= 1 << bit;
                         }
-                    };
-                    if !stays_active {
-                        *slot &= !(1 << bit);
+                        continue;
+                    }
+                    // No-op skip: when the dense snapshots prove the tile
+                    // can neither drain, dispatch nor make an injection
+                    // attempt that is not already known to fail, running
+                    // `tile_cycle` would change nothing but the rejection
+                    // statistics — keep (or drop) the tile without touching
+                    // its state or its router, and account those statistics
+                    // directly.  The service order of the tiles that do act
+                    // cannot change the schedule: between two network cycles
+                    // a tile's calls touch only its own router, and routers
+                    // arbitrate in tile-id order.
+                    let h = hot[t];
+                    let dispatchable = h.pu_busy_until <= cycle && h.task_ready;
+                    let inject_live = h.cq_ready
+                        && (!parks[t].all_ready_parked
+                            || network.buffer_drain_version(t) != parks[t].version);
+                    if !h.delivery_pending && !dispatchable && !inject_live {
+                        if h.cq_ready {
+                            // Every inject-ready channel is parked: the
+                            // reference engine would attempt and fail each
+                            // one once this cycle.
+                            network
+                                .count_injection_backpressure(t, u64::from(parks[t].ready_count));
+                        }
+                        if h.nonidle_after(cycle) {
+                            *slot |= 1 << bit;
+                        }
+                        continue;
+                    }
+                    self.tile_cycle(
+                        kernel,
+                        &tasks,
+                        &channels,
+                        &mut tiles[t],
+                        &mut schedulers[t],
+                        &mut network,
+                        &mut parks[t],
+                        h.delivery_pending,
+                        barrier_mode,
+                        cycle,
+                        &mut total_dispatches,
+                    );
+                    let leftover_deliveries = network.delivered_waiting(t) > 0;
+                    hot[t] = HotTile::snapshot(&tiles[t], leftover_deliveries);
+                    if !tiles[t].is_idle(cycle + 1) || leftover_deliveries {
+                        *slot |= 1 << bit;
                     }
                 }
             }
