@@ -20,14 +20,7 @@ use dalorex_sim::area::{AreaConstants, AreaModel};
 fn main() {
     let cli = FigureCli::parse();
     // An analytical table: no simulation for these flags to act on.
-    cli.reject_unapplied(&[
-        CommonFlag::Json,
-        CommonFlag::MaxSide,
-        CommonFlag::Drains,
-        CommonFlag::Engine,
-        CommonFlag::Faults,
-        CommonFlag::Verify,
-    ]);
+    cli.reject_unapplied(&CommonFlag::ALL);
     let tile_bytes = (4.2 * 1024.0 * 1024.0) as usize;
     let mut table = Table::new(vec![
         "configuration",

@@ -100,6 +100,18 @@ pub enum CommonFlag {
     Verify,
 }
 
+impl CommonFlag {
+    /// Every common flag but `--csv`, which every binary applies.
+    pub const ALL: [CommonFlag; 6] = [
+        CommonFlag::Json,
+        CommonFlag::MaxSide,
+        CommonFlag::Drains,
+        CommonFlag::Engine,
+        CommonFlag::Faults,
+        CommonFlag::Verify,
+    ];
+}
+
 /// The figure binaries' common command-line flags, parsed once.
 #[derive(Debug, Clone)]
 pub struct FigureCli {
@@ -768,14 +780,7 @@ mod tests {
 
     #[test]
     fn unapplied_flags_are_named_only_when_set() {
-        let every = [
-            CommonFlag::Json,
-            CommonFlag::MaxSide,
-            CommonFlag::Drains,
-            CommonFlag::Engine,
-            CommonFlag::Faults,
-            CommonFlag::Verify,
-        ];
+        let every = CommonFlag::ALL;
         // Defaults, including flags spelled at their default value, pass.
         for case in [
             args(&[]),
