@@ -14,9 +14,9 @@
 //! a busy link.
 //!
 //! Fault windows are expressed in network cycles
-//! ([`crate::Network::current_cycle`]).  A driver that ticks the network
-//! every cycle of its own clock, as `dalorex-sim` does through epoch
-//! broadcasts too, sees the windows in its own time.
+//! ([`crate::Network::current_cycle`]).  A simulator that ticks the
+//! network every cycle of its own clock, as `dalorex-sim` does through
+//! epoch broadcasts too, sees the windows in its own time.
 //!
 //! The schedule is handed to the network through
 //! [`crate::NocConfig::with_faults`]; an empty [`NocFaults`] compiles to
