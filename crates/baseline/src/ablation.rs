@@ -30,7 +30,7 @@ use crate::tesseract::{TesseractConfig, TesseractModel};
 use crate::workload::Workload;
 use dalorex_graph::CsrGraph;
 use dalorex_noc::Topology;
-use dalorex_sim::config::{BarrierMode, Engine, GridConfig, SchedulingPolicy, SimConfigBuilder};
+use dalorex_sim::config::{BarrierMode, GridConfig, SchedulingPolicy, SimConfigBuilder};
 use dalorex_sim::VerifyMode;
 use dalorex_sim::{SimError, Simulation, VertexPlacement};
 
@@ -146,15 +146,13 @@ pub fn run_rung(
         workload,
         side,
         scratchpad_bytes,
-        Engine::default(),
         VerifyMode::default(),
     )
 }
 
-/// Like [`run_rung`], with an explicit cycle engine and static-verifier
-/// mode for the Dalorex rungs (the Tesseract rungs are analytical and
-/// ignore both).  Both engines model the identical schedule;
-/// `fig05_ablation`'s `--engine` and `--verify` flags thread through here.
+/// Like [`run_rung`], with an explicit static-verifier mode for the
+/// Dalorex rungs (the Tesseract rungs are analytical and ignore it);
+/// `fig05_ablation`'s `--verify` flag threads through here.
 ///
 /// # Errors
 ///
@@ -165,7 +163,6 @@ pub fn run_rung_with(
     workload: Workload,
     side: usize,
     scratchpad_bytes: usize,
-    engine: Engine,
     verify: VerifyMode,
 ) -> Result<AblationOutcome, SimError> {
     match rung {
@@ -192,15 +189,7 @@ pub fn run_rung_with(
                 memory: None,
             })
         }
-        _ => run_dalorex_rung(
-            rung,
-            graph,
-            workload,
-            side,
-            scratchpad_bytes,
-            engine,
-            verify,
-        ),
+        _ => run_dalorex_rung(rung, graph, workload, side, scratchpad_bytes, verify),
     }
 }
 
@@ -210,7 +199,6 @@ fn run_dalorex_rung(
     workload: Workload,
     side: usize,
     scratchpad_bytes: usize,
-    engine: Engine,
     verify: VerifyMode,
 ) -> Result<AblationOutcome, SimError> {
     // Feature switches accumulate as the ladder climbs.
@@ -250,7 +238,6 @@ fn run_dalorex_rung(
             BarrierMode::EpochBarrier
         })
         .invocation_overhead_cycles(if non_interrupting { 0 } else { 50 })
-        .engine(engine)
         .verify(verify)
         .build()?;
     let sim = Simulation::new(config, &prepared)?;

@@ -6,7 +6,7 @@
 //! Usage:
 //! ```text
 //! cargo run -p dalorex-bench --release --bin fig05_ablation -- \
-//!     [--csv] [--json <path>] [--geomean] [--engine <name>] [--verify <mode>]
+//!     [--csv] [--json <path>] [--geomean] [--verify <mode>]
 //! ```
 //!
 //! The ladder compares against analytical Tesseract rungs at fixed
@@ -80,9 +80,7 @@ fn main() {
                     label.as_str(),
                     rung.label()
                 );
-                let result = run_rung_with(
-                    rung, &graph, workload, side, scratchpad, cli.engine, cli.verify,
-                );
+                let result = run_rung_with(rung, &graph, workload, side, scratchpad, cli.verify);
                 let Some(outcome) = cell_outcome(&cell, result) else {
                     continue;
                 };

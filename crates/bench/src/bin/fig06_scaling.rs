@@ -7,15 +7,14 @@
 //! Usage:
 //! ```text
 //! cargo run -p dalorex-bench --release --bin fig06_scaling -- \
-//!     [--csv] [--json <path>] [--max-side <n>] [--drains <a,b,...>] [--engine <name>]
+//!     [--csv] [--json <path>] [--max-side <n>] [--drains <a,b,...>]
 //! ```
 //!
 //! `--max-side` overrides `DALOREX_MAX_SIDE` (32 or 64 reach the paper's
 //! 32x32 and 64x64 grids), and `--drains` sweeps the endpoint bandwidth
 //! (messages drained/injected per tile per cycle).  Measurements, including
 //! the drain budget and the NoC's injection-rejection count, are written by
-//! `--json <path>`.  `--engine <calendar|reference>` selects the cycle
-//! engine; the reference oracle reproduces the identical figures, slower.
+//! `--json <path>`.
 
 use dalorex_baseline::Workload;
 use dalorex_bench::cli::{cell_outcome, FigureCli};
@@ -63,7 +62,6 @@ fn main() {
                 let scratchpad = datasets::fitting_scratchpad_bytes(&graph, tiles);
                 let options = RunOptions::new(side, scratchpad)
                     .with_endpoint_drains(drains)
-                    .with_engine(cli.engine)
                     .with_faults(cli.faults.clone())
                     .with_verify(cli.verify);
                 let cell = format!("{} on {tiles} tiles, {drains} drains", label.as_str());

@@ -5,7 +5,7 @@
 //! Usage:
 //! ```text
 //! cargo run -p dalorex-bench --release --bin fig07_throughput -- \
-//!     [--csv] [--json <path>] [--max-side <n>] [--drains <a,b,...>] [--engine <name>]
+//!     [--csv] [--json <path>] [--max-side <n>] [--drains <a,b,...>]
 //! ```
 //!
 //! `--max-side` overrides `DALOREX_MAX_SIDE` (set it to 32 or 64 to sweep
@@ -13,9 +13,6 @@
 //! bandwidth (messages drained/injected per tile per cycle; default 1, the
 //! paper's single local router port).  The drain budget and the NoC's
 //! injection-rejection count are emitted into the JSON report.
-//! `--engine <calendar|reference>` selects the cycle engine — the tables
-//! are engine-independent, so a run under the reference oracle
-//! cross-checks the production engine end to end.
 //!
 //! `--max-side 32` additionally unlocks the *paper-scale rung*: SSSP over
 //! a 1M-vertex (~16M-edge) scale-free graph on the full grid, with the
@@ -63,7 +60,6 @@ fn main() {
                 let scratchpad = datasets::fitting_scratchpad_bytes(&graph, tiles);
                 let options = RunOptions::new(side, scratchpad)
                     .with_endpoint_drains(drains)
-                    .with_engine(cli.engine)
                     .with_faults(cli.faults.clone())
                     .with_verify(cli.verify);
                 let cell = format!("{} on {tiles} tiles, {drains} drains", workload.name());
@@ -145,7 +141,6 @@ fn paper_scale_rung(
     let tiles = max_side * max_side;
     let scratchpad = datasets::fitting_scratchpad_bytes(&graph, tiles);
     let options = RunOptions::new(max_side, scratchpad)
-        .with_engine(cli.engine)
         .with_faults(cli.faults.clone())
         .with_verify(cli.verify);
     let cell = format!("the paper-scale rung on {tiles} tiles");

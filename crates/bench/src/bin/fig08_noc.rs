@@ -5,7 +5,7 @@
 //! Usage:
 //! ```text
 //! cargo run -p dalorex-bench --release --bin fig08_noc -- \
-//!     [--csv] [--json <path>] [--max-side <n>] [--drains <a,b,...>] [--engine <name>]
+//!     [--csv] [--json <path>] [--max-side <n>] [--drains <a,b,...>]
 //! ```
 //!
 //! `--max-side` overrides `DALOREX_MAX_SIDE` for the RMAT-26 grid (the
@@ -73,7 +73,6 @@ fn main() {
                     let options = RunOptions::new(side, scratchpad)
                         .with_topology(topology)
                         .with_endpoint_drains(drains)
-                        .with_engine(cli.engine)
                         .with_faults(cli.faults.clone())
                         .with_verify(cli.verify);
                     let cell = format!(

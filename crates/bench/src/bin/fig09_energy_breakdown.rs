@@ -5,7 +5,7 @@
 //! Usage:
 //! ```text
 //! cargo run -p dalorex-bench --release --bin fig09_energy_breakdown -- \
-//!     [--csv] [--json <path>] [--max-side <n>] [--drains <a,b,...>] [--engine <name>]
+//!     [--csv] [--json <path>] [--max-side <n>] [--drains <a,b,...>]
 //! ```
 //!
 //! `--max-side` overrides `DALOREX_MAX_SIDE` for the RMAT-26 grid (the
@@ -60,7 +60,6 @@ fn main() {
             for &drains in &drains_sweep {
                 let options = RunOptions::new(side, scratchpad)
                     .with_endpoint_drains(drains)
-                    .with_engine(cli.engine)
                     .with_faults(cli.faults.clone())
                     .with_verify(cli.verify);
                 let cell = format!("{} / {} / {drains} drains", workload.name(), label.as_str());

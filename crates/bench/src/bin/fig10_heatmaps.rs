@@ -8,7 +8,7 @@
 //! Usage:
 //! ```text
 //! cargo run -p dalorex-bench --release --bin fig10_heatmaps -- \
-//!     [--csv] [--json <path>] [--max-side <n>] [--drains <a,b,...>] [--engine <name>] \
+//!     [--csv] [--json <path>] [--max-side <n>] [--drains <a,b,...>] \
 //!     [--faults <plan>] [--verify <mode>]
 //! ```
 //!
@@ -61,7 +61,6 @@ fn main() {
             let options = RunOptions::new(side, scratchpad)
                 .with_topology(topology)
                 .with_endpoint_drains(drains)
-                .with_engine(cli.engine)
                 .with_faults(cli.faults.clone())
                 .with_verify(cli.verify);
             let cell = format!("{} / {drains} drains", topology.name());

@@ -5,7 +5,7 @@
 //! Usage:
 //! ```text
 //! cargo run -p dalorex-bench --release --bin fig11_resilience -- \
-//!     [--csv] [--json <path>] [--max-side <n>] [--engine <name>] [--faults <plan>]
+//!     [--csv] [--json <path>] [--max-side <n>] [--faults <plan>]
 //! ```
 //!
 //! The sweep runs SSSP on a fixed grid (`--max-side` sets the side,
@@ -19,8 +19,6 @@
 //! `--faults` composes: a user-supplied plan becomes the *baseline* (and
 //! is included in every sweep cell), so the figure then measures the
 //! marginal impact of the swept windows on an already-faulted machine.
-//! Both engines apply a plan bit-identically, so `--engine` changes
-//! wall-clock only, never the table.
 
 use dalorex_baseline::Workload;
 use dalorex_bench::cli::{cell_outcome, CommonFlag, FigureCli};
@@ -71,7 +69,6 @@ fn main() {
     let workload = Workload::Sssp { root: 0 };
     let options = |plan: FaultPlan| {
         RunOptions::new(side, scratchpad)
-            .with_engine(cli.engine)
             .with_faults(plan)
             .with_verify(cli.verify)
     };

@@ -26,7 +26,6 @@ fn main() {
         CommonFlag::Json,
         CommonFlag::MaxSide,
         CommonFlag::Drains,
-        CommonFlag::Engine,
         CommonFlag::Faults,
     ]);
     let ctx = VerifyContext::paper_default();

@@ -1,7 +1,7 @@
 //! Shared command-line parsing for the figure binaries.
 //!
 //! Every `fig*` binary takes the same hand-rolled flags; this module owns
-//! them in one place so a new knob (like `--engine`) lands everywhere at
+//! them in one place so a new knob (like `--faults`) lands everywhere at
 //! once:
 //!
 //! * `--csv` — print tables as CSV instead of aligned text.
@@ -10,30 +10,23 @@
 //!   `DALOREX_MAX_SIDE`).
 //! * `--drains <a,b,...>` — endpoint-bandwidth sweep (messages per tile
 //!   per cycle).
-//! * `--engine <calendar|reference>` — the cycle engine to drive every
-//!   run with: the production `calendar` engine (the default) or the
-//!   `reference` oracle.  Both model the identical schedule, so the
-//!   printed figures do not change; the oracle exists to cross-check a
-//!   figure end to end (and costs several times the wall-clock each binary
-//!   prints on stderr).  The `DALOREX_ENGINE` environment variable
-//!   supplies a default when the flag is absent — handy for switching a
-//!   whole figure pipeline without editing every invocation — and the
-//!   flag wins when both are given.
 //! * `--faults <plan-file|spec>` — a deterministic fault plan every run is
 //!   driven under.  The value is tried as a file path first (a plan file
 //!   in the [`dalorex_sim::FaultPlan`] spec syntax, `#` comments and
 //!   newlines allowed) and falls back to an inline `;`-separated spec
 //!   (`"stall:tile=3,start=50,end=400;random:seed=7,count=4,horizon=2000"`).
-//!   The `DALOREX_FAULTS` environment variable supplies a default exactly
-//!   like `DALOREX_ENGINE` does for `--engine`, and the flag wins.  Both
-//!   engines apply a plan bit-identically, so the oracle cross-check stays
-//!   valid under faults.
+//!   The `DALOREX_FAULTS` environment variable supplies a default when the
+//!   flag is absent — handy for switching a whole figure pipeline without
+//!   editing every invocation — and the flag wins when both are given.
 //! * `--verify <off|warn|deny>` — how the static task-graph verifier
 //!   ([`dalorex_sim::verify`]) treats its findings when each run is built:
 //!   `warn` (the default) prints them, `deny` makes any error-severity
 //!   finding fatal before the first simulated cycle, `off` skips the
 //!   analysis passes.  The `DALOREX_VERIFY` environment variable supplies
-//!   a default exactly like `DALOREX_ENGINE`, and the flag wins.
+//!   a default exactly like `DALOREX_FAULTS`, and the flag wins.
+//!
+//! Every run drives the production calendar engine; the reference oracle
+//! it is pinned against is reachable only from the equivalence tests.
 //!
 //! Parse once with [`FigureCli::parse`] at the top of `main`, then name
 //! the common flags the binary does not apply in
@@ -43,24 +36,22 @@
 //!
 //! A malformed value for a flag that selects *what gets measured* aborts
 //! with exit code 2 and a single diagnostic on stderr: silently measuring
-//! the wrong configuration (or timing the wrong engine under an A/B
-//! label) is exactly the mistake these flags exist to avoid.  This covers
-//! `--engine` (unknown name, missing or empty value, bad env default),
-//! `--faults` (unreadable plan file, malformed spec, bad env default),
-//! `--verify` (unknown mode, missing value, bad env default),
-//! `--drains` (missing value or no valid entry) and `--max-side` (missing,
-//! zero or non-numeric value).  Individually invalid `--drains` entries
+//! the wrong configuration is exactly the mistake these flags exist to
+//! avoid.  This covers `--faults` (unreadable plan file, malformed spec,
+//! bad env default), `--verify` (unknown mode, missing value, bad env
+//! default), `--drains` (missing value or no valid entry) and
+//! `--max-side` (missing, zero or non-numeric value).  Individually invalid `--drains` entries
 //! alongside valid ones are dropped with a warning so a long sweep
 //! survives one typo, but the run never proceeds on an empty sweep.  The
 //! numeric reproduction-scale variables `DALOREX_SCALE_SHIFT`,
 //! `DALOREX_MAX_SIDE` and `DALOREX_FIG5_SIDE` are read where they are used,
 //! through [`env_number`], which exits 2 the same way on a malformed value
 //! instead of silently running the default (a much larger or smaller
-//! experiment than the one asked for).  As with `--engine`, a flag that
+//! experiment than the one asked for).  As with `--faults`, a flag that
 //! overrides a variable means the variable is never read.
 //!
 //! Every binary parses every common flag, so a binary that does not apply
-//! one (an analytical table has no engine, the ablation ladder no fault
+//! one (an analytical table has no verifier, the ablation ladder no fault
 //! plan) exits 2 when it is set to anything but its default rather than
 //! printing a table that ignores it.  Once running, a figure cell whose
 //! simulation fails goes through [`cell_outcome`]: a dataset too large
@@ -68,7 +59,7 @@
 //! exits 2 naming the cell, so a sweep never ends with a silently empty
 //! table.
 
-use dalorex_sim::{Engine, FaultPlan, SimError, VerifyMode};
+use dalorex_sim::{FaultPlan, SimError, VerifyMode};
 use std::fmt::Display;
 use std::str::FromStr;
 use std::time::Instant;
@@ -92,8 +83,6 @@ pub enum CommonFlag {
     MaxSide,
     /// `--drains`.
     Drains,
-    /// `--engine` (or `DALOREX_ENGINE`).
-    Engine,
     /// `--faults` (or `DALOREX_FAULTS`).
     Faults,
     /// `--verify` (or `DALOREX_VERIFY`).
@@ -102,11 +91,10 @@ pub enum CommonFlag {
 
 impl CommonFlag {
     /// Every common flag but `--csv`, which every binary applies.
-    pub const ALL: [CommonFlag; 6] = [
+    pub const ALL: [CommonFlag; 5] = [
         CommonFlag::Json,
         CommonFlag::MaxSide,
         CommonFlag::Drains,
-        CommonFlag::Engine,
         CommonFlag::Faults,
         CommonFlag::Verify,
     ];
@@ -121,9 +109,6 @@ pub struct FigureCli {
     pub json: Option<String>,
     /// `--max-side <n>`: sweep cap override, if given.
     pub max_side: Option<usize>,
-    /// `--engine <name>` (or the `DALOREX_ENGINE` default): the cycle
-    /// engine every run uses (default [`Engine::Calendar`]).
-    pub engine: Engine,
     /// `--faults <plan-file|spec>` (or the `DALOREX_FAULTS` default): the
     /// fault plan every run is driven under (default empty — no faults).
     pub faults: FaultPlan,
@@ -152,20 +137,14 @@ enum FlagLookup {
 
 impl FigureCli {
     /// Parses the common flags from the process arguments and the
-    /// `DALOREX_ENGINE` environment default.  See the module docs for the
-    /// error policy; on a fatal parse error the single diagnostic goes to
-    /// stderr and the process exits with code 2.
+    /// `DALOREX_FAULTS` / `DALOREX_VERIFY` environment defaults.  See the
+    /// module docs for the error policy; on a fatal parse error the single
+    /// diagnostic goes to stderr and the process exits with code 2.
     pub fn parse() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let env_engine = std::env::var("DALOREX_ENGINE").ok();
         let env_faults = std::env::var("DALOREX_FAULTS").ok();
         let env_verify = std::env::var("DALOREX_VERIFY").ok();
-        match Self::parse_from(
-            &args,
-            env_engine.as_deref(),
-            env_faults.as_deref(),
-            env_verify.as_deref(),
-        ) {
+        match Self::parse_from(&args, env_faults.as_deref(), env_verify.as_deref()) {
             Ok(cli) => cli,
             Err(message) => {
                 eprintln!("{message}");
@@ -175,27 +154,14 @@ impl FigureCli {
     }
 
     /// The testable core of [`FigureCli::parse`]: pure over an argument
-    /// slice (without the program name) and optional `DALOREX_ENGINE` /
-    /// `DALOREX_FAULTS` / `DALOREX_VERIFY` values, returning the
-    /// diagnostic instead of exiting.
+    /// slice (without the program name) and optional `DALOREX_FAULTS` /
+    /// `DALOREX_VERIFY` values, returning the diagnostic instead of
+    /// exiting.
     fn parse_from(
         args: &[String],
-        env_engine: Option<&str>,
         env_faults: Option<&str>,
         env_verify: Option<&str>,
     ) -> Result<Self, String> {
-        let engine = match lookup_flag(args, "engine") {
-            FlagLookup::Value(name) => name.parse::<Engine>()?,
-            FlagLookup::ValueMissing => return Err(engine_value_missing()),
-            FlagLookup::Absent => match env_engine {
-                // The env default obeys the same never-silently-mislabel
-                // rule as the flag: a typo'd DALOREX_ENGINE aborts.
-                Some(name) => name
-                    .parse()
-                    .map_err(|err: String| format!("DALOREX_ENGINE: {err}"))?,
-                None => Engine::default(),
-            },
-        };
         let faults = match lookup_flag(args, "faults") {
             FlagLookup::Value(value) => faults_value_to_plan(&value)?,
             FlagLookup::ValueMissing => return Err(faults_value_missing()),
@@ -224,7 +190,6 @@ impl FigureCli {
                 FlagLookup::Absent => None,
             },
             max_side: max_side_flag(args)?,
-            engine,
             faults,
             verify,
             drains: drains_flag(args)?,
@@ -283,10 +248,6 @@ impl FigureCli {
                 CommonFlag::Json => ("--json", self.json.clone()?),
                 CommonFlag::MaxSide => ("--max-side", self.max_side?.to_string()),
                 CommonFlag::Drains => ("--drains", format!("{:?}", self.drains.as_ref()?)),
-                CommonFlag::Engine => (
-                    "--engine (or DALOREX_ENGINE)",
-                    (self.engine != Engine::default()).then(|| self.engine.to_string())?,
-                ),
                 CommonFlag::Faults => (
                     "--faults (or DALOREX_FAULTS)",
                     (!self.faults.is_empty()).then(|| self.faults.to_string())?,
@@ -302,21 +263,15 @@ impl FigureCli {
         })
     }
 
-    /// Prints the engine + wall-clock line on stderr (the tables on stdout stay engine-independent
-    /// because the modelled schedule is).  Call at the end of `main`.
+    /// Prints the wall-clock line on stderr.  Call at the end of `main`.
     pub fn report_wall_clock(&self) {
         if self.faults.is_empty() {
-            eprintln!(
-                "engine: {} | wall-clock: {:.2?}",
-                self.engine,
-                self.started.elapsed()
-            );
+            eprintln!("wall-clock: {:.2?}", self.started.elapsed());
         } else {
             // Name the plan so an A/B pair accidentally run under
             // different fault plans cannot be compared unnoticed.
             eprintln!(
-                "engine: {} | faults: {} | wall-clock: {:.2?}",
-                self.engine,
+                "faults: {} | wall-clock: {:.2?}",
                 self.faults,
                 self.started.elapsed()
             );
@@ -348,13 +303,8 @@ fn skips_cell(err: &SimError) -> bool {
     matches!(err, SimError::DatasetTooLarge { .. })
 }
 
-/// The one `--engine`-without-a-value diagnostic (missing value and empty
-/// `--engine=` share it).
-fn engine_value_missing() -> String {
-    "--engine requires a value (calendar or reference)".to_string()
-}
-
-/// The one `--verify`-without-a-value diagnostic.
+/// The one `--verify`-without-a-value diagnostic (missing value and empty
+/// `--verify=` share it).
 fn verify_value_missing() -> String {
     "--verify requires a value (off, warn or deny)".to_string()
 }
@@ -497,87 +447,29 @@ mod tests {
         assert!(!cli.csv);
         assert_eq!(cli.json, None);
         assert_eq!(cli.max_side, None);
-        assert_eq!(cli.engine, Engine::Calendar);
         assert_eq!(cli.drains(), vec![1]);
         assert_eq!(cli.drains_or(&[FABRIC_BOUND_DRAINS]), vec![2]);
     }
 
     #[test]
-    fn parses_engine_and_drains() {
-        let cli = FigureCli::parse_from(
-            &args(&["--engine", "reference", "--drains", "1,2,4", "--csv"]),
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+    fn parses_drains_and_csv() {
+        let cli =
+            FigureCli::parse_from(&args(&["--drains", "1,2,4", "--csv"]), None, None).unwrap();
         assert!(cli.csv);
-        assert_eq!(cli.engine, Engine::Reference);
         assert_eq!(cli.drains(), vec![1, 2, 4]);
 
-        let cli = FigureCli::parse_from(&args(&["--engine=calendar"]), None, None, None).unwrap();
-        assert_eq!(cli.engine, Engine::Calendar);
-    }
-
-    #[test]
-    fn engine_without_value_is_one_fatal_diagnostic() {
-        // Bare flag at the end of the line, flag followed by another
-        // flag, and the `--engine=` spelling all produce the same single
-        // message (the old parser printed two contradictory lines for the
-        // first two and a bare parse error for the third).
-        let expected = engine_value_missing();
-        for case in [
-            args(&["--engine"]),
-            args(&["--engine", "--csv"]),
-            args(&["--engine="]),
-        ] {
-            let err = FigureCli::parse_from(&case, None, None, None).unwrap_err();
-            assert_eq!(err, expected, "case: {case:?}");
-        }
-    }
-
-    #[test]
-    fn unknown_engine_is_fatal() {
-        // The retired engines are unknown names like any other.
-        for name in ["warp", "skip", "ticked", "parallel", "parallel:2"] {
-            let err =
-                FigureCli::parse_from(&args(&["--engine", name]), None, None, None).unwrap_err();
-            assert!(err.contains(name), "diagnostic names the bad value: {err}");
-        }
-    }
-
-    #[test]
-    fn env_engine_is_the_default_and_the_flag_wins() {
-        let cli = FigureCli::parse_from(&[], Some("reference"), None, None).unwrap();
-        assert_eq!(cli.engine, Engine::Reference);
-        let cli = FigureCli::parse_from(
-            &args(&["--engine", "calendar"]),
-            Some("reference"),
-            None,
-            None,
-        )
-        .unwrap();
-        assert_eq!(cli.engine, Engine::Calendar);
-        // A broken env default must not silently fall back — unless the
-        // flag overrides it, in which case the env value is never parsed.
-        let err = FigureCli::parse_from(&[], Some("ticked"), None, None).unwrap_err();
-        assert!(
-            err.starts_with("DALOREX_ENGINE:") && err.contains("ticked"),
-            "{err}"
-        );
-        let cli =
-            FigureCli::parse_from(&args(&["--engine", "reference"]), Some("warp"), None, None)
-                .unwrap();
-        assert_eq!(cli.engine, Engine::Reference);
+        let cli = FigureCli::parse_from(&args(&["--drains=3"]), None, None).unwrap();
+        assert!(!cli.csv);
+        assert_eq!(cli.drains(), vec![3]);
     }
 
     #[test]
     fn verify_flag_parses_and_defaults_to_warn() {
-        let cli = FigureCli::parse_from(&[], None, None, None).unwrap();
+        let cli = FigureCli::parse_from(&[], None, None).unwrap();
         assert_eq!(cli.verify, VerifyMode::Warn);
-        let cli = FigureCli::parse_from(&args(&["--verify", "deny"]), None, None, None).unwrap();
+        let cli = FigureCli::parse_from(&args(&["--verify", "deny"]), None, None).unwrap();
         assert_eq!(cli.verify, VerifyMode::Deny);
-        let cli = FigureCli::parse_from(&args(&["--verify=off"]), None, None, None).unwrap();
+        let cli = FigureCli::parse_from(&args(&["--verify=off"]), None, None).unwrap();
         assert_eq!(cli.verify, VerifyMode::Off);
     }
 
@@ -589,29 +481,28 @@ mod tests {
             args(&["--verify", "--csv"]),
             args(&["--verify="]),
         ] {
-            let err = FigureCli::parse_from(&case, None, None, None).unwrap_err();
+            let err = FigureCli::parse_from(&case, None, None).unwrap_err();
             assert_eq!(err, expected, "case: {case:?}");
         }
-        let err =
-            FigureCli::parse_from(&args(&["--verify", "strict"]), None, None, None).unwrap_err();
+        let err = FigureCli::parse_from(&args(&["--verify", "strict"]), None, None).unwrap_err();
         assert!(
             err.contains("strict"),
             "diagnostic names the bad value: {err}"
         );
 
         // Env default, env error prefix, and flag-wins.
-        let cli = FigureCli::parse_from(&[], None, None, Some("deny")).unwrap();
+        let cli = FigureCli::parse_from(&[], None, Some("deny")).unwrap();
         assert_eq!(cli.verify, VerifyMode::Deny);
-        let err = FigureCli::parse_from(&[], None, None, Some("strict")).unwrap_err();
+        let err = FigureCli::parse_from(&[], None, Some("strict")).unwrap_err();
         assert!(err.starts_with("DALOREX_VERIFY:"), "{err}");
-        let cli = FigureCli::parse_from(&args(&["--verify", "warn"]), None, None, Some("strict"))
-            .unwrap();
+        let cli =
+            FigureCli::parse_from(&args(&["--verify", "warn"]), None, Some("strict")).unwrap();
         assert_eq!(cli.verify, VerifyMode::Warn);
     }
 
     #[test]
     fn faults_flag_parses_inline_specs_and_defaults_to_empty() {
-        let cli = FigureCli::parse_from(&[], None, None, None).unwrap();
+        let cli = FigureCli::parse_from(&[], None, None).unwrap();
         assert!(cli.faults.is_empty());
         let cli = FigureCli::parse_from(
             &args(&[
@@ -620,13 +511,11 @@ mod tests {
             ]),
             None,
             None,
-            None,
         )
         .unwrap();
         assert_eq!(cli.faults.events.len(), 2);
         let cli = FigureCli::parse_from(
             &args(&["--faults=random:seed=7,count=4,horizon=2000"]),
-            None,
             None,
             None,
         )
@@ -643,12 +532,12 @@ mod tests {
         )
         .unwrap();
         let path = path.to_str().unwrap().to_string();
-        let cli = FigureCli::parse_from(&args(&["--faults", &path]), None, None, None).unwrap();
+        let cli = FigureCli::parse_from(&args(&["--faults", &path]), None, None).unwrap();
         assert_eq!(cli.faults.events.len(), 2);
         // A readable file full of garbage is fatal — it must not silently
         // fall back to parsing the file *name* as a spec.
         std::fs::write(&path, "not a fault spec").unwrap();
-        let err = FigureCli::parse_from(&args(&["--faults", &path]), None, None, None).unwrap_err();
+        let err = FigureCli::parse_from(&args(&["--faults", &path]), None, None).unwrap_err();
         assert!(err.contains("fault plan file"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
@@ -661,24 +550,22 @@ mod tests {
             args(&["--faults", "--csv"]),
             args(&["--faults="]),
         ] {
-            let err = FigureCli::parse_from(&case, None, None, None).unwrap_err();
+            let err = FigureCli::parse_from(&case, None, None).unwrap_err();
             assert_eq!(err, expected, "case: {case:?}");
         }
-        let err = FigureCli::parse_from(&args(&["--faults", "warp:tile=1"]), None, None, None)
-            .unwrap_err();
+        let err =
+            FigureCli::parse_from(&args(&["--faults", "warp:tile=1"]), None, None).unwrap_err();
         assert!(
             err.contains("warp"),
             "diagnostic names the bad value: {err}"
         );
 
-        let cli =
-            FigureCli::parse_from(&[], None, Some("stall:tile=0,start=1,end=2"), None).unwrap();
+        let cli = FigureCli::parse_from(&[], Some("stall:tile=0,start=1,end=2"), None).unwrap();
         assert_eq!(cli.faults.events.len(), 1);
-        let err = FigureCli::parse_from(&[], None, Some("warp:tile=1"), None).unwrap_err();
+        let err = FigureCli::parse_from(&[], Some("warp:tile=1"), None).unwrap_err();
         assert!(err.starts_with("DALOREX_FAULTS:"), "{err}");
         let cli = FigureCli::parse_from(
             &args(&["--faults", "link:tile=2,start=5,end=9"]),
-            None,
             Some("warp:tile=1"),
             None,
         )
@@ -697,15 +584,14 @@ mod tests {
             args(&["--drains"]),
             args(&["--drains", "--csv"]),
         ] {
-            let err = FigureCli::parse_from(&case, None, None, None).unwrap_err();
+            let err = FigureCli::parse_from(&case, None, None).unwrap_err();
             assert!(err.contains("--drains"), "case {case:?}: {err}");
         }
     }
 
     #[test]
     fn partially_invalid_drains_list_keeps_the_valid_entries() {
-        let cli =
-            FigureCli::parse_from(&args(&["--drains", "1,oops,4"]), None, None, None).unwrap();
+        let cli = FigureCli::parse_from(&args(&["--drains", "1,oops,4"]), None, None).unwrap();
         assert_eq!(cli.drains(), vec![1, 4]);
     }
 
@@ -715,7 +601,7 @@ mod tests {
             (args(&["--max-side", "32"]), 32),
             (args(&["--max-side=1"]), 1),
         ] {
-            let cli = FigureCli::parse_from(&case, None, None, None).unwrap();
+            let cli = FigureCli::parse_from(&case, None, None).unwrap();
             assert_eq!(cli.max_side, Some(side));
         }
         for (case, names) in [
@@ -725,7 +611,7 @@ mod tests {
             (args(&["--max-side", "--csv"]), "requires a value"),
             (args(&["--max-side="]), "requires a value"),
         ] {
-            let err = FigureCli::parse_from(&case, None, None, None).unwrap_err();
+            let err = FigureCli::parse_from(&case, None, None).unwrap_err();
             assert!(
                 err.starts_with("--max-side") && err.contains(names),
                 "{case:?}: {err}"
@@ -782,11 +668,8 @@ mod tests {
     fn unapplied_flags_are_named_only_when_set() {
         let every = CommonFlag::ALL;
         // Defaults, including flags spelled at their default value, pass.
-        for case in [
-            args(&[]),
-            args(&["--csv", "--engine", "calendar", "--verify", "warn"]),
-        ] {
-            let cli = FigureCli::parse_from(&case, None, None, None).unwrap();
+        for case in [args(&[]), args(&["--csv", "--verify", "warn"])] {
+            let cli = FigureCli::parse_from(&case, None, None).unwrap();
             assert_eq!(cli.unapplied(&every), None, "{case:?}");
         }
         for (case, flag, names) in [
@@ -798,18 +681,13 @@ mod tests {
             ),
             (args(&["--drains", "1,2"]), CommonFlag::Drains, "--drains"),
             (
-                args(&["--engine", "reference"]),
-                CommonFlag::Engine,
-                "reference",
-            ),
-            (
                 args(&["--faults", "stall:tile=1,start=1,end=10"]),
                 CommonFlag::Faults,
                 "stall:tile=1",
             ),
             (args(&["--verify", "deny"]), CommonFlag::Verify, "deny"),
         ] {
-            let cli = FigureCli::parse_from(&case, None, None, None).unwrap();
+            let cli = FigureCli::parse_from(&case, None, None).unwrap();
             let message = cli.unapplied(&every).expect("a set flag is named");
             assert!(message.contains(names), "{case:?}: {message}");
             // A binary that applies the flag does not list it.
@@ -817,29 +695,28 @@ mod tests {
             assert_eq!(cli.unapplied(&others), None, "{case:?}");
         }
         // Environment defaults count as set.
-        let cli =
-            FigureCli::parse_from(&[], None, Some("stall:tile=1,start=1,end=10"), None).unwrap();
+        let cli = FigureCli::parse_from(&[], Some("stall:tile=1,start=1,end=10"), None).unwrap();
         assert!(cli.unapplied(&[CommonFlag::Faults]).is_some());
     }
 
     #[test]
     fn lookup_distinguishes_absent_from_value_missing() {
-        assert_eq!(lookup_flag(&[], "engine"), FlagLookup::Absent);
+        assert_eq!(lookup_flag(&[], "verify"), FlagLookup::Absent);
         assert_eq!(
-            lookup_flag(&args(&["--engine"]), "engine"),
+            lookup_flag(&args(&["--verify"]), "verify"),
             FlagLookup::ValueMissing
         );
         assert_eq!(
-            lookup_flag(&args(&["--engine="]), "engine"),
+            lookup_flag(&args(&["--verify="]), "verify"),
             FlagLookup::ValueMissing
         );
         assert_eq!(
-            lookup_flag(&args(&["--engine", "skip"]), "engine"),
-            FlagLookup::Value("skip".to_string())
+            lookup_flag(&args(&["--verify", "off"]), "verify"),
+            FlagLookup::Value("off".to_string())
         );
         assert_eq!(
-            lookup_flag(&args(&["--engine=skip"]), "engine"),
-            FlagLookup::Value("skip".to_string())
+            lookup_flag(&args(&["--verify=off"]), "verify"),
+            FlagLookup::Value("off".to_string())
         );
     }
 }

@@ -24,13 +24,8 @@
 //! invocation) and `--drains <a,b,...>` (sweep the endpoint bandwidth,
 //! messages per tile per cycle); the drain budget and the NoC's
 //! injection-rejection count are emitted into the JSON report.  Every
-//! figure binary takes `--engine <calendar|reference>` to select the cycle
-//! engine (with `DALOREX_ENGINE` as the environment default when the flag
-//! is absent) — the tables are engine-independent (the reference oracle
-//! reproduces the production engine's schedule bit for bit), so the flag
-//! exists to cross-check a figure end to end.
-//! `docs/FIGURES.md` maps every binary to its paper figure, flags and
-//! output shape.
+//! binary runs the production calendar engine.  `docs/FIGURES.md` maps
+//! every binary to its paper figure, flags and output shape.
 //!
 //! The crate itself is thin: [`cli`] owns the shared flag parsing,
 //! [`datasets`] builds the catalogued graphs at reproduction scale,

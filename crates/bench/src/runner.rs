@@ -3,7 +3,7 @@
 use dalorex_baseline::Workload;
 use dalorex_graph::CsrGraph;
 use dalorex_noc::Topology;
-use dalorex_sim::config::{BarrierMode, Engine, GridConfig, SimConfigBuilder};
+use dalorex_sim::config::{BarrierMode, GridConfig, SimConfigBuilder};
 use dalorex_sim::engine::SimOutcome;
 use dalorex_sim::{FaultPlan, SimError, Simulation, VerifyMode};
 
@@ -19,15 +19,8 @@ pub struct RunOptions {
     /// Endpoint bandwidth: messages drained/injected per tile per cycle
     /// (default 1, the paper's single local router port).
     pub endpoint_drains: usize,
-    /// Cycle engine driving the run (default [`Engine::Calendar`]; the
-    /// reference oracle models the identical schedule, so this only
-    /// changes simulator wall-clock — the figure binaries expose it as
-    /// `--engine`).
-    pub engine: Engine,
     /// Fault plan the run is driven under (default empty — no faults; the
-    /// figure binaries expose it as `--faults`).  Unlike `engine`, a
-    /// non-empty plan *does* change the modelled schedule — identically on
-    /// both engines.
+    /// figure binaries expose it as `--faults`).
     pub faults: FaultPlan,
     /// How the static task-graph verifier treats its findings when the
     /// run is built (default [`VerifyMode::Warn`]; the figure binaries
@@ -44,7 +37,6 @@ impl RunOptions {
             topology: None,
             scratchpad_bytes,
             endpoint_drains: 1,
-            engine: Engine::default(),
             faults: FaultPlan::empty(),
             verify: VerifyMode::default(),
         }
@@ -59,12 +51,6 @@ impl RunOptions {
     /// Overrides the endpoint-drain budget (messages per tile per cycle).
     pub fn with_endpoint_drains(mut self, drains: usize) -> Self {
         self.endpoint_drains = drains;
-        self
-    }
-
-    /// Overrides the cycle engine.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -99,7 +85,6 @@ pub fn run_dalorex(
     let mut builder = SimConfigBuilder::new(grid)
         .scratchpad_bytes(options.scratchpad_bytes)
         .endpoint_drains_per_cycle(options.endpoint_drains)
-        .engine(options.engine)
         .faults(options.faults.clone())
         .verify(options.verify)
         .barrier_mode(if workload.requires_barrier() {
@@ -171,24 +156,6 @@ mod tests {
         assert_eq!(scaling_sides(1), vec![1]);
         assert_eq!(scaling_sides(12), vec![1, 2, 4, 8]);
         assert_eq!(scaling_sides(64), vec![1, 2, 4, 8, 16, 32, 64]);
-    }
-
-    #[test]
-    fn every_engine_produces_the_identical_outcome() {
-        let graph = RmatConfig::new(7, 5).seed(3).build().unwrap();
-        let workload = Workload::Bfs { root: 0 };
-        let base = run_dalorex(&graph, workload, RunOptions::new(2, 1 << 20)).unwrap();
-        for engine in Engine::ALL {
-            let outcome = run_dalorex(
-                &graph,
-                workload,
-                RunOptions::new(2, 1 << 20).with_engine(engine),
-            )
-            .unwrap();
-            assert_eq!(outcome.cycles, base.cycles, "cycles diverged on {engine}");
-            assert_eq!(outcome.stats, base.stats, "stats diverged on {engine}");
-            assert_eq!(outcome.output, base.output, "output diverged on {engine}");
-        }
     }
 
     #[test]

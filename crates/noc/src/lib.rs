@@ -130,17 +130,6 @@ pub struct NocConfig {
     /// (default 16).  When the TSU does not drain deliveries, this models
     /// endpoint back-pressure into the network.
     pub ejection_buffer_flits: usize,
-    /// Endpoint bandwidth in messages per tile per cycle (default 1): how
-    /// many ejection-buffer messages a tile may drain, and how many
-    /// channel-queue messages it may inject, in one cycle.  The fabric
-    /// itself delivers into ejection buffers without limit; the budget is a
-    /// contract honoured by the endpoint driving [`Network::pop_delivered`]
-    /// and [`Network::try_inject`] (the tile simulator in `dalorex-sim`
-    /// enforces it in both directions).  At the default of 1 the tiles are
-    /// serialized exactly as the paper's single local router port; raising
-    /// it models wider endpoint interfaces so the fabric, not the endpoint,
-    /// becomes the bottleneck on dense-traffic sweeps.
-    pub endpoint_drains_per_cycle: usize,
     /// Which per-cycle router scheduler [`Network::cycle`] runs (default
     /// [`RouterScheduler::Calendar`]).  Schedules and statistics are
     /// identical either way; only simulator wall-clock differs.
@@ -161,7 +150,6 @@ impl NocConfig {
             channels: 4,
             buffer_flits: 16,
             ejection_buffer_flits: 16,
-            endpoint_drains_per_cycle: 1,
             router_scheduler: RouterScheduler::default(),
             faults: NocFaults::default(),
         }
@@ -182,13 +170,6 @@ impl NocConfig {
     /// Sets the local delivery (ejection) buffer capacity in flits.
     pub fn with_ejection_buffer_flits(mut self, flits: usize) -> Self {
         self.ejection_buffer_flits = flits;
-        self
-    }
-
-    /// Sets the endpoint bandwidth: messages a tile may drain from its
-    /// ejection buffers — and inject from its channel queues — per cycle.
-    pub fn with_endpoint_drains(mut self, drains_per_cycle: usize) -> Self {
-        self.endpoint_drains_per_cycle = drains_per_cycle;
         self
     }
 
@@ -214,18 +195,10 @@ mod tests {
         let config = NocConfig::new(GridShape::new(2, 3), Topology::Mesh)
             .with_channels(2)
             .with_buffer_flits(8)
-            .with_ejection_buffer_flits(4)
-            .with_endpoint_drains(2);
+            .with_ejection_buffer_flits(4);
         assert_eq!(config.shape.num_tiles(), 6);
         assert_eq!(config.channels, 2);
         assert_eq!(config.buffer_flits, 8);
         assert_eq!(config.ejection_buffer_flits, 4);
-        assert_eq!(config.endpoint_drains_per_cycle, 2);
-    }
-
-    #[test]
-    fn default_endpoint_bandwidth_is_one_message_per_cycle() {
-        let config = NocConfig::new(GridShape::new(2, 2), Topology::Torus);
-        assert_eq!(config.endpoint_drains_per_cycle, 1);
     }
 }

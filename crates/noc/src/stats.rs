@@ -30,8 +30,6 @@ pub struct NocStats {
     pub flit_tile_spans: f64,
     /// Sum over delivered messages of (delivery cycle − injection cycle).
     pub total_latency_cycles: u64,
-    /// Number of injection attempts rejected by back-pressure.
-    pub injection_backpressure_events: u64,
     /// Back-pressure rejections per source tile (row-major, sized by the
     /// network at construction).  `try_inject` returning the message to the
     /// caller used to be the only trace a rejection left; this counter
@@ -61,7 +59,6 @@ impl PartialEq for NocStats {
             && self.flit_hops == other.flit_hops
             && self.flit_tile_spans == other.flit_tile_spans
             && self.total_latency_cycles == other.total_latency_cycles
-            && self.injection_backpressure_events == other.injection_backpressure_events
             && self.injection_rejections_per_tile == other.injection_rejections_per_tile
     }
 }
@@ -216,7 +213,6 @@ mod tests {
             flit_hops: 90,
             flit_tile_spans: 90.0,
             total_latency_cycles: 200,
-            injection_backpressure_events: 0,
             injection_rejections_per_tile: vec![0, 3, 1, 0],
             ..NocStats::default()
         };

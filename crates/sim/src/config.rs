@@ -66,10 +66,10 @@ pub enum SchedulingPolicy {
 ///
 /// The two engines produce **bit-identical** modelled schedules, outputs
 /// and statistics — the cross-crate equivalence suite pins them to each
-/// other — and differ only in simulator wall-clock.  Select one via
-/// [`SimConfigBuilder::engine`] (or per run with
-/// `Simulation::run_with_engine`); the figure binaries expose it as
-/// `--engine <calendar|reference>`.
+/// other — and differ only in simulator wall-clock.  Every figure binary
+/// and example runs the default [`Engine::Calendar`]; the oracle is
+/// selected only by the equivalence tests, via [`SimConfigBuilder::engine`]
+/// or per run with `Simulation::run_with_engine`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The production engine and the default: the allocation-free tile
@@ -90,30 +90,14 @@ pub enum Engine {
 impl Engine {
     /// Both engines, oracle first.
     pub const ALL: [Engine; 2] = [Engine::Reference, Engine::Calendar];
-
-    /// The engine's command-line name (`--engine <name>`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Calendar => "calendar",
-            Engine::Reference => "reference",
-        }
-    }
-}
-
-impl std::str::FromStr for Engine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Engine::ALL
-            .into_iter()
-            .find(|engine| engine.name() == s)
-            .ok_or_else(|| format!("unknown engine {s:?} (want calendar or reference)"))
-    }
 }
 
 impl std::fmt::Display for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+        f.write_str(match self {
+            Engine::Calendar => "calendar",
+            Engine::Reference => "reference",
+        })
     }
 }
 
@@ -473,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_defaults_parses_and_round_trips() {
+    fn engine_defaults_to_calendar_and_displays_its_name() {
         let config = SimConfigBuilder::new(GridConfig::square(4))
             .build()
             .unwrap();
@@ -483,15 +467,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(reference.engine, Engine::Reference);
-        for engine in Engine::ALL {
-            assert_eq!(engine.name().parse::<Engine>().unwrap(), engine);
-            assert_eq!(engine.to_string(), engine.name());
-        }
-        // The retired engine names are unknown names like any other.
-        for retired in ["skip", "ticked", "tick", "parallel", "parallel:2", "warp"] {
-            let err = retired.parse::<Engine>().unwrap_err();
-            assert!(err.contains(&format!("{retired:?}")), "{err}");
-        }
+        assert_eq!(Engine::Calendar.to_string(), "calendar");
+        assert_eq!(Engine::Reference.to_string(), "reference");
     }
 
     #[test]

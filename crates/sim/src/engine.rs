@@ -178,18 +178,18 @@ fn deadlock_diagnostics(
     })
 }
 
-/// Per-tile injection parking state (fast path only).  A channel whose
-/// injection the router rejected stays parked until the router's drain
-/// version moves — until then every retry is guaranteed to fail
-/// identically, so the engine skips the attempt and only accounts the
-/// rejection the reference engine would have recorded.
+/// Per-tile injection parking state (fast path only): the channels the
+/// router rejected in the tile's latest run.  Until the router's drain
+/// version moves every retry is guaranteed to fail identically, so a tile
+/// whose every inject-ready channel is parked, and which has nothing else
+/// to do, is skipped whole and only the rejections the reference engine
+/// would have recorded are accounted.  A tile that runs retries every
+/// inject-ready channel, as the reference does.
 #[derive(Debug, Clone, Copy, Default)]
 struct InjectPark {
-    /// Channels currently parked on back-pressure.
+    /// Channels rejected in the tile's latest run.
     mask: u64,
-    /// The router drain version every parked channel was rejected at (the
-    /// whole mask is cleared whenever the version moves, so one version
-    /// covers all parked channels).
+    /// The router drain version those channels were rejected at.
     version: u32,
     /// Number of parked channels holding a full message — the rejections
     /// per cycle a fully parked tile accrues while skipped.
@@ -382,8 +382,8 @@ impl Simulation {
     }
 
     /// Runs `kernel` under an explicitly selected cycle engine, overriding
-    /// the configured one — the single dispatch point every figure binary
-    /// and equivalence test goes through.
+    /// the configured one — the single dispatch point every run goes
+    /// through, and the one the equivalence tests drive the oracle by.
     ///
     /// # Errors
     ///
@@ -441,7 +441,6 @@ impl Simulation {
             .with_channels(channels.len().max(1))
             .with_buffer_flits(self.config.noc_buffer_flits)
             .with_ejection_buffer_flits(self.config.noc_ejection_flits)
-            .with_endpoint_drains(self.config.endpoint_drains_per_cycle)
             .with_router_scheduler(router_scheduler);
         if let Some(armed) = self.faults.as_deref() {
             noc_config = noc_config.with_faults(armed.noc_faults.clone());
@@ -813,7 +812,10 @@ impl Simulation {
     /// of scanning every channel, rewrites the head flit in the message's
     /// inline payload (no heap copy), and pushes the payload slice straight
     /// into the destination IQ.  The inject loop walks the tile's
-    /// channel-ready bitmask and pops each message into a stack buffer.
+    /// channel-ready bitmask, pops each message into a stack buffer and,
+    /// like the reference, attempts every inject-ready channel; the
+    /// channels the router rejects are recorded in `park` for the caller's
+    /// no-op skip.
     /// The dispatch step consults the incrementally maintained task-ready
     /// mask through [`Scheduler::pick`] and auto-pops parameters into a
     /// stack buffer.  Every decision is bit-identical to
@@ -889,26 +891,14 @@ impl Simulation {
 
         // 2. Inject up to `endpoint_budget` messages from the channel
         //    queues into the network (head encode: global index ->
-        //    destination tile).  A channel the router rejects is parked —
-        //    not just for the rest of this cycle, but until the router's
-        //    drain version moves: until then the retry is guaranteed to
-        //    fail identically, so only the rejection is accounted (keeping
-        //    the statistics bit-identical to the re-attempting reference).
-        //    A blocked channel must never block the rest — that separation
-        //    is what makes the paper's task pipeline deadlock-free.
+        //    destination tile).  A channel the router rejects is parked for
+        //    the rest of the cycle, and recorded in `park` for the no-op
+        //    skip.  A blocked channel must never block the rest — that
+        //    separation is what makes the paper's task pipeline
+        //    deadlock-free.
         let drain_version = network.buffer_drain_version(tile_id);
-        if park.mask != 0 && drain_version != park.version {
-            // Space freed somewhere in the router since the rejections:
-            // every parked channel retries for real.
-            park.mask = 0;
-        }
-        let prev_parked = park.mask;
         let mut injected = 0usize;
-        let mut parked = prev_parked;
-        // Successes of the first pass, by channel: what decides how far the
-        // reference's first pass gets before exhausting the budget.
-        let mut pass1_successes: u64 = 0;
-        let mut first_pass = true;
+        let mut parked = 0u64;
         'inject: loop {
             let mut progressed = false;
             let mut mask = tile.cq_ready_mask() & !parked;
@@ -931,16 +921,13 @@ impl Simulation {
                         // Reading the words out of the CQ costs scratchpad
                         // reads once the router accepts the message.
                         tile.counters.sram_reads += flits as u64;
-                        if first_pass {
-                            pass1_successes |= 1u64 << channel;
-                        }
                         injected += 1;
                         progressed = true;
                     }
                     Err(rejected) => {
                         // The router applied back-pressure: restore the
                         // message at the head of this CQ and park the
-                        // channel until the router drains something.
+                        // channel.
                         tile.restore_cq_front(channel, rejected.message.payload());
                         parked |= 1u64 << channel;
                     }
@@ -948,31 +935,6 @@ impl Simulation {
             }
             if !progressed || injected == endpoint_budget {
                 break;
-            }
-            first_pass = false;
-        }
-        // Channels that stayed parked from earlier cycles were each due one
-        // failed attempt this cycle (the reference re-attempts every parked
-        // channel once per cycle); the skipped attempts are guaranteed
-        // rejections, so account them — unless the reference's first pass
-        // would have exhausted its budget before reaching the channel, in
-        // which case it would not have attempted it either.  Failures
-        // consume no budget, so the break point is set by the successful
-        // injections on lower-numbered channels alone.
-        if prev_parked != 0 {
-            let mut owed = 0u64;
-            let mut pending = prev_parked;
-            while pending != 0 {
-                let channel = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let successes_before =
-                    (pass1_successes & ((1u64 << channel) - 1)).count_ones() as usize;
-                if successes_before < endpoint_budget {
-                    owed += 1;
-                }
-            }
-            if owed > 0 {
-                network.count_injection_backpressure(tile_id, owed);
             }
         }
         park.version = drain_version;

@@ -410,24 +410,9 @@ pub trait TaskContext {
     // ---- routing helpers ---------------------------------------------------
     /// Splits the global edge range `[begin, end)` at tile-chunk boundaries,
     /// streaming `(owner_tile, begin, end)` per piece to `part` — what task
-    /// T1 does when a neighbour range crosses `EDGES_PER_CHUNK`.
-    ///
-    /// This is the allocation-free form for task bodies on the hot path;
-    /// [`TaskContext::split_edge_range`] is the `Vec`-returning shim kept
-    /// for the reference path and for callers that want the pieces
-    /// materialized.
+    /// T1 does when a neighbour range crosses `EDGES_PER_CHUNK`.  The
+    /// pieces are streamed, so task bodies allocate nothing.
     fn for_each_edge_part(&mut self, begin: u32, end: u32, part: &mut dyn FnMut(usize, u32, u32));
-
-    /// Splits the global edge range `[begin, end)` at tile-chunk boundaries,
-    /// returning `(owner_tile, begin, end)` per piece.
-    ///
-    /// Provided shim over [`TaskContext::for_each_edge_part`]: it allocates
-    /// a `Vec` per call, so inside task bodies prefer the streaming form.
-    fn split_edge_range(&mut self, begin: u32, end: u32) -> Vec<(usize, u32, u32)> {
-        let mut parts = Vec::new();
-        self.for_each_edge_part(begin, end, &mut |tile, b, e| parts.push((tile, b, e)));
-        parts
-    }
 }
 
 /// Context handed to [`Kernel::on_global_idle`], spanning all tiles.

@@ -6,12 +6,8 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release --example graph_analytics [-- --engine <name>]
+//! cargo run --release --example graph_analytics
 //! ```
-//!
-//! `--engine` (or `DALOREX_ENGINE`) picks the cycle engine; the schedule
-//! — and therefore every printed number and reference check — is
-//! engine-independent.
 
 use dalorex::baseline::Workload;
 use dalorex::graph::generators::realworld::RealWorldDataset;
@@ -19,11 +15,7 @@ use dalorex::graph::reference;
 use dalorex::sim::config::{BarrierMode, GridConfig, SimConfigBuilder};
 use dalorex::sim::Simulation;
 
-#[path = "common/engine.rs"]
-mod common_engine;
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let engine = common_engine::engine_arg();
     // A LiveJournal-shaped scale-free graph at reproduction scale.
     let graph = RealWorldDataset::LiveJournal.config(1 << 12).build()?;
     println!(
@@ -48,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?;
         let sim = Simulation::new(config, &prepared)?;
         let kernel = workload.kernel();
-        let outcome = sim.run_with_engine(kernel.as_ref(), engine)?;
+        let outcome = sim.run(kernel.as_ref())?;
 
         // Validate each application against its reference implementation.
         let checked = match workload {

@@ -6,11 +6,8 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release --example noc_exploration [-- --engine <name>]
+//! cargo run --release --example noc_exploration
 //! ```
-//!
-//! `--engine` (or `DALOREX_ENGINE`) picks the cycle engine; the modelled
-//! schedule, and so the whole topology comparison, is engine-independent.
 
 use dalorex::graph::generators::rmat::RmatConfig;
 use dalorex::kernels::SsspKernel;
@@ -18,11 +15,7 @@ use dalorex::noc::Topology;
 use dalorex::sim::config::{GridConfig, SimConfigBuilder};
 use dalorex::sim::Simulation;
 
-#[path = "common/engine.rs"]
-mod common_engine;
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let engine = common_engine::engine_arg();
     let graph = RmatConfig::new(12, 10).seed(9).build()?;
     let side = 8;
     println!(
@@ -46,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .topology(topology)
             .build()?;
         let sim = Simulation::new(config, &graph)?;
-        let outcome = sim.run_with_engine(&SsspKernel::new(0), engine)?;
+        let outcome = sim.run(&SsspKernel::new(0))?;
         let mesh = *mesh_cycles.get_or_insert(outcome.cycles);
         println!(
             "{:>12}  {:>12}  {:>13.2}x  {:>16.3}  {:>16.1}",

@@ -4,12 +4,8 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release --example quickstart [-- --engine <name>]
+//! cargo run --release --example quickstart
 //! ```
-//!
-//! `--engine` (or the `DALOREX_ENGINE` environment variable) picks the
-//! cycle engine; both engines produce the identical schedule, so the
-//! printed numbers never depend on it.
 
 use dalorex::graph::generators::rmat::RmatConfig;
 use dalorex::graph::reference;
@@ -17,11 +13,7 @@ use dalorex::kernels::BfsKernel;
 use dalorex::sim::config::{GridConfig, SimConfigBuilder};
 use dalorex::sim::Simulation;
 
-#[path = "common/engine.rs"]
-mod common_engine;
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let engine = common_engine::engine_arg();
     // 1. Generate a dataset: RMAT with 2^12 vertices and average degree 10,
     //    the same family as the paper's RMAT-16..26 datasets.
     let graph = RmatConfig::new(12, 10).seed(1).build()?;
@@ -41,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sim = Simulation::new(config, &graph)?;
 
     // 3. Run BFS from vertex 0 on the simulated chip.
-    let outcome = sim.run_with_engine(&BfsKernel::new(0), engine)?;
+    let outcome = sim.run(&BfsKernel::new(0))?;
 
     // 4. Validate against the sequential reference (the paper validates its
     //    simulator against x86 runs the same way).

@@ -6,15 +6,13 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release --example scaling_study [-- --max-side <n>] [-- --engine <name>]
+//! cargo run --release --example scaling_study [-- --max-side <n>]
 //! ```
 //!
 //! `--max-side` caps the sweep (default 16).  `--max-side 1` runs only the
 //! single-tile step — the configuration that once livelocked on the
 //! T4-vs-T1 occupancy-priority tie (fixed by T4's `requires_iq_space`
 //! output-queue guarantee); CI runs that step as a regression smoke.
-//! `--engine` (or `DALOREX_ENGINE`) picks the cycle engine; the modelled
-//! schedule is engine-independent.
 //!
 //! Each row also prints the run's modeled memory footprint and how many of
 //! the grid's tiles materialized an arena slab: tile state is allocated
@@ -26,9 +24,6 @@ use dalorex::graph::generators::rmat::RmatConfig;
 use dalorex::kernels::BfsKernel;
 use dalorex::sim::config::{GridConfig, SimConfigBuilder};
 use dalorex::sim::Simulation;
-
-#[path = "common/engine.rs"]
-mod common_engine;
 
 fn max_side_arg() -> usize {
     let mut args = std::env::args();
@@ -49,7 +44,6 @@ fn max_side_arg() -> usize {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let engine = common_engine::engine_arg();
     let max_side = max_side_arg();
     let graph = RmatConfig::new(13, 10).seed(3).build()?;
     println!(
@@ -81,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .scratchpad_bytes(per_tile_bytes)
             .build()?;
         let sim = Simulation::new(config, &graph)?;
-        let outcome = sim.run_with_engine(&BfsKernel::new(0), engine)?;
+        let outcome = sim.run(&BfsKernel::new(0))?;
         let baseline = *baseline_cycles.get_or_insert(outcome.cycles);
         println!(
             "{:>6}  {:>14}  {:>12}  {:>11.1}x  {:>10.3}  {:>7.1}%  {:>13}  {:>9}/{:<3}",

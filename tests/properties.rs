@@ -279,13 +279,11 @@ proptest! {
         drains in 1usize..5,
         torus in proptest::bool::ANY,
     ) {
-        // For any endpoint_drains_per_cycle >= 1: every injected message is
+        // For any endpoint drain budget >= 1: every injected message is
         // drained exactly once (conservation) and the network eventually
         // reaches quiescence under the per-cycle endpoint drain budget.
         let topology = if torus { Topology::Torus } else { Topology::Mesh };
-        let config = NocConfig::new(GridShape::new(4, 4), topology).with_endpoint_drains(drains);
-        prop_assert_eq!(config.endpoint_drains_per_cycle, drains);
-        let mut net = Network::new(config);
+        let mut net = Network::new(NocConfig::new(GridShape::new(4, 4), topology));
         let mut expected = vec![0u32; 16];
         let mut pending: Vec<(usize, Message)> = messages
             .into_iter()
@@ -299,7 +297,7 @@ proptest! {
         let mut guard = 0;
         // Endpoint loop: inject with retry, advance, drain at most `drains`
         // messages per tile per cycle.
-        while !net.quiescent() || !pending.is_empty() {
+        while !net.is_idle() || !pending.is_empty() {
             let mut retry = Vec::new();
             for (src, msg) in pending.drain(..) {
                 if let Err(rejected) = net.try_inject(src, msg) {
@@ -319,7 +317,7 @@ proptest! {
             prop_assert!(guard < 50_000, "network never quiesced under drain budget {}", drains);
         }
         prop_assert_eq!(received, expected);
-        prop_assert!(net.quiescent());
+        prop_assert!(net.is_idle());
         prop_assert_eq!(net.stats().delivered_messages, u64::from(total));
         prop_assert_eq!(net.stats().injected_messages, u64::from(total));
     }
@@ -355,8 +353,8 @@ proptest! {
         let mut pending_ref = pending.clone();
         let mut received = vec![0u32; 16];
         let mut guard = 0;
-        while !calendar.quiescent()
-            || !reference.quiescent()
+        while !calendar.is_idle()
+            || !reference.is_idle()
             || !pending.is_empty()
             || !pending_ref.is_empty()
         {
@@ -424,7 +422,7 @@ proptest! {
             })
             .collect();
         let mut guard = 0;
-        while !net.quiescent() || !pending.is_empty() {
+        while !net.is_idle() || !pending.is_empty() {
             let mut retry = Vec::new();
             for (src, msg) in pending.drain(..) {
                 if let Err(rejected) = net.try_inject(src, msg) {
@@ -618,7 +616,7 @@ proptest! {
         let mut orders: [Vec<usize>; 2] = [(0..16).collect(), (0..16).collect()];
         let mut rng = shuffle_seed;
         let mut guard = 0;
-        while nets.iter().any(|net| !net.quiescent())
+        while nets.iter().any(|net| !net.is_idle())
             || pendings.iter().flatten().any(|queue| !queue.is_empty())
         {
             for i in (1..16).rev() {
