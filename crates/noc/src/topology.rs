@@ -183,7 +183,9 @@ pub enum Port {
 }
 
 impl Port {
-    /// All ports, in a fixed order (used to size per-port arrays).
+    /// All ports, in a fixed order (used to size per-port arrays).  Each
+    /// direction sits next to its opposite, so `index() ^ 1` of a non-local
+    /// port is the port its link arrives through at the far router.
     pub const ALL: [Port; 9] = [
         Port::East,
         Port::West,
@@ -197,7 +199,7 @@ impl Port {
     ];
 
     /// Index of this port within [`Port::ALL`].
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         match self {
             Port::East => 0,
             Port::West => 1,

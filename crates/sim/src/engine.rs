@@ -37,10 +37,10 @@
 //! queued-word counter, the drain/inject loops walk channel-occupancy
 //! bitmasks, and the scheduler consults a task-ready bitmask updated at
 //! every queue mutation.  The pre-overhaul tile path is preserved behind
-//! [`Simulation::run_reference`] as the schedule-equivalence oracle
-//! ([`Engine::Reference`], which also steps the network with its
-//! reference router scheduler); the two produce cycle-exact identical
-//! outcomes.
+//! `run_with_engine(kernel, Engine::Reference)` as the
+//! schedule-equivalence oracle ([`Engine::Reference`], which also steps
+//! the network with its reference router scheduler); the two produce
+//! cycle-exact identical outcomes.
 
 use crate::area::{AreaConstants, AreaModel};
 use crate::config::{BarrierMode, Engine, SimConfig};
@@ -98,13 +98,14 @@ impl SimOutcome {
 }
 
 /// Compact per-tile snapshot the engine keeps in a dense, cache-resident
-/// array so the hot loop can prove a tile has no possible action this cycle
-/// — no drainable delivery, no injectable message, no dispatchable task —
-/// without touching the tile's (much larger, scattered) [`TileState`] or
-/// its router.  A provably action-free tile's cycle is a no-op, so skipping
-/// it cannot change the schedule; the snapshot is refreshed whenever the
-/// tile actually runs (or is woken by an epoch push), which are the only
-/// points its fields can change.
+/// array so the hot loop can prove, together with the network's dense
+/// delivery and injection-blocked bits, that a tile has no possible action
+/// this cycle — no drainable delivery, no injectable message, no
+/// dispatchable task — without touching the tile's (much larger,
+/// scattered) [`TileState`] or its router.  A provably action-free tile's
+/// cycle is a no-op, so skipping it cannot change the schedule; the
+/// snapshot is refreshed whenever the tile actually runs (or is woken by an
+/// epoch push), which are the only points its fields can change.
 #[derive(Debug, Clone, Copy, Default)]
 struct HotTile {
     /// Mirror of [`TileState::pu_busy_until`].
@@ -115,19 +116,21 @@ struct HotTile {
     task_ready: bool,
     /// Whether any CQ holds a full message.
     cq_ready: bool,
-    /// Whether the network delivered messages this tile has not drained
-    /// yet (set by delivery events, refreshed after each drain).
-    delivery_pending: bool,
+    /// The number of inject-ready channels when the router rejected every
+    /// one of them in the tile's latest run, and 0 otherwise: the
+    /// rejections per cycle the tile accrues while
+    /// [`Network::injection_blocked`] keeps it skipped.
+    parked_ready: u32,
 }
 
 impl HotTile {
-    fn snapshot(tile: &TileState, delivery_pending: bool) -> Self {
+    fn snapshot(tile: &TileState, parked_ready: u32) -> Self {
         HotTile {
             pu_busy_until: tile.pu_busy_until,
             queued: tile.queued_words() > 0,
             task_ready: tile.task_ready_mask() != 0,
             cq_ready: tile.cq_ready_mask() != 0,
-            delivery_pending,
+            parked_ready,
         }
     }
 
@@ -176,27 +179,6 @@ fn deadlock_diagnostics(
         blocked_tiles_total,
         blocked_tiles,
     })
-}
-
-/// Per-tile injection parking state (fast path only): the channels the
-/// router rejected in the tile's latest run.  Until the router's drain
-/// version moves every retry is guaranteed to fail identically, so a tile
-/// whose every inject-ready channel is parked, and which has nothing else
-/// to do, is skipped whole and only the rejections the reference engine
-/// would have recorded are accounted.  A tile that runs retries every
-/// inject-ready channel, as the reference does.
-#[derive(Debug, Clone, Copy, Default)]
-struct InjectPark {
-    /// Channels rejected in the tile's latest run.
-    mask: u64,
-    /// The router drain version those channels were rejected at.
-    version: u32,
-    /// Number of parked channels holding a full message — the rejections
-    /// per cycle a fully parked tile accrues while skipped.
-    ready_count: u32,
-    /// Whether every inject-ready channel is parked (the tile's inject
-    /// step is then a pure stall until the drain version moves).
-    all_ready_parked: bool,
 }
 
 /// A configured Dalorex simulation, ready to run kernels over one dataset.
@@ -302,9 +284,9 @@ impl Simulation {
     /// running the allocation-free tile path — ring-buffer queue reads,
     /// inline message payloads, O(1) idle checks and the incrementally
     /// maintained readiness masks — against the NoC's calendar router
-    /// scheduler.  An active tile whose dense snapshot proves it can
-    /// neither drain, dispatch nor make an injection attempt not already
-    /// known to fail is not run at all; only its parked channels'
+    /// scheduler.  An active tile whose dense snapshot and network bits
+    /// prove it can neither drain, dispatch nor make an injection attempt
+    /// not already known to fail is not run at all; only its channels'
     /// guaranteed injection rejections are accounted.  The modelled
     /// schedule and every statistic are cycle-exact identical to the
     /// [`Engine::Reference`] oracle.
@@ -320,27 +302,6 @@ impl Simulation {
     /// arrays do not exist.
     pub fn run(&self, kernel: &dyn Kernel) -> Result<SimOutcome, SimError> {
         self.run_with_engine(kernel, self.config.engine)
-    }
-
-    /// Runs `kernel` on the preserved pre-overhaul paths —
-    /// [`Engine::Reference`], the schedule-equivalence oracle.
-    ///
-    /// The reference tile path keeps the original cost profile of the
-    /// per-cycle TSU loop: every queue pop allocates a `Vec`, delivered
-    /// payloads are copied to the heap before the head decode, the
-    /// drain/inject loops scan every channel, the scheduler re-probes every
-    /// task's queues ([`crate::tsu::Scheduler::pick_reference`]), and the
-    /// idle check rescans all queues
-    /// ([`crate::tile::TileState::is_idle_scan`]).  The network runs its
-    /// reference router scheduler (`RouterScheduler::Reference`), and every
-    /// active tile runs every cycle.  Equivalence tests assert the outcome
-    /// is identical to [`Simulation::run`]'s.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulation::run`].
-    pub fn run_reference(&self, kernel: &dyn Kernel) -> Result<SimOutcome, SimError> {
-        self.run_with_engine(kernel, Engine::Reference)
     }
 
     /// Runs the static task-graph verifier ([`crate::verify`]) over the
@@ -384,6 +345,11 @@ impl Simulation {
     /// Runs `kernel` under an explicitly selected cycle engine, overriding
     /// the configured one — the single dispatch point every run goes
     /// through, and the one the equivalence tests drive the oracle by.
+    ///
+    /// [`Engine::Reference`] is the schedule-equivalence oracle: the
+    /// pre-overhaul tile path (per-pop `Vec`s, full channel scans,
+    /// full-rescan scheduling, O(n) idle checks) on the reference router
+    /// scheduler, running every active tile every cycle.
     ///
     /// # Errors
     ///
@@ -455,15 +421,13 @@ impl Simulation {
         // Dense action snapshots for the fast path's no-op skip (see
         // `HotTile`); the reference path ignores them, preserving its
         // pre-overhaul cost profile.
-        let mut hot: Vec<HotTile> = tiles.iter().map(|t| HotTile::snapshot(t, false)).collect();
-        let mut parks: Vec<InjectPark> = vec![InjectPark::default(); num_tiles];
-        // The active tiles, one bit each (bit `t % 64` of word `t / 64`),
-        // visited in ascending tile id.
+        let mut hot: Vec<HotTile> = tiles.iter().map(|t| HotTile::snapshot(t, 0)).collect();
+        // The active tiles, one bit each (bit `t % 64` of word `t / 64`,
+        // like the network's delivery bitset), visited in ascending tile id.
         let mut active: Vec<u64> = vec![0; num_tiles.div_ceil(64)];
         for tile in tiles.iter().filter(|t| !t.is_idle(0)) {
             active[tile.tile / 64] |= 1 << (tile.tile % 64);
         }
-        let mut delivery_events: Vec<usize> = Vec::new();
 
         let mut cycle: u64 = 0;
         let mut epochs: u64 = 0;
@@ -496,8 +460,10 @@ impl Simulation {
                         debug_assert_eq!(network.current_cycle(), cycle);
                         for tile in woken {
                             // The epoch trigger pushed invocations outside
-                            // tile_cycle: refresh the action snapshot.
-                            hot[tile] = HotTile::snapshot(&tiles[tile], hot[tile].delivery_pending);
+                            // tile_cycle: refresh the action snapshot.  No
+                            // CQ holds a message at global idle, so no
+                            // channel is parked.
+                            hot[tile] = HotTile::snapshot(&tiles[tile], 0);
                             active[tile / 64] |= 1 << (tile % 64);
                         }
                         // A kernel that keeps answering Continue without
@@ -521,20 +487,16 @@ impl Simulation {
                 }
             }
 
-            // Advance the network one cycle, then wake tiles that received
-            // deliveries (reusing the event buffer so the steady-state loop
-            // does not allocate).
+            // Advance the network one cycle, then wake the tiles whose
+            // ejection buffers hold a message.
             network.cycle();
-            delivery_events.clear();
-            network.drain_delivery_events_into(&mut delivery_events);
-            for &tile in &delivery_events {
-                hot[tile].delivery_pending = true;
-                active[tile / 64] |= 1 << (tile % 64);
+            for (slot, &delivered) in active.iter_mut().zip(network.delivered_tiles()) {
+                *slot |= delivered;
             }
 
-            // Advance every active tile in ascending id.  Only delivery
-            // events and epoch pushes activate tiles, never a tile's cycle,
-            // so each word is walked from a copy: a tile's bit is cleared,
+            // Advance every active tile in ascending id.  Only deliveries
+            // and epoch pushes activate tiles, never a tile's cycle, so
+            // each word is walked from a copy: a tile's bit is cleared,
             // then set again if the tile stays active.
             for (word, slot) in active.iter_mut().enumerate() {
                 let mut bits = *slot;
@@ -572,38 +534,33 @@ impl Simulation {
                     // arbitrate in tile-id order.
                     let h = hot[t];
                     let dispatchable = h.pu_busy_until <= cycle && h.task_ready;
-                    let inject_live = h.cq_ready
-                        && (!parks[t].all_ready_parked
-                            || network.buffer_drain_version(t) != parks[t].version);
-                    if !h.delivery_pending && !dispatchable && !inject_live {
+                    let inject_live =
+                        h.cq_ready && (h.parked_ready == 0 || !network.injection_blocked(t));
+                    if !network.has_deliveries(t) && !dispatchable && !inject_live {
                         if h.cq_ready {
                             // Every inject-ready channel is parked: the
                             // reference engine would attempt and fail each
                             // one once this cycle.
-                            network
-                                .count_injection_backpressure(t, u64::from(parks[t].ready_count));
+                            network.count_injection_backpressure(t, u64::from(h.parked_ready));
                         }
                         if h.nonidle_after(cycle) {
                             *slot |= 1 << bit;
                         }
                         continue;
                     }
-                    self.tile_cycle(
+                    let parked_ready = self.tile_cycle(
                         kernel,
                         &tasks,
                         &channels,
                         &mut tiles[t],
                         &mut schedulers[t],
                         &mut network,
-                        &mut parks[t],
-                        h.delivery_pending,
                         barrier_mode,
                         cycle,
                         &mut total_dispatches,
                     );
-                    let leftover_deliveries = network.delivered_waiting(t) > 0;
-                    hot[t] = HotTile::snapshot(&tiles[t], leftover_deliveries);
-                    if !tiles[t].is_idle(cycle + 1) || leftover_deliveries {
+                    hot[t] = HotTile::snapshot(&tiles[t], parked_ready);
+                    if !tiles[t].is_idle(cycle + 1) || network.has_deliveries(t) {
                         *slot |= 1 << bit;
                     }
                 }
@@ -813,14 +770,16 @@ impl Simulation {
     /// inline payload (no heap copy), and pushes the payload slice straight
     /// into the destination IQ.  The inject loop walks the tile's
     /// channel-ready bitmask, pops each message into a stack buffer and,
-    /// like the reference, attempts every inject-ready channel; the
-    /// channels the router rejects are recorded in `park` for the caller's
-    /// no-op skip.
+    /// like the reference, attempts every inject-ready channel.
     /// The dispatch step consults the incrementally maintained task-ready
     /// mask through [`Scheduler::pick`] and auto-pops parameters into a
     /// stack buffer.  Every decision is bit-identical to
     /// [`Simulation::tile_cycle_reference`].  The verifier (V015) keeps
     /// every kernel within the mask widths.
+    ///
+    /// Returns the tile's [`HotTile::parked_ready`] for the caller's no-op
+    /// skip: the number of inject-ready channels if the router rejected
+    /// every one of them, and 0 otherwise.
     #[allow(clippy::too_many_arguments)]
     fn tile_cycle(
         &self,
@@ -830,12 +789,10 @@ impl Simulation {
         tile: &mut TileState,
         scheduler: &mut Scheduler,
         network: &mut Network,
-        park: &mut InjectPark,
-        delivery_pending: bool,
         barrier_mode: bool,
         cycle: u64,
         total_dispatches: &mut u64,
-    ) {
+    ) -> u32 {
         let tile_id = tile.tile;
         let endpoint_budget = self.fault_endpoint_budget(tile_id, cycle);
 
@@ -844,11 +801,12 @@ impl Simulation {
         //    occupied channels are visited in declaration order (ascending
         //    bits), repeatedly, until the budget is spent or no channel can
         //    make progress; at a budget of 1 this is exactly the original
-        //    single-drain scan.  The caller's dense delivery flag replaces
-        //    the router poll that gated the reference drain.
+        //    single-drain scan.  The network's delivery bit replaces the
+        //    router poll that gated the reference drain.
         let mut drained = 0usize;
-        debug_assert_eq!(delivery_pending, network.delivered_waiting(tile_id) > 0);
-        if delivery_pending {
+        let delivered = network.has_deliveries(tile_id);
+        debug_assert_eq!(delivered, network.delivered_waiting(tile_id) > 0);
+        if delivered {
             // Arriving traffic is the one way a hollow tile wakes up: its
             // IQ rings must exist before `can_push` probes them below.
             tile.materialize();
@@ -892,11 +850,9 @@ impl Simulation {
         // 2. Inject up to `endpoint_budget` messages from the channel
         //    queues into the network (head encode: global index ->
         //    destination tile).  A channel the router rejects is parked for
-        //    the rest of the cycle, and recorded in `park` for the no-op
-        //    skip.  A blocked channel must never block the rest — that
-        //    separation is what makes the paper's task pipeline
+        //    the rest of the cycle.  A blocked channel must never block the
+        //    rest — that separation is what makes the paper's task pipeline
         //    deadlock-free.
-        let drain_version = network.buffer_drain_version(tile_id);
         let mut injected = 0usize;
         let mut parked = 0u64;
         'inject: loop {
@@ -937,8 +893,6 @@ impl Simulation {
                 break;
             }
         }
-        park.version = drain_version;
-        park.mask = parked;
         if endpoint_budget < self.config.endpoint_drains_per_cycle {
             // Throttled this cycle: count the traffic that moved under the
             // cap (idle throttled tiles contribute 0, identically in every
@@ -994,23 +948,25 @@ impl Simulation {
             *total_dispatches += 1;
         }
 
-        // Persist the ready-dependent parking summary only after the
-        // dispatched task had its chance to produce new messages: a fresh
-        // full CQ must clear `all_ready_parked` so the no-op skip cannot
-        // swallow its injection.
+        // Summarise the parking only after the dispatched task had its
+        // chance to produce new messages: a fresh full CQ is not parked, so
+        // the no-op skip cannot swallow its injection.
         let ready = tile.cq_ready_mask();
-        park.ready_count = (park.mask & ready).count_ones();
-        park.all_ready_parked = ready != 0 && ready & !park.mask == 0;
+        if ready & !parked == 0 {
+            ready.count_ones()
+        } else {
+            0
+        }
     }
 
     /// One TSU + PU cycle on one tile — the preserved pre-overhaul path.
     ///
     /// Kept verbatim in shape and cost profile (full channel scans, `Vec`
     /// per popped invocation, heap copy per drained payload, full-rescan
-    /// scheduling) as the oracle [`Simulation::run_reference`] drives; see
-    /// that method's docs.  Both paths mutate the tile exclusively through
-    /// the counter-maintaining [`TileState`] methods, so they cannot drift
-    /// in behaviour — only in cost.
+    /// scheduling) as the oracle [`Engine::Reference`] drives.  Both paths
+    /// mutate the tile exclusively through the counter-maintaining
+    /// [`TileState`] methods, so they cannot drift in behaviour — only in
+    /// cost.
     #[allow(clippy::too_many_arguments)]
     fn tile_cycle_reference(
         &self,

@@ -31,7 +31,7 @@ pub struct MemoryReport {
     /// Router port buffers plus ejection buffers, across the whole fabric.
     pub noc_buffer_bytes: usize,
     /// Calendar router-scheduler bookkeeping: due stamps, the bitset of
-    /// stamped routers and the waiter lists (just the unused due stamps
+    /// stamped routers and a 2-byte waiter mask per router (no bitset
     /// under the reference scheduler).  Engine-dependent by design — this
     /// is simulator bookkeeping, not modeled hardware.
     pub calendar_bytes: usize,

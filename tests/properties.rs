@@ -332,8 +332,9 @@ proptest! {
         // on arbitrary traffic with a throttled endpoint
         // (small ejection buffers + a per-cycle drain budget keep some
         // heads blocked on full downstream buffers, exercising the waiter
-        // lists): message conservation, identical statistics, identical
-        // per-tile delivery streams.
+        // masks): message conservation, identical statistics, identical
+        // per-tile delivery streams.  On both, a rejected injection blocks
+        // its endpoint, and the delivery bits track the ejection buffers.
         let topology = if torus { Topology::Torus } else { Topology::Mesh };
         let config = NocConfig::new(GridShape::new(4, 4), topology)
             .with_ejection_buffer_flits(8);
@@ -352,6 +353,9 @@ proptest! {
             .collect();
         let mut pending_ref = pending.clone();
         let mut received = vec![0u32; 16];
+        let delivery_bits_hold = |net: &Network| {
+            (0..16).all(|t| net.has_deliveries(t) == (net.delivered_waiting(t) > 0))
+        };
         let mut guard = 0;
         while !calendar.is_idle()
             || !reference.is_idle()
@@ -361,6 +365,7 @@ proptest! {
             let mut retry = Vec::new();
             for (src, msg) in pending.drain(..) {
                 if let Err(rejected) = calendar.try_inject(src, msg) {
+                    prop_assert!(calendar.injection_blocked(src));
                     retry.push((src, rejected.message));
                 }
             }
@@ -368,16 +373,19 @@ proptest! {
             let mut retry = Vec::new();
             for (src, msg) in pending_ref.drain(..) {
                 if let Err(rejected) = reference.try_inject(src, msg) {
+                    prop_assert!(reference.injection_blocked(src));
                     retry.push((src, rejected.message));
                 }
             }
             pending_ref = retry;
             calendar.cycle();
             reference.cycle();
+            prop_assert!(delivery_bits_hold(&calendar) && delivery_bits_hold(&reference));
             for (tile, count) in received.iter_mut().enumerate() {
                 for _ in 0..drains {
                     let a = calendar.pop_delivered(tile);
                     let b = reference.pop_delivered(tile);
+                    prop_assert!(delivery_bits_hold(&calendar) && delivery_bits_hold(&reference));
                     prop_assert_eq!(
                         a.as_ref().map(|m| m.payload().to_vec()),
                         b.as_ref().map(|m| m.payload().to_vec()),

@@ -3,16 +3,16 @@
 //!
 //! [`Engine::Calendar`] drives the overhauled per-cycle tile path
 //! (ring-buffer queues, inline message payloads, O(1) idle tracking,
-//! incrementally maintained readiness masks, parked-injection elision, the
-//! no-op skip of action-free tiles) against the NoC's calendar router
-//! scheduler (per-router `next_possible` due stamps, a bitset of stamped
-//! routers walked in tile-id order, waiter lists for blocked heads).
-//! [`Engine::Reference`] is the preserved pre-overhaul tile path running
-//! every active tile every cycle against the NoC's reference router
-//! scheduler.  The two must agree on everything — cycle counts, gathered
-//! outputs, every tile counter and every NoC statistic (including the
-//! per-tile injection rejections the parked-channel elision and the no-op
-//! skip account instead of re-attempting) — across every topology,
+//! incrementally maintained readiness masks, the no-op skip of action-free
+//! tiles read from the network's delivery and injection-blocked bits)
+//! against the NoC's calendar router scheduler (per-router `next_possible`
+//! due stamps, a bitset of stamped routers walked in tile-id order, one
+//! waiter mask per router for blocked heads).  [`Engine::Reference`] is
+//! the preserved pre-overhaul tile path running every active tile every
+//! cycle against the NoC's reference router scheduler.  The two must agree
+//! on everything — cycle counts, gathered outputs, every tile counter and
+//! every NoC statistic (including the per-tile injection rejections the
+//! no-op skip accounts instead of re-attempting) — across every topology,
 //! placement and scheduling policy, in barrierless and barrier mode, at
 //! wider endpoint-drain budgets, under fault plans, and on grids up to
 //! 16x16 (32x32 in the ignored release-mode tier).
