@@ -40,7 +40,7 @@ fn grid_side() -> usize {
 }
 
 fn main() {
-    let cli = FigureCli::parse();
+    let cli = FigureCli::parse(&[]);
     cli.reject_unapplied(&[CommonFlag::Faults, CommonFlag::Drains, CommonFlag::MaxSide]);
     let side = grid_side();
     let workloads = Workload::figure5_set();

@@ -24,7 +24,7 @@ use dalorex_bench::runner::{run_dalorex, scaling_sides, RunOptions};
 use dalorex_graph::datasets::DatasetLabel;
 
 fn main() {
-    let cli = FigureCli::parse();
+    let cli = FigureCli::parse(&[]);
     let max_side = cli.max_side.unwrap_or_else(datasets::max_grid_side);
     let drains_sweep = cli.drains();
     let labels = DatasetLabel::figure6_set();

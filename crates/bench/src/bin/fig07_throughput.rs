@@ -31,7 +31,7 @@ use dalorex_graph::generators::realworld::ScaleFreeConfig;
 use dalorex_sim::energy::EnergyConstants;
 
 fn main() {
-    let cli = FigureCli::parse();
+    let cli = FigureCli::parse(&[]);
     let max_side = cli.max_side.unwrap_or_else(datasets::max_grid_side);
     let drains_sweep = cli.drains();
     // The paper scales RMAT-26; the catalog reduces it while keeping it the

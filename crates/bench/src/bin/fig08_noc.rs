@@ -30,7 +30,7 @@ use dalorex_graph::datasets::DatasetLabel;
 use dalorex_noc::Topology;
 
 fn main() {
-    let cli = FigureCli::parse();
+    let cli = FigureCli::parse(&[]);
     let labels = [
         DatasetLabel::Wikipedia,
         DatasetLabel::LiveJournal,

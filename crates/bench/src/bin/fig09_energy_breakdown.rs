@@ -26,7 +26,7 @@ use dalorex_bench::runner::{run_dalorex, RunOptions};
 use dalorex_graph::datasets::DatasetLabel;
 
 fn main() {
-    let cli = FigureCli::parse();
+    let cli = FigureCli::parse(&[]);
     let labels = [
         DatasetLabel::Wikipedia,
         DatasetLabel::LiveJournal,

@@ -33,7 +33,7 @@ use dalorex_graph::datasets::DatasetLabel;
 use dalorex_noc::Topology;
 
 fn main() {
-    let cli = FigureCli::parse();
+    let cli = FigureCli::parse(&[]);
     let requested = cli.max_side.unwrap_or_else(datasets::max_grid_side);
     let side = requested.clamp(4, 16);
     if side != requested {

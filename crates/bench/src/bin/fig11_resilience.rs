@@ -59,7 +59,7 @@ fn sweep_plan(base: &FaultPlan, num_tiles: usize, count: usize, duration: u64) -
 }
 
 fn main() {
-    let cli = FigureCli::parse();
+    let cli = FigureCli::parse(&[]);
     cli.reject_unapplied(&[CommonFlag::Drains]);
     let side = cli.max_side.unwrap_or(8).clamp(2, 64);
     let tiles = side * side;

@@ -29,8 +29,8 @@
 //! must model the identical cycle count — armed-idle plans are
 //! schedule-invisible, asserted here where the numbers are published —
 //! and the median wall-clock ratio of `RUNG_PAIRS` back-to-back pairs is
-//! emitted as the `fault-overhead` row (target <= 1.02; a ratio above 1.25
-//! aborts the snapshot).
+//! emitted as the `fault-overhead` row (a ratio above 1.25 aborts the
+//! snapshot).
 use dalorex_bench::cli::{CommonFlag, FigureCli};
 use dalorex_bench::report::{Measurement, MemoryColumns, Table, WalkColumns};
 use dalorex_graph::generators::rmat::RmatConfig;
@@ -66,7 +66,7 @@ fn peak_rss_bytes() -> Option<usize> {
 }
 
 fn main() {
-    let cli = FigureCli::parse();
+    let cli = FigureCli::parse(&["--full"]);
     // The snapshot's cells and fault plans are fixed, so its rows stay
     // comparable across the BENCH series.
     cli.reject_unapplied(&[
@@ -75,7 +75,6 @@ fn main() {
         CommonFlag::Faults,
         CommonFlag::Verify,
     ]);
-    let full = std::env::args().any(|a| a == "--full");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!("host parallelism: {cores}");
 
@@ -91,7 +90,7 @@ fn main() {
             graph: RmatConfig::new(14, 8).seed(11).build().unwrap(),
         },
     ];
-    if full {
+    if cli.switch("--full") {
         cells.push(Cell {
             dataset: "RMAT-16".to_string(),
             side: 128,
@@ -178,9 +177,8 @@ fn main() {
 /// fault plan (one window of every kind, all parked billions of cycles
 /// past the run) against the empty-plan hot path, on the calendar engine.
 /// Asserts the armed-idle plan is schedule-invisible and that the
-/// fault-state checks cost at most 25% wall-clock (the target is 2%; the
-/// hard cap only exists to survive noisy CI hosts without letting a real
-/// regression through).
+/// fault-state checks cost at most 25% wall-clock (a cap loose enough to
+/// survive noisy CI hosts without letting a real regression through).
 ///
 /// The two plans run in `RUNG_PAIRS` back-to-back pairs, alternating which
 /// goes first, and the median pair ratio is gated: host speed drifts over
@@ -230,7 +228,7 @@ fn fault_overhead_rung(measurements: &mut Vec<Measurement>) {
     let ratio = ratios[RUNG_PAIRS / 2];
     eprintln!(
         "zero-fault overhead (armed-idle / empty plan, calendar engine, median of \
-         pairs {ratios:.3?}): {ratio:.3} (target <= 1.02, hard cap 1.25)"
+         pairs {ratios:.3?}): {ratio:.3} (cap 1.25)"
     );
     assert!(
         ratio <= 1.25,

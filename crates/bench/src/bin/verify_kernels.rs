@@ -20,7 +20,7 @@ use dalorex_bench::report::Table;
 use dalorex_sim::verify::{verify_kernel, VerifyContext, VerifyMode};
 
 fn main() {
-    let cli = FigureCli::parse();
+    let cli = FigureCli::parse(&[]);
     // Static analysis only: no simulation for these flags to act on.
     cli.reject_unapplied(&[
         CommonFlag::Json,

@@ -28,8 +28,9 @@
 //! Every run drives the production calendar engine; the reference oracle
 //! it is pinned against is reachable only from the equivalence tests.
 //!
-//! Parse once with [`FigureCli::parse`] at the top of `main`, then name
-//! the common flags the binary does not apply in
+//! Parse once with [`FigureCli::parse`] at the top of `main`, naming the
+//! binary's own switches (only `perf_snapshot` has one, `--full`), then
+//! name the common flags the binary does not apply in
 //! [`FigureCli::reject_unapplied`].
 //!
 //! # Error policy
@@ -37,7 +38,10 @@
 //! A malformed value for a flag that selects *what gets measured* aborts
 //! with exit code 2 and a single diagnostic on stderr: silently measuring
 //! the wrong configuration is exactly the mistake these flags exist to
-//! avoid.  This covers `--faults` (unreadable plan file, malformed spec,
+//! avoid.  So does any argument that is not a common flag, the value
+//! following one, or one of the binary's own switches: a typo or a
+//! retired flag must not run the default configuration.  This covers
+//! `--faults` (unreadable plan file, malformed spec,
 //! bad env default), `--verify` (unknown mode, missing value, bad env
 //! default), `--drains` (missing value or no valid entry) and
 //! `--max-side` (missing, zero or non-numeric value).  Individually invalid `--drains` entries
@@ -117,8 +121,14 @@ pub struct FigureCli {
     /// each run is built (default [`VerifyMode::Warn`]).
     pub verify: VerifyMode,
     drains: Option<Vec<usize>>,
+    /// The bare flags given: `--csv` and the binary's own switches.
+    switches: Vec<&'static str>,
     started: Instant,
 }
+
+/// The common flags that take a value, in the order [`walk_args`] reports
+/// them.
+const VALUE_FLAGS: [&str; 5] = ["--json", "--max-side", "--drains", "--faults", "--verify"];
 
 /// Outcome of looking a flag up in an argument list: distinguishes "the
 /// user never mentioned the flag" from "the flag is there but the value
@@ -136,15 +146,17 @@ enum FlagLookup {
 }
 
 impl FigureCli {
-    /// Parses the common flags from the process arguments and the
-    /// `DALOREX_FAULTS` / `DALOREX_VERIFY` environment defaults.  See the
-    /// module docs for the error policy; on a fatal parse error the single
-    /// diagnostic goes to stderr and the process exits with code 2.
-    pub fn parse() -> Self {
+    /// Parses the common flags and the calling binary's own `switches`
+    /// (bare flags, queried with [`FigureCli::switch`]) from the process
+    /// arguments, with the `DALOREX_FAULTS` / `DALOREX_VERIFY` environment
+    /// defaults.  See the module docs for the error policy; on a fatal
+    /// parse error, an unknown argument included, the single diagnostic
+    /// goes to stderr and the process exits with code 2.
+    pub fn parse(switches: &[&'static str]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let env_faults = std::env::var("DALOREX_FAULTS").ok();
-        let env_verify = std::env::var("DALOREX_VERIFY").ok();
-        match Self::parse_from(&args, env_faults.as_deref(), env_verify.as_deref()) {
+        let faults = std::env::var("DALOREX_FAULTS").ok();
+        let verify = std::env::var("DALOREX_VERIFY").ok();
+        match Self::parse_from(&args, switches, faults.as_deref(), verify.as_deref()) {
             Ok(cli) => cli,
             Err(message) => {
                 eprintln!("{message}");
@@ -154,15 +166,17 @@ impl FigureCli {
     }
 
     /// The testable core of [`FigureCli::parse`]: pure over an argument
-    /// slice (without the program name) and optional `DALOREX_FAULTS` /
-    /// `DALOREX_VERIFY` values, returning the diagnostic instead of
-    /// exiting.
+    /// slice (without the program name), the binary's switches and
+    /// optional `DALOREX_FAULTS` / `DALOREX_VERIFY` values, returning the
+    /// diagnostic instead of exiting.
     fn parse_from(
         args: &[String],
+        switches: &[&'static str],
         env_faults: Option<&str>,
         env_verify: Option<&str>,
     ) -> Result<Self, String> {
-        let faults = match lookup_flag(args, "faults") {
+        let ([json, max_side, drains, faults, verify], given) = walk_args(args, switches)?;
+        let faults = match faults {
             FlagLookup::Value(value) => faults_value_to_plan(&value)?,
             FlagLookup::ValueMissing => return Err(faults_value_missing()),
             FlagLookup::Absent => match env_faults {
@@ -172,7 +186,7 @@ impl FigureCli {
                 None => FaultPlan::empty(),
             },
         };
-        let verify = match lookup_flag(args, "verify") {
+        let verify = match verify {
             FlagLookup::Value(mode) => mode.parse::<VerifyMode>()?,
             FlagLookup::ValueMissing => return Err(verify_value_missing()),
             FlagLookup::Absent => match env_verify {
@@ -183,18 +197,25 @@ impl FigureCli {
             },
         };
         Ok(FigureCli {
-            csv: args.iter().any(|a| a == "--csv"),
-            json: match lookup_flag(args, "json") {
+            csv: given.contains(&"--csv"),
+            json: match json {
                 FlagLookup::Value(path) => Some(path),
                 FlagLookup::ValueMissing => return Err("--json requires a path".to_string()),
                 FlagLookup::Absent => None,
             },
-            max_side: max_side_flag(args)?,
+            max_side: max_side_flag(max_side)?,
             faults,
             verify,
-            drains: drains_flag(args)?,
+            drains: drains_flag(drains)?,
+            switches: given,
             started: Instant::now(),
         })
+    }
+
+    /// Whether `switch`, one of the switches named to
+    /// [`FigureCli::parse`], was given.
+    pub fn switch(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
     }
 
     /// The `--drains` sweep, or `[1]` (the paper's single-port endpoint)
@@ -331,29 +352,44 @@ fn faults_value_to_plan(value: &str) -> Result<FaultPlan, String> {
     })
 }
 
-/// Looks `--<name>` up in `args`, accepting both the two-token and the
-/// `--<name>=<value>` spellings.
-fn lookup_flag(args: &[String], name: &str) -> FlagLookup {
-    let flag = format!("--{name}");
-    let assigned = format!("--{name}=");
-    let mut iter = args.iter();
+/// Walks `args` once.  Returns the first occurrence of each of
+/// [`VALUE_FLAGS`], in its order, in either the two-token or the
+/// `--<name>=<value>` spelling, and the bare flags given (`--csv` and the
+/// binary's `switches`).  Any other token is fatal, named in the
+/// diagnostic.
+fn walk_args(
+    args: &[String],
+    switches: &[&'static str],
+) -> Result<([FlagLookup; 5], Vec<&'static str>), String> {
+    let mut values = std::array::from_fn(|_| FlagLookup::Absent);
+    let mut given = Vec::new();
+    let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
-        if *arg == flag {
+        if let Some(&bare) = ["--csv"].iter().chain(switches).find(|&&s| s == arg) {
+            given.push(bare);
+            continue;
+        }
+        let (flag, assigned) = arg
+            .split_once('=')
+            .map_or((arg.as_str(), None), |(flag, value)| (flag, Some(value)));
+        let Some(index) = VALUE_FLAGS.iter().position(|&f| f == flag) else {
+            return Err(format!("unknown argument {arg:?}"));
+        };
+        let lookup = match assigned {
+            Some("") => FlagLookup::ValueMissing,
+            Some(value) => FlagLookup::Value(value.to_string()),
             // A following token that is itself a flag means the value was
             // forgotten; surface that instead of consuming the other flag.
-            return match iter.next().filter(|v| !v.starts_with("--")) {
+            None => match iter.next_if(|value| !value.starts_with("--")) {
                 Some(value) => FlagLookup::Value(value.clone()),
                 None => FlagLookup::ValueMissing,
-            };
-        }
-        if let Some(value) = arg.strip_prefix(&assigned) {
-            if value.is_empty() {
-                return FlagLookup::ValueMissing;
-            }
-            return FlagLookup::Value(value.to_string());
+            },
+        };
+        if values[index] == FlagLookup::Absent {
+            values[index] = lookup;
         }
     }
-    FlagLookup::Absent
+    Ok((values, given))
 }
 
 /// Parses the `--drains <a,b,...>` flag into a sweep, if given.
@@ -361,8 +397,8 @@ fn lookup_flag(args: &[String], name: &str) -> FlagLookup {
 /// `--drains` that yields *no* valid entry (including a missing value) is
 /// fatal — the run must never proceed on a sweep other than the one the
 /// user asked for.
-fn drains_flag(args: &[String]) -> Result<Option<Vec<usize>>, String> {
-    let list = match lookup_flag(args, "drains") {
+fn drains_flag(lookup: FlagLookup) -> Result<Option<Vec<usize>>, String> {
+    let list = match lookup {
         FlagLookup::Absent => return Ok(None),
         FlagLookup::ValueMissing => {
             return Err(
@@ -392,8 +428,8 @@ fn drains_flag(args: &[String]) -> Result<Option<Vec<usize>>, String> {
 /// environment variable, so one invocation can push a sweep to 32x32 or
 /// 64x64 grids without touching the environment.  A missing, zero or
 /// unparsable value is fatal, like a bad `--drains`.
-fn max_side_flag(args: &[String]) -> Result<Option<usize>, String> {
-    match lookup_flag(args, "max-side") {
+fn max_side_flag(lookup: FlagLookup) -> Result<Option<usize>, String> {
+    match lookup {
         FlagLookup::Absent => Ok(None),
         FlagLookup::ValueMissing => Err("--max-side requires a value (a positive integer)".into()),
         FlagLookup::Value(value) => match value.parse::<usize>() {
@@ -442,9 +478,9 @@ mod tests {
 
     #[test]
     fn defaults_when_no_flags_are_passed() {
-        // The test harness never passes the figure flags.
-        let cli = FigureCli::parse();
+        let cli = FigureCli::parse_from(&[], &["--full"], None, None).unwrap();
         assert!(!cli.csv);
+        assert!(!cli.switch("--full"));
         assert_eq!(cli.json, None);
         assert_eq!(cli.max_side, None);
         assert_eq!(cli.drains(), vec![1]);
@@ -454,22 +490,22 @@ mod tests {
     #[test]
     fn parses_drains_and_csv() {
         let cli =
-            FigureCli::parse_from(&args(&["--drains", "1,2,4", "--csv"]), None, None).unwrap();
+            FigureCli::parse_from(&args(&["--drains", "1,2,4", "--csv"]), &[], None, None).unwrap();
         assert!(cli.csv);
         assert_eq!(cli.drains(), vec![1, 2, 4]);
 
-        let cli = FigureCli::parse_from(&args(&["--drains=3"]), None, None).unwrap();
+        let cli = FigureCli::parse_from(&args(&["--drains=3"]), &[], None, None).unwrap();
         assert!(!cli.csv);
         assert_eq!(cli.drains(), vec![3]);
     }
 
     #[test]
     fn verify_flag_parses_and_defaults_to_warn() {
-        let cli = FigureCli::parse_from(&[], None, None).unwrap();
+        let cli = FigureCli::parse_from(&[], &[], None, None).unwrap();
         assert_eq!(cli.verify, VerifyMode::Warn);
-        let cli = FigureCli::parse_from(&args(&["--verify", "deny"]), None, None).unwrap();
+        let cli = FigureCli::parse_from(&args(&["--verify", "deny"]), &[], None, None).unwrap();
         assert_eq!(cli.verify, VerifyMode::Deny);
-        let cli = FigureCli::parse_from(&args(&["--verify=off"]), None, None).unwrap();
+        let cli = FigureCli::parse_from(&args(&["--verify=off"]), &[], None, None).unwrap();
         assert_eq!(cli.verify, VerifyMode::Off);
     }
 
@@ -481,34 +517,36 @@ mod tests {
             args(&["--verify", "--csv"]),
             args(&["--verify="]),
         ] {
-            let err = FigureCli::parse_from(&case, None, None).unwrap_err();
+            let err = FigureCli::parse_from(&case, &[], None, None).unwrap_err();
             assert_eq!(err, expected, "case: {case:?}");
         }
-        let err = FigureCli::parse_from(&args(&["--verify", "strict"]), None, None).unwrap_err();
+        let err =
+            FigureCli::parse_from(&args(&["--verify", "strict"]), &[], None, None).unwrap_err();
         assert!(
             err.contains("strict"),
             "diagnostic names the bad value: {err}"
         );
 
         // Env default, env error prefix, and flag-wins.
-        let cli = FigureCli::parse_from(&[], None, Some("deny")).unwrap();
+        let cli = FigureCli::parse_from(&[], &[], None, Some("deny")).unwrap();
         assert_eq!(cli.verify, VerifyMode::Deny);
-        let err = FigureCli::parse_from(&[], None, Some("strict")).unwrap_err();
+        let err = FigureCli::parse_from(&[], &[], None, Some("strict")).unwrap_err();
         assert!(err.starts_with("DALOREX_VERIFY:"), "{err}");
         let cli =
-            FigureCli::parse_from(&args(&["--verify", "warn"]), None, Some("strict")).unwrap();
+            FigureCli::parse_from(&args(&["--verify", "warn"]), &[], None, Some("strict")).unwrap();
         assert_eq!(cli.verify, VerifyMode::Warn);
     }
 
     #[test]
     fn faults_flag_parses_inline_specs_and_defaults_to_empty() {
-        let cli = FigureCli::parse_from(&[], None, None).unwrap();
+        let cli = FigureCli::parse_from(&[], &[], None, None).unwrap();
         assert!(cli.faults.is_empty());
         let cli = FigureCli::parse_from(
             &args(&[
                 "--faults",
                 "stall:tile=3,start=50,end=400;link:tile=1,start=10,end=20",
             ]),
+            &[],
             None,
             None,
         )
@@ -516,6 +554,7 @@ mod tests {
         assert_eq!(cli.faults.events.len(), 2);
         let cli = FigureCli::parse_from(
             &args(&["--faults=random:seed=7,count=4,horizon=2000"]),
+            &[],
             None,
             None,
         )
@@ -532,12 +571,12 @@ mod tests {
         )
         .unwrap();
         let path = path.to_str().unwrap().to_string();
-        let cli = FigureCli::parse_from(&args(&["--faults", &path]), None, None).unwrap();
+        let cli = FigureCli::parse_from(&args(&["--faults", &path]), &[], None, None).unwrap();
         assert_eq!(cli.faults.events.len(), 2);
         // A readable file full of garbage is fatal — it must not silently
         // fall back to parsing the file *name* as a spec.
         std::fs::write(&path, "not a fault spec").unwrap();
-        let err = FigureCli::parse_from(&args(&["--faults", &path]), None, None).unwrap_err();
+        let err = FigureCli::parse_from(&args(&["--faults", &path]), &[], None, None).unwrap_err();
         assert!(err.contains("fault plan file"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
@@ -550,22 +589,24 @@ mod tests {
             args(&["--faults", "--csv"]),
             args(&["--faults="]),
         ] {
-            let err = FigureCli::parse_from(&case, None, None).unwrap_err();
+            let err = FigureCli::parse_from(&case, &[], None, None).unwrap_err();
             assert_eq!(err, expected, "case: {case:?}");
         }
-        let err =
-            FigureCli::parse_from(&args(&["--faults", "warp:tile=1"]), None, None).unwrap_err();
+        let err = FigureCli::parse_from(&args(&["--faults", "warp:tile=1"]), &[], None, None)
+            .unwrap_err();
         assert!(
             err.contains("warp"),
             "diagnostic names the bad value: {err}"
         );
 
-        let cli = FigureCli::parse_from(&[], Some("stall:tile=0,start=1,end=2"), None).unwrap();
+        let cli =
+            FigureCli::parse_from(&[], &[], Some("stall:tile=0,start=1,end=2"), None).unwrap();
         assert_eq!(cli.faults.events.len(), 1);
-        let err = FigureCli::parse_from(&[], Some("warp:tile=1"), None).unwrap_err();
+        let err = FigureCli::parse_from(&[], &[], Some("warp:tile=1"), None).unwrap_err();
         assert!(err.starts_with("DALOREX_FAULTS:"), "{err}");
         let cli = FigureCli::parse_from(
             &args(&["--faults", "link:tile=2,start=5,end=9"]),
+            &[],
             Some("warp:tile=1"),
             None,
         )
@@ -584,14 +625,14 @@ mod tests {
             args(&["--drains"]),
             args(&["--drains", "--csv"]),
         ] {
-            let err = FigureCli::parse_from(&case, None, None).unwrap_err();
+            let err = FigureCli::parse_from(&case, &[], None, None).unwrap_err();
             assert!(err.contains("--drains"), "case {case:?}: {err}");
         }
     }
 
     #[test]
     fn partially_invalid_drains_list_keeps_the_valid_entries() {
-        let cli = FigureCli::parse_from(&args(&["--drains", "1,oops,4"]), None, None).unwrap();
+        let cli = FigureCli::parse_from(&args(&["--drains", "1,oops,4"]), &[], None, None).unwrap();
         assert_eq!(cli.drains(), vec![1, 4]);
     }
 
@@ -601,7 +642,7 @@ mod tests {
             (args(&["--max-side", "32"]), 32),
             (args(&["--max-side=1"]), 1),
         ] {
-            let cli = FigureCli::parse_from(&case, None, None).unwrap();
+            let cli = FigureCli::parse_from(&case, &[], None, None).unwrap();
             assert_eq!(cli.max_side, Some(side));
         }
         for (case, names) in [
@@ -611,7 +652,7 @@ mod tests {
             (args(&["--max-side", "--csv"]), "requires a value"),
             (args(&["--max-side="]), "requires a value"),
         ] {
-            let err = FigureCli::parse_from(&case, None, None).unwrap_err();
+            let err = FigureCli::parse_from(&case, &[], None, None).unwrap_err();
             assert!(
                 err.starts_with("--max-side") && err.contains(names),
                 "{case:?}: {err}"
@@ -669,7 +710,7 @@ mod tests {
         let every = CommonFlag::ALL;
         // Defaults, including flags spelled at their default value, pass.
         for case in [args(&[]), args(&["--csv", "--verify", "warn"])] {
-            let cli = FigureCli::parse_from(&case, None, None).unwrap();
+            let cli = FigureCli::parse_from(&case, &[], None, None).unwrap();
             assert_eq!(cli.unapplied(&every), None, "{case:?}");
         }
         for (case, flag, names) in [
@@ -687,7 +728,7 @@ mod tests {
             ),
             (args(&["--verify", "deny"]), CommonFlag::Verify, "deny"),
         ] {
-            let cli = FigureCli::parse_from(&case, None, None).unwrap();
+            let cli = FigureCli::parse_from(&case, &[], None, None).unwrap();
             let message = cli.unapplied(&every).expect("a set flag is named");
             assert!(message.contains(names), "{case:?}: {message}");
             // A binary that applies the flag does not list it.
@@ -695,28 +736,52 @@ mod tests {
             assert_eq!(cli.unapplied(&others), None, "{case:?}");
         }
         // Environment defaults count as set.
-        let cli = FigureCli::parse_from(&[], Some("stall:tile=1,start=1,end=10"), None).unwrap();
+        let cli =
+            FigureCli::parse_from(&[], &[], Some("stall:tile=1,start=1,end=10"), None).unwrap();
         assert!(cli.unapplied(&[CommonFlag::Faults]).is_some());
     }
 
     #[test]
     fn lookup_distinguishes_absent_from_value_missing() {
-        assert_eq!(lookup_flag(&[], "verify"), FlagLookup::Absent);
+        let verify = |list: &[&str]| {
+            let ([.., verify], _) = walk_args(&args(list), &[]).unwrap();
+            verify
+        };
+        assert_eq!(verify(&[]), FlagLookup::Absent);
+        assert_eq!(verify(&["--verify"]), FlagLookup::ValueMissing);
+        assert_eq!(verify(&["--verify="]), FlagLookup::ValueMissing);
         assert_eq!(
-            lookup_flag(&args(&["--verify"]), "verify"),
-            FlagLookup::ValueMissing
-        );
-        assert_eq!(
-            lookup_flag(&args(&["--verify="]), "verify"),
-            FlagLookup::ValueMissing
-        );
-        assert_eq!(
-            lookup_flag(&args(&["--verify", "off"]), "verify"),
+            verify(&["--verify", "off"]),
             FlagLookup::Value("off".to_string())
         );
         assert_eq!(
-            lookup_flag(&args(&["--verify=off"]), "verify"),
+            verify(&["--verify=off"]),
             FlagLookup::Value("off".to_string())
         );
+    }
+
+    #[test]
+    fn unknown_arguments_are_fatal_and_named() {
+        // `--full` is known only to a binary that names it as its switch.
+        for (case, names) in [
+            (args(&["--engine", "reference"]), "\"--engine\""),
+            (args(&["--csv", "stray"]), "\"stray\""),
+            (args(&["--jsn", "x"]), "\"--jsn\""),
+            (args(&["--full"]), "\"--full\""),
+        ] {
+            let err = FigureCli::parse_from(&case, &[], None, None).unwrap_err();
+            assert_eq!(err, format!("unknown argument {names}"));
+        }
+        let case = args(&[
+            "--json",
+            "out.json",
+            "--faults",
+            "stall:tile=3,start=5,end=9",
+            "--full",
+        ]);
+        let cli = FigureCli::parse_from(&case, &["--full"], None, None).unwrap();
+        assert_eq!(cli.json.as_deref(), Some("out.json"));
+        assert_eq!(cli.faults.events.len(), 1);
+        assert!(cli.switch("--full"));
     }
 }

@@ -9,7 +9,8 @@
 //! cargo run --release --example scaling_study [-- --max-side <n>]
 //! ```
 //!
-//! `--max-side` caps the sweep (default 16).  `--max-side 1` runs only the
+//! `--max-side` caps the sweep (default 16); any other argument, or a
+//! value that is not a positive integer, exits 2.  `--max-side 1` runs only the
 //! single-tile step — the configuration that once livelocked on the
 //! T4-vs-T1 occupancy-priority tie (fixed by T4's `requires_iq_space`
 //! output-queue guarantee); CI runs that step as a regression smoke.
@@ -26,21 +27,24 @@ use dalorex::sim::config::{GridConfig, SimConfigBuilder};
 use dalorex::sim::Simulation;
 
 fn max_side_arg() -> usize {
-    let mut args = std::env::args();
+    let fail = |message: String| -> ! {
+        eprintln!("{message}");
+        std::process::exit(2)
+    };
+    let mut max_side = 16;
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let value = if arg == "--max-side" {
-            args.next()
-        } else {
-            arg.strip_prefix("--max-side=").map(str::to_string)
+        let value = match arg.strip_prefix("--max-side=") {
+            Some(value) => value.to_string(),
+            None if arg == "--max-side" => args.next().unwrap_or_default(),
+            None => fail(format!("unknown argument {arg:?}")),
         };
-        if let Some(value) = value {
-            match value.parse::<usize>() {
-                Ok(side) if side > 0 => return side,
-                _ => eprintln!("ignoring invalid --max-side value {value:?}"),
-            }
+        match value.parse::<usize>() {
+            Ok(side) if side > 0 => max_side = side,
+            _ => fail(format!("--max-side {value:?} is not a positive integer")),
         }
     }
-    16
+    max_side
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
