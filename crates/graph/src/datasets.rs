@@ -93,8 +93,10 @@ pub struct DatasetCatalog {
     /// How many powers of two to subtract from each dataset's original
     /// vertex-count exponent. Zero reproduces the paper's sizes.
     scale_shift: u32,
-    seed: u64,
 }
+
+/// The generator seed every catalog dataset derives its own seed from.
+const SEED: u64 = 0xDA10;
 
 impl Default for DatasetCatalog {
     fn default() -> Self {
@@ -107,31 +109,19 @@ impl DatasetCatalog {
     /// so that the whole figure suite runs on one machine. The degree
     /// structure and generator parameters are unchanged.
     pub fn new() -> Self {
-        DatasetCatalog {
-            scale_shift: 10,
-            seed: 0xDA10,
-        }
+        DatasetCatalog { scale_shift: 10 }
     }
 
     /// Catalog at the paper's original sizes (use with care: RMAT-26 needs
     /// roughly 12 GB for the dataset alone).
     pub fn full_scale() -> Self {
-        DatasetCatalog {
-            scale_shift: 0,
-            seed: 0xDA10,
-        }
+        DatasetCatalog { scale_shift: 0 }
     }
 
     /// Overrides the scale shift: generated vertex counts are the original
     /// exponent minus `shift`, floored at 2^6 vertices.
     pub fn with_scale_shift(mut self, shift: u32) -> Self {
         self.scale_shift = shift;
-        self
-    }
-
-    /// Overrides the generator seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -157,18 +147,18 @@ impl DatasetCatalog {
         match label {
             DatasetLabel::Amazon => RealWorldDataset::Amazon
                 .config(num_vertices)
-                .seed(self.seed)
+                .seed(SEED)
                 .build(),
             DatasetLabel::Wikipedia => RealWorldDataset::Wikipedia
                 .config(num_vertices)
-                .seed(self.seed.wrapping_add(1))
+                .seed(SEED.wrapping_add(1))
                 .build(),
             DatasetLabel::LiveJournal => RealWorldDataset::LiveJournal
                 .config(num_vertices)
-                .seed(self.seed.wrapping_add(2))
+                .seed(SEED.wrapping_add(2))
                 .build(),
             DatasetLabel::Rmat(_) => RmatConfig::new(scale, 10)
-                .seed(self.seed.wrapping_add(3))
+                .seed(SEED.wrapping_add(3))
                 .build(),
         }
     }

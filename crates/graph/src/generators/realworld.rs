@@ -45,15 +45,6 @@ impl RealWorldDataset {
         }
     }
 
-    /// Vertex count of the original dataset.
-    pub fn original_vertices(self) -> usize {
-        match self {
-            RealWorldDataset::Amazon => 262_000,
-            RealWorldDataset::Wikipedia => 4_200_000,
-            RealWorldDataset::LiveJournal => 5_300_000,
-        }
-    }
-
     /// The two-letter label used in the paper's figures.
     pub fn label(self) -> &'static str {
         match self {

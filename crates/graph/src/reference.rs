@@ -185,14 +185,6 @@ impl PageRankResult {
     pub fn iterations(&self) -> usize {
         self.iterations
     }
-
-    /// Ranks converted to floating point.
-    pub fn ranks_f64(&self) -> Vec<f64> {
-        self.ranks
-            .iter()
-            .map(|&r| r as f64 / PAGERANK_ONE as f64)
-            .collect()
-    }
 }
 
 /// Push-based PageRank with integer fixed-point arithmetic, running a fixed

@@ -173,11 +173,6 @@ impl VerifyReport {
         self.errors().next().is_some()
     }
 
-    /// Whether the report is completely clean (no findings at all).
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
-
     /// Whether a finding with `code` is present.
     pub fn has_code(&self, code: &str) -> bool {
         self.diagnostics.iter().any(|d| d.code == code)
