@@ -96,7 +96,7 @@ fn main() {
                     rejected_injections: outcome.stats.noc.total_injection_rejections(),
                     memory: Some(MemoryColumns::from_report(&outcome.memory)),
                     peak_rss_bytes: None,
-                    walk: Some(WalkColumns::from_stats(&outcome.stats.noc)),
+                    walk: Some(WalkColumns::from_outcome(&outcome)),
                 });
                 if drains != 1 {
                     continue;

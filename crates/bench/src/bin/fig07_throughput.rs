@@ -89,7 +89,7 @@ fn main() {
                     rejected_injections: outcome.stats.noc.total_injection_rejections(),
                     memory: Some(MemoryColumns::from_report(&outcome.memory)),
                     peak_rss_bytes: None,
-                    walk: Some(WalkColumns::from_stats(&outcome.stats.noc)),
+                    walk: Some(WalkColumns::from_outcome(&outcome)),
                 });
             }
         }
@@ -186,6 +186,6 @@ fn paper_scale_rung(
         rejected_injections: outcome.stats.noc.total_injection_rejections(),
         memory: Some(MemoryColumns::from_report(memory)),
         peak_rss_bytes: None,
-        walk: Some(WalkColumns::from_stats(&outcome.stats.noc)),
+        walk: Some(WalkColumns::from_outcome(&outcome)),
     });
 }

@@ -100,7 +100,7 @@ fn main() {
         rejected_injections: baseline.stats.noc.total_injection_rejections(),
         memory: None,
         peak_rss_bytes: None,
-        walk: Some(WalkColumns::from_stats(&baseline.stats.noc)),
+        walk: Some(WalkColumns::from_outcome(&baseline)),
     }];
 
     for &duration in &DURATIONS {
@@ -133,7 +133,7 @@ fn main() {
                 rejected_injections: outcome.stats.noc.total_injection_rejections(),
                 memory: None,
                 peak_rss_bytes: None,
-                walk: Some(WalkColumns::from_stats(&outcome.stats.noc)),
+                walk: Some(WalkColumns::from_outcome(&outcome)),
             });
         }
     }

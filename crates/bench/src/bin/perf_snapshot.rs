@@ -132,7 +132,7 @@ fn main() {
             rejections = outcome.stats.noc.total_injection_rejections();
             modeled_bytes = outcome.memory.modeled_total_bytes();
             memory = Some(MemoryColumns::from_report(&outcome.memory));
-            walk = Some(WalkColumns::from_stats(&outcome.stats.noc));
+            walk = Some(WalkColumns::from_outcome(&outcome));
         }
         let peak_rss = peak_rss_bytes();
         let throughput = cycles as f64 / best;

@@ -127,10 +127,10 @@ impl MemoryColumns {
     }
 }
 
-/// The walk-efficiency columns a figure row may carry: how much per-cycle
-/// router-walk work the run's scheduler actually did.  These are
+/// The work columns a figure row may carry: how much per-cycle work the
+/// run's router walk and tile loop actually did.  These are
 /// simulator-efficiency counters — the modeled schedule is identical
-/// across schedulers — so the BENCH series can show the due-only walk's
+/// across schedulers — so the BENCH series can show the calendar engine's
 /// cost (and catch a regression) without touching the figure numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkColumns {
@@ -142,15 +142,23 @@ pub struct WalkColumns {
     pub routers_scanned: u64,
     /// Cycles in which the calendar walk scanned no router.
     pub walks_elided: u64,
+    /// Port scans that committed no forward.
+    pub idle_scans: u64,
+    /// The engine's tile-side work: tiles visited, tile cycles run and
+    /// injection attempts.
+    pub work: dalorex_sim::WorkCounters,
 }
 
 impl WalkColumns {
-    /// Extracts the walk columns from a run's NoC statistics.
-    pub fn from_stats(stats: &dalorex_noc::NocStats) -> Self {
+    /// Extracts the work columns from a run's outcome.
+    pub fn from_outcome(outcome: &dalorex_sim::SimOutcome) -> Self {
+        let stats = &outcome.stats.noc;
         WalkColumns {
             routers_visited: stats.walk_routers_visited,
             routers_scanned: stats.walk_routers_scanned,
             walks_elided: stats.walks_elided,
+            idle_scans: stats.walk_idle_scans,
+            work: outcome.work,
         }
     }
 }
@@ -253,9 +261,17 @@ impl Measurement {
             Some(w) => format!(
                 concat!(
                     ",\"walk\":{{\"routers_visited\":{},",
-                    "\"routers_scanned\":{},\"walks_elided\":{}}}"
+                    "\"routers_scanned\":{},\"walks_elided\":{},\"idle_scans\":{}}}",
+                    ",\"work\":{{\"tile_visits\":{},\"tile_cycles_run\":{},",
+                    "\"injection_attempts\":{}}}"
                 ),
-                w.routers_visited, w.routers_scanned, w.walks_elided,
+                w.routers_visited,
+                w.routers_scanned,
+                w.walks_elided,
+                w.idle_scans,
+                w.work.tile_visits,
+                w.work.tile_cycles_run,
+                w.work.injection_attempts,
             ),
             None => String::new(),
         };
@@ -376,6 +392,12 @@ mod tests {
                 routers_visited: 500,
                 routers_scanned: 40,
                 walks_elided: 9,
+                idle_scans: 6,
+                work: dalorex_sim::WorkCounters {
+                    tile_visits: 300,
+                    tile_cycles_run: 120,
+                    injection_attempts: 80,
+                },
             }),
         };
         let json = m.to_json();
@@ -388,7 +410,10 @@ mod tests {
         assert!(json.contains("\"materialized_tiles\":3"));
         assert!(json.contains("\"peak_rss_bytes\":4096"));
         assert!(json.contains("\"walk\":{\"routers_visited\":500"));
-        assert!(json.contains("\"walks_elided\":9"));
+        assert!(json.contains("\"walks_elided\":9,\"idle_scans\":6}"));
+        assert!(json.contains(
+            "\"work\":{\"tile_visits\":300,\"tile_cycles_run\":120,\"injection_attempts\":80}"
+        ));
         let array = to_json_array(&[m.clone(), m]);
         assert!(array.starts_with('['));
         assert!(array.ends_with(']'));
@@ -417,5 +442,6 @@ mod tests {
         assert!(!json.contains("\"memory\""), "absent report emits no key");
         assert!(!json.contains("peak_rss"), "absent RSS emits no key");
         assert!(!json.contains("\"walk\""), "absent walk emits no key");
+        assert!(!json.contains("\"work\""), "absent walk emits no work key");
     }
 }

@@ -606,9 +606,14 @@ impl Network {
                 self.stats.walk_routers_visited += 1;
                 if self.due[tile] <= now {
                     self.stats.walk_routers_scanned += 1;
+                    let hops_before = self.stats.flit_hops;
                     // The scan has complete knowledge of the router, so its
                     // fresh stamp replaces the old one (and may rise).
                     let stamp = self.scan_router(tile, now);
+                    if self.stats.flit_hops == hops_before {
+                        // Every forward moves at least one flit.
+                        self.stats.walk_idle_scans += 1;
+                    }
                     self.due[tile] = stamp;
                     if stamp == u64::MAX {
                         self.due_set[word] &= !(1 << bit);

@@ -6,9 +6,9 @@
 
 /// Aggregate traffic counters for a network run.
 ///
-/// Equality deliberately ignores the three `walk_*` scheduler-efficiency
+/// Equality deliberately ignores the four `walk_*` scheduler-efficiency
 /// counters: they measure simulator work (how many routers a cycle's walk
-/// touched), which legitimately differs between router schedulers whose
+/// touched, and how many of its scans were wasted), which legitimately differs between router schedulers whose
 /// *modeled* schedules are bit-identical.  The equivalence suites compare
 /// whole `NocStats` values across engines and schedulers, so the manual
 /// `PartialEq` below keeps that contract about the modeled schedule only.
@@ -48,6 +48,10 @@ pub struct NocStats {
     pub walk_routers_scanned: u64,
     /// Cycles in which the calendar walk scanned no router (none was due).
     pub walks_elided: u64,
+    /// Port scans of the calendar walk that committed no forward, summed
+    /// over all cycles: the share of
+    /// [`NocStats::walk_routers_scanned`] that was wasted work.
+    pub walk_idle_scans: u64,
 }
 
 impl PartialEq for NocStats {
@@ -233,6 +237,7 @@ mod tests {
             walk_routers_visited: 7,
             walk_routers_scanned: 3,
             walks_elided: 9,
+            walk_idle_scans: 2,
             ..NocStats::default()
         };
         assert_eq!(a, b);

@@ -88,6 +88,28 @@ pub struct SimOutcome {
     /// [`crate::fault::FaultPlan`]).  Derived entirely from schedule facts,
     /// so it is bit-identical between the engine and its oracle.
     pub fault: FaultReport,
+    /// How much tile-side work the run's engine did.  Like [`MemoryReport`]
+    /// it stays out of [`SimStats`]: it measures the simulator, not the
+    /// modelled machine, and legitimately differs between the engine and
+    /// its oracle.
+    pub work: WorkCounters,
+}
+
+/// Deterministic counts of the simulator's tile-side work, the units a
+/// speed claim can name instead of a noisy wall-clock ratio (the router
+/// walk's counterparts are the `walk_*` fields of `dalorex_noc::NocStats`).
+/// Each engine counts its own tile path, so the oracle's counts are those
+/// of running every active tile every cycle.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Active-tile visits, summed over all cycles: every tile the cycle
+    /// loop looked at, whether it ran the tile or skipped it as a no-op.
+    pub tile_visits: u64,
+    /// Visits that ran the tile's TSU + PU cycle (the rest were skipped).
+    pub tile_cycles_run: u64,
+    /// Calls to `Network::try_inject` from the tile path, accepted or
+    /// rejected.
+    pub injection_attempts: u64,
 }
 
 impl SimOutcome {
@@ -434,6 +456,7 @@ impl Simulation {
         let mut last_progress_marker = (0u64, 0u64);
         let mut last_progress_cycle = 0u64;
         let mut total_dispatches = 0u64;
+        let mut work = WorkCounters::default();
 
         loop {
             // Global idle: tiles drained, network drained.
@@ -505,7 +528,9 @@ impl Simulation {
                     bits &= bits - 1;
                     let t = word * 64 + bit as usize;
                     *slot &= !(1 << bit);
+                    work.tile_visits += 1;
                     if reference {
+                        work.tile_cycles_run += 1;
                         self.tile_cycle_reference(
                             kernel,
                             &tasks,
@@ -516,6 +541,7 @@ impl Simulation {
                             barrier_mode,
                             cycle,
                             &mut total_dispatches,
+                            &mut work,
                         );
                         if !tiles[t].is_idle_scan(cycle + 1) || network.delivered_waiting(t) > 0 {
                             *slot |= 1 << bit;
@@ -548,6 +574,7 @@ impl Simulation {
                         }
                         continue;
                     }
+                    work.tile_cycles_run += 1;
                     let parked_ready = self.tile_cycle(
                         kernel,
                         &tasks,
@@ -558,6 +585,7 @@ impl Simulation {
                         barrier_mode,
                         cycle,
                         &mut total_dispatches,
+                        &mut work,
                     );
                     hot[t] = HotTile::snapshot(&tiles[t], parked_ready);
                     if !tiles[t].is_idle(cycle + 1) || network.has_deliveries(t) {
@@ -606,6 +634,7 @@ impl Simulation {
             &network,
             cycle,
             epochs,
+            work,
         )
     }
 
@@ -621,6 +650,7 @@ impl Simulation {
         network: &Network,
         cycle: u64,
         epochs: u64,
+        work: WorkCounters,
     ) -> Result<SimOutcome, SimError> {
         let mut stats = SimStats {
             cycles: cycle,
@@ -682,6 +712,7 @@ impl Simulation {
             output,
             memory,
             fault: self.assemble_fault_report(tiles, network),
+            work,
         })
     }
 
@@ -792,6 +823,7 @@ impl Simulation {
         barrier_mode: bool,
         cycle: u64,
         total_dispatches: &mut u64,
+        work: &mut WorkCounters,
     ) -> u32 {
         let tile_id = tile.tile;
         let endpoint_budget = self.fault_endpoint_budget(tile_id, cycle);
@@ -872,6 +904,7 @@ impl Simulation {
                 let mut flit_buf = [0u32; dalorex_noc::MAX_FLITS];
                 let popped = tile.pop_cq_into(channel, flits, &mut flit_buf);
                 debug_assert!(popped);
+                work.injection_attempts += 1;
                 match network.try_inject(tile_id, Message::new(dest, channel, &flit_buf[..flits])) {
                     Ok(()) => {
                         // Reading the words out of the CQ costs scratchpad
@@ -979,6 +1012,7 @@ impl Simulation {
         barrier_mode: bool,
         cycle: u64,
         total_dispatches: &mut u64,
+        work: &mut WorkCounters,
     ) {
         let tile_id = tile.tile;
         let endpoint_budget = self.fault_endpoint_budget(tile_id, cycle);
@@ -1049,6 +1083,7 @@ impl Simulation {
                 let words = tile
                     .pop_cq_invocation(channel, flits)
                     .expect("checked length");
+                work.injection_attempts += 1;
                 match network.try_inject(tile_id, Message::new(dest, channel, words)) {
                     Ok(()) => {
                         tile.counters.sram_reads += flits as u64;

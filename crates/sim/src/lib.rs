@@ -59,7 +59,7 @@ mod context;
 mod error;
 
 pub use config::{BarrierMode, Engine, GridConfig, SchedulingPolicy, SimConfig, SimConfigBuilder};
-pub use engine::{SimOutcome, Simulation};
+pub use engine::{SimOutcome, Simulation, WorkCounters};
 pub use error::{BlockedTile, DeadlockDiagnostics, SimError};
 pub use fault::{FaultEvent, FaultImpactEntry, FaultPlan, FaultReport, RandomFaultSpec};
 pub use kernel::Kernel;
