@@ -61,7 +61,10 @@
 //! head `ready_at`s, link un-busy times and post-commit link-free times)
 //! plus a bitset of the stamped routers.  A head blocked on a full
 //! downstream buffer contributes no stamp: it sets its router's bit in the
-//! downstream router's waiter mask, and the next pop there re-stamps it.
+//! waiters of that one (router, port, channel) buffer, which also keep the
+//! least free flits any of their heads needs.  `Router::can_accept`
+//! reads only that buffer, so only a pop from it can let the head move,
+//! and only a pop that leaves the least need free re-stamps the waiters.
 //! Stamps are lower bounds, so a due router may still commit nothing (it
 //! is simply re-stamped); the invariant that a stamp never overshoots the
 //! router's actual next commit is what keeps the schedule bit-identical to
@@ -83,21 +86,56 @@
 //!
 //! # Endpoint bits
 //!
-//! The tile simulator reads two endpoint facts from dense bits, without
+//! The tile simulator reads three endpoint facts from dense bits, without
 //! touching a router: which tiles' ejection buffers hold a message
-//! ([`Network::delivered_tiles`]), and whether a tile's injection was
-//! rejected with no pop at its router since ([`Network::injection_blocked`],
-//! the endpoint bit of the router's waiter mask).
+//! ([`Network::delivered_tiles`]); which channels of a tile a retry would
+//! see rejected ([`Network::blocked_channels`]); and which tiles a pop has
+//! unblocked since the latest cycle began ([`Network::unblocked_tiles`]).
+//! A rejected injection records, per (tile, channel), its head's first-hop
+//! buffer and the free flits the head needs there; only a pop from that
+//! buffer that leaves the need free clears the channel's bit.  The record
+//! is exact because a rejected head stays at the front of its channel
+//! queue until it is injected.
 
 use crate::message::Message;
-use crate::router::{QueuedMessage, Router};
+use crate::router::{needed_flits, QueuedMessage, Router};
 use crate::stats::{NocStats, UtilizationGrid};
 use crate::topology::{Port, RoutingGrid};
 use crate::{ChannelId, NocConfig, NocError, RouterScheduler, TileId};
 
-/// The bit of a router's waiter mask that names its own endpoint, blocked
-/// by a rejected injection.
-const ENDPOINT_WAITER: u16 = 1 << Port::Local.index();
+/// The upstream routers whose ready heads wait for space in one (router,
+/// port, channel) buffer, set by the calendar walk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BufferWaiters {
+    /// Bit `p` names the neighbour `link_dest[tile * 9 + p]` (`p < 8`): the
+    /// router behind the link that arrives through port `p`.  A router
+    /// reaches this buffer over one link per waiting head, so each bit
+    /// stands for exactly one blocked head.
+    neighbours: u8,
+    /// The least free flits any of those heads needs (`u8::MAX` with no
+    /// waiter).  No head can move before a pop leaves this much free.
+    least_need: u8,
+}
+
+impl BufferWaiters {
+    const NONE: BufferWaiters = BufferWaiters {
+        neighbours: 0,
+        least_need: u8::MAX,
+    };
+}
+
+/// What a tile's rejected injection on one channel waits for: its head's
+/// first-hop buffer at the tile's own router and the free flits the head
+/// needs there.  A rejected head stays at the front of its channel queue
+/// until it is injected, so the pair holds while the channel is blocked.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct EndpointWait {
+    /// `Port::index()` of the first-hop buffer.
+    port: u8,
+    /// Free flits the head needs: `flits + bubble`, or `flits` when it
+    /// ejects at its own tile.
+    need: u8,
+}
 
 /// The network's contribution to the memory budget report (see
 /// [`Network::memory_report`]).
@@ -106,9 +144,12 @@ pub struct NocMemoryReport {
     /// Modelled router buffer capacity across the fabric, in bytes.
     pub buffer_bytes: usize,
     /// Calendar router-scheduler bookkeeping, in bytes: due stamps, the
-    /// bitset of stamped routers and a 2-byte waiter mask per router.
-    /// Under the reference scheduler the stamped-router bitset is not
-    /// allocated.
+    /// bitset of stamped routers, a 2-byte waiter record (neighbour mask
+    /// and least need) per (router, port, channel) buffer, and the
+    /// endpoint state — a 4-byte blocked-channel mask per tile, a 2-byte
+    /// awaited buffer and need per (tile, channel), and the unblocked-tile
+    /// bitset.  Under the reference scheduler the stamped-router bitset is
+    /// not allocated.
     pub calendar_bytes: usize,
 }
 
@@ -197,16 +238,29 @@ pub struct Network {
     /// `due[t]` is finite, so each cycle visits the stamped routers in
     /// ascending tile id without touching the others.
     due_set: Vec<u64>,
-    /// Who waits for buffer space at router `t`, one mask per router.  Bit
-    /// `p < 8` is the neighbour `link_dest[t * 9 + p]`, whose ready head is
-    /// blocked on one of `t`'s full buffers (set by the calendar walk only):
-    /// it sleeps (due `u64::MAX` unless another port has a candidate)
-    /// instead of re-scanning every cycle.  Bit 8 is `t`'s own endpoint
-    /// after a rejected injection (set under both schedulers).  Any pop at
-    /// `t` wakes every neighbour and clears the mask.  Spurious wakes (a pop
-    /// from a buffer the waiter was not blocked on, or a bit that outlived
-    /// its blockage) cost one no-op re-scan — never a schedule change.
-    waiters: Vec<u16>,
+    /// Who waits for space in each buffer, indexed like
+    /// [`Network::buffer_slot`]: the neighbours whose ready heads are
+    /// blocked on the (router, port, channel) buffer, and the least free
+    /// flits any of them needs (set by the calendar walk only).  A blocked
+    /// head's router sleeps (due `u64::MAX` unless another port has a
+    /// candidate) instead of re-scanning every cycle.  Only a pop from that
+    /// buffer that leaves at least the least need free wakes the waiters,
+    /// all of them, and clears the record.  A woken head whose own need is
+    /// still unmet costs one no-op re-scan, which registers it again —
+    /// never a schedule change.
+    waiters: Vec<BufferWaiters>,
+    /// Per tile, the channels whose injection a retry would see rejected:
+    /// bit `c` is set by a back-pressure rejection on channel `c` (under
+    /// both schedulers) and cleared only by the pop from the awaited
+    /// buffer (`endpoint_waits`) that leaves the head's need free.
+    blocked: Vec<u32>,
+    /// The awaited buffer and need of each blocked channel, at
+    /// `tile * channels + channel`; meaningful while the channel's bit in
+    /// `blocked` is set.
+    endpoint_waits: Vec<EndpointWait>,
+    /// The tiles whose blocked channels a pop has cleared since the latest
+    /// [`Network::cycle`] began: bit `t % 64` of word `t / 64`.
+    unblocked: Vec<u64>,
     /// The compiled fault schedule (`None` when [`NocConfig::faults`] is
     /// empty — the hot path then pays one pointer test per router scan).
     /// A stalled router or blacked-out link forwards nothing during its
@@ -310,7 +364,10 @@ impl Network {
             } else {
                 vec![0; num_tiles.div_ceil(64)]
             },
-            waiters: vec![0; num_tiles],
+            waiters: vec![BufferWaiters::NONE; num_tiles * Port::ALL.len() * config.channels],
+            blocked: vec![0; num_tiles],
+            endpoint_waits: vec![EndpointWait::default(); num_tiles * config.channels],
+            unblocked: vec![0; num_tiles.div_ceil(64)],
             faults: crate::fault::CompiledNocFaults::compile(&config.faults, num_tiles),
             config,
         }
@@ -324,18 +381,32 @@ impl Network {
         self.faults.as_deref().map_or(&[], |f| &f.impacts)
     }
 
-    /// Whether an injection at `tile` was rejected for back-pressure with
-    /// no message leaving `tile`'s router since.  Buffer space only frees
-    /// on such a pop, so while this holds a retry of the rejected injection
-    /// would be rejected again, and the tile simulator skips it.
-    pub fn injection_blocked(&self, tile: TileId) -> bool {
-        self.waiters[tile] & ENDPOINT_WAITER != 0
+    /// The channels of `tile` whose injection a retry would see rejected
+    /// (bit `c` for channel `c`): each was rejected for back-pressure, and
+    /// no pop from its head's first-hop buffer has since left the free
+    /// flits the head needs.  Only such a pop frees space the head can
+    /// use, so while a bit is set a retry of that channel's head — which
+    /// stays at the front of its channel queue until injected — is
+    /// rejected again, and the tile simulator skips the attempt.
+    pub fn blocked_channels(&self, tile: TileId) -> u32 {
+        self.blocked[tile]
+    }
+
+    /// The tiles whose blocked channels a pop has cleared since the latest
+    /// [`Network::cycle`] began: bit `t % 64` of word `t / 64` is set for
+    /// tile `t`.  The tile simulator ORs it into its active set after
+    /// every network cycle, waking the tiles it put to sleep on
+    /// [`Network::blocked_channels`].  Between cycles only a tile's own
+    /// ejection drains pop at its router, so only that tile can be
+    /// unblocked there, and it reads its fresh bits itself.
+    pub fn unblocked_tiles(&self) -> &[u64] {
+        &self.unblocked
     }
 
     /// Records `n` injection back-pressure rejections at `src` without
     /// performing the attempts.  The tile simulator calls this for the
-    /// channels of a tile it skips ([`Network::injection_blocked`] proves
-    /// every attempt would fail), keeping
+    /// channels it does not attempt ([`Network::blocked_channels`] proves
+    /// every such attempt would fail), keeping
     /// [`NocStats::injection_rejections_per_tile`] identical to an engine
     /// that re-attempts every cycle.
     pub fn count_injection_backpressure(&mut self, src: TileId, n: u64) {
@@ -364,17 +435,20 @@ impl Network {
     /// buffer capacity (wired non-local ports at `buffer_flits` plus the
     /// local ejection buffers at `ejection_buffer_flits`, per channel, 4
     /// bytes per flit), and the calendar scheduler's actual bookkeeping
-    /// (due stamps, the stamped-router bitset and the waiter masks —
-    /// simulator state, not modelled hardware, so it legitimately differs
-    /// between router schedulers).
+    /// (due stamps, the stamped-router bitset, the per-buffer waiters and
+    /// the endpoint state — simulator state, not modelled hardware, so it
+    /// legitimately differs between router schedulers).
     pub fn memory_report(&self) -> NocMemoryReport {
         const FLIT_BYTES: usize = 4;
         let per_router = (self.forward_ports.len() * self.config.buffer_flits
             + self.config.ejection_buffer_flits)
             * self.config.channels
             * FLIT_BYTES;
-        let calendar_bytes = (self.due.len() + self.due_set.len()) * std::mem::size_of::<u64>()
-            + self.waiters.len() * std::mem::size_of::<u16>();
+        let calendar_bytes = (self.due.len() + self.due_set.len() + self.unblocked.len())
+            * std::mem::size_of::<u64>()
+            + self.waiters.len() * std::mem::size_of::<BufferWaiters>()
+            + self.blocked.len() * std::mem::size_of::<u32>()
+            + self.endpoint_waits.len() * std::mem::size_of::<EndpointWait>();
         NocMemoryReport {
             buffer_bytes: per_router * self.routers.len(),
             calendar_bytes,
@@ -495,10 +569,15 @@ impl Network {
         let dest = message.dest();
         let channel = message.channel();
         let (port, entering) = self.routed_port(src, dest, Dimension::None);
-        let bubble = flits;
-        if !self.routers[src].can_accept(port, channel, flits, entering, bubble) {
+        let need = needed_flits(port, flits, entering, flits);
+        if self.routers[src].buffer(port, channel).free_flits() < need {
             self.count_injection_backpressure(src, 1);
-            self.waiters[src] |= ENDPOINT_WAITER;
+            // The head waits for this buffer; `wake_waiters` clears the bit.
+            self.blocked[src] |= 1 << channel;
+            self.endpoint_waits[src * self.config.channels + channel] = EndpointWait {
+                port: port.index() as u8,
+                need: need as u8,
+            };
             return Err(Rejected {
                 error: NocError::InjectionBackpressure,
                 message,
@@ -551,8 +630,8 @@ impl Network {
             self.delivered[tile / 64] &= !(1 << (tile % 64));
         }
         // The freed ejection space may unblock an upstream waiter on the
-        // next simulated cycle.
-        self.wake_waiters(tile, self.cycle);
+        // next simulated cycle, or this tile's own self-addressed head.
+        self.wake_waiters(tile, Port::Local, channel, self.cycle);
         Some(queued.message)
     }
 
@@ -583,6 +662,7 @@ impl Network {
     /// every statistic are bit-identical either way.  Both visit routers in
     /// ascending tile id (see the module docs' arbitration order).
     pub fn cycle(&mut self) {
+        self.unblocked.fill(0);
         if self.reference {
             self.cycle_reference();
         } else {
@@ -640,20 +720,42 @@ impl Network {
         }
     }
 
-    /// Wakes every waiter on `tile`'s buffers and clears its mask: a pop at
-    /// `tile` just freed space, so each neighbour's blocked head may now
-    /// move — its due stamp collapses to `stamp`, the pop's cycle — and
-    /// `tile`'s own endpoint may retry its rejected injection.  The walk's
-    /// id order decides the rest: a neighbour the walk now in progress has
-    /// not reached contends this very cycle.  A bit that outlived its
-    /// blockage costs one no-op scan, which clears the stamp.
+    /// The index of `tile`'s `(port, channel)` buffer in `waiters`.
     #[inline]
-    fn wake_waiters(&mut self, tile: TileId, stamp: u64) {
-        let mut neighbours = std::mem::take(&mut self.waiters[tile]) & !ENDPOINT_WAITER;
-        while neighbours != 0 {
-            let port = neighbours.trailing_zeros() as usize;
-            neighbours &= neighbours - 1;
-            self.schedule_due(self.link_dest[tile * Port::ALL.len() + port], stamp);
+    fn buffer_slot(&self, tile: TileId, port: Port, channel: ChannelId) -> usize {
+        (tile * Port::ALL.len() + port.index()) * self.config.channels + channel
+    }
+
+    /// A pop from `tile`'s `(port, channel)` buffer just freed space: wakes
+    /// the waiters on that buffer whose need the free space may now meet.
+    /// If it reaches the least need of the upstream heads blocked there,
+    /// every one of their routers is re-stamped to `stamp`, the pop's cycle,
+    /// and the record clears; the walk's id order decides the rest (a
+    /// neighbour the walk now in progress has not reached contends this
+    /// very cycle).  If `tile`'s own endpoint waits on this buffer and the
+    /// pop leaves its head's need free, the channel's blocked bit clears
+    /// and the tile joins [`Network::unblocked_tiles`].  A pop that frees
+    /// too little wakes no one: nobody it could wake would be able to move.
+    #[inline]
+    fn wake_waiters(&mut self, tile: TileId, port: Port, channel: ChannelId, stamp: u64) {
+        let free = self.routers[tile].buffer(port, channel).free_flits();
+        let slot = self.buffer_slot(tile, port, channel);
+        let waiters = self.waiters[slot];
+        if waiters.neighbours != 0 && free >= usize::from(waiters.least_need) {
+            self.waiters[slot] = BufferWaiters::NONE;
+            let mut neighbours = waiters.neighbours;
+            while neighbours != 0 {
+                let back = neighbours.trailing_zeros() as usize;
+                neighbours &= neighbours - 1;
+                self.schedule_due(self.link_dest[tile * Port::ALL.len() + back], stamp);
+            }
+        }
+        if self.blocked[tile] & (1 << channel) != 0 {
+            let wait = self.endpoint_waits[tile * self.config.channels + channel];
+            if usize::from(wait.port) == port.index() && free >= usize::from(wait.need) {
+                self.blocked[tile] &= !(1 << channel);
+                self.unblocked[tile / 64] |= 1 << (tile % 64);
+            }
         }
     }
 
@@ -797,20 +899,25 @@ impl Network {
                     );
                     let (next_port, entering) =
                         self.routed_port(next_tile, dest, port_dimension(port));
-                    let bubble = flits;
-                    if !self.routers[next_tile]
-                        .can_accept(next_port, channel, flits, entering, bubble)
+                    let need = needed_flits(next_port, flits, entering, flits);
+                    if self.routers[next_tile]
+                        .buffer(next_port, channel)
+                        .free_flits()
+                        < need
                     {
                         // Blocked on a full downstream buffer: this head can
-                        // only move after a pop frees space there, so it
-                        // contributes no time candidate — this router sets
-                        // its bit in the downstream waiter mask so the pop
+                        // only move after a pop from that buffer frees its
+                        // need, so it contributes no time candidate — this
+                        // router joins the buffer's waiters so that pop
                         // re-stamps it (instead of it re-scanning every
                         // cycle).  Seen from `next_tile`, this router sits
                         // behind the opposite port.
                         let back = port.index() ^ 1;
                         debug_assert_eq!(self.link_dest[next_tile * Port::ALL.len() + back], tile);
-                        self.waiters[next_tile] |= 1 << back;
+                        let slot = self.buffer_slot(next_tile, next_port, channel);
+                        let waiters = &mut self.waiters[slot];
+                        waiters.neighbours |= 1 << back;
+                        waiters.least_need = waiters.least_need.min(need as u8);
                         continue;
                     }
                     self.commit_forward(tile, port, channel, flits, next_tile, next_port, now);
@@ -897,7 +1004,7 @@ impl Network {
         // The freed output-buffer space may unblock an upstream waiter: it
         // contends at `now` if its id is larger than this router's, and on
         // the next cycle otherwise.
-        self.wake_waiters(tile, now);
+        self.wake_waiters(tile, port, channel, now);
         let serialization = flits as u64;
         self.routers[tile].set_link_busy_until(port, now + serialization);
         self.routers[tile].flits_per_port[port.index()] += flits as u64;
@@ -1089,13 +1196,15 @@ mod tests {
         // The rejection is attributed to the injecting tile.
         assert_eq!(net.stats().injection_rejections_per_tile, vec![1, 0]);
         assert_eq!(net.stats().total_injection_rejections(), 1);
-        // The rejection blocks tile 0's endpoint until a message leaves its
-        // router: the forward out of tile 0 clears the bit.
-        assert!(net.injection_blocked(0));
-        assert!(!net.injection_blocked(1));
+        // The rejection blocks tile 0's channel 0 until a pop from the
+        // head's first-hop buffer leaves its 6 flits free: the forward out
+        // of tile 0 empties that buffer and clears the bit.
+        assert_eq!(net.blocked_channels(0), 1);
+        assert_eq!(net.blocked_channels(1), 0);
         net.cycle();
         assert_eq!(net.flits_per_router()[0], 3);
-        assert!(!net.injection_blocked(0));
+        assert_eq!(net.blocked_channels(0), 0);
+        assert_eq!(net.unblocked_tiles(), &[1]);
         // After the network drains, injection succeeds again.
         run_until_idle(&mut net, 100);
         net.pop_delivered(1).unwrap();
@@ -1455,5 +1564,152 @@ mod tests {
             let net = blocked_row_after_the_sink_drains(2, 0, scheduler);
             assert_eq!(net.flits_per_router()[2], 8, "{scheduler:?}");
         }
+    }
+
+    /// A 3×1 mesh with two channels, 8-flit buffers and 4-flit ejection
+    /// buffers, in which tile 1's channel-0 injection toward tile 2 is
+    /// rejected: its East buffer holds a 4-flit message, which cannot move
+    /// because tile 2's ejection buffer is full, and a second 4-flit head
+    /// needs all 8 flits free.  Before the rejection, tile 1 injects one
+    /// more 1-flit message to `extra_dest` on `extra_channel`, which fills
+    /// some other buffer of its router.
+    fn blocked_middle_tile(extra_dest: TileId, extra_channel: ChannelId) -> Network {
+        let mut net = Network::new(
+            NocConfig::new(GridShape::new(3, 1), Topology::Mesh)
+                .with_channels(2)
+                .with_buffer_flits(8)
+                .with_ejection_buffer_flits(4),
+        );
+        net.try_inject(2, Message::new(2, 0, vec![0; 4])).unwrap();
+        net.try_inject(1, Message::new(2, 0, vec![1; 4])).unwrap();
+        net.try_inject(1, Message::new(extra_dest, extra_channel, vec![2]))
+            .unwrap();
+        let err = net
+            .try_inject(1, Message::new(2, 0, vec![3; 4]))
+            .unwrap_err();
+        assert!(matches!(err.error, NocError::InjectionBackpressure));
+        assert_eq!(net.blocked_channels(1), 1);
+        net
+    }
+
+    /// A blocked channel waits on one buffer: a pop from any other buffer
+    /// of the same router — another channel of the same port, another
+    /// port, or the ejection buffer — leaves its bit set, because the
+    /// rejected head would still be rejected.
+    #[test]
+    fn pops_from_other_buffers_leave_the_channel_blocked() {
+        // The ejection buffer: tile 1 drains its own self-message.
+        let mut net = blocked_middle_tile(1, 0);
+        net.pop_delivered_on(1, 0).unwrap();
+        assert_eq!(net.blocked_channels(1), 1, "ejection pop");
+        assert_eq!(net.unblocked_tiles(), &[0], "ejection pop");
+        // Another channel (East, channel 1) and another port (West,
+        // channel 0): the cycle forwards the extra message, while the
+        // awaited East channel-0 head stays stuck behind tile 2.
+        for (dest, channel, label) in [(2, 1, "other channel"), (0, 0, "other port")] {
+            let mut net = blocked_middle_tile(dest, channel);
+            net.cycle();
+            assert_eq!(
+                net.flits_per_router()[1],
+                1,
+                "{label}: the extra message moved"
+            );
+            assert_eq!(net.blocked_channels(1), 1, "{label}");
+            assert_eq!(net.unblocked_tiles(), &[0], "{label}");
+        }
+    }
+
+    /// Only the pop from the awaited buffer that leaves the head's need
+    /// free clears the bit, and it reports the tile as unblocked.
+    #[test]
+    fn only_the_pop_that_frees_the_need_unblocks_the_channel() {
+        let mut net = Network::new(
+            NocConfig::new(GridShape::new(2, 1), Topology::Mesh)
+                .with_channels(1)
+                .with_buffer_flits(8),
+        );
+        // Two 2-flit messages occupy 4 of the East buffer's 8 flits; a
+        // 4-flit head needs 4 + 4 bubble flits.
+        net.try_inject(0, Message::new(1, 0, vec![1; 2])).unwrap();
+        net.try_inject(0, Message::new(1, 0, vec![2; 2])).unwrap();
+        let err = net
+            .try_inject(0, Message::new(1, 0, vec![3; 4]))
+            .unwrap_err();
+        assert_eq!(net.blocked_channels(0), 1);
+        // Cycle 0 forwards the first message: 6 flits free, still short.
+        net.cycle();
+        assert_eq!(net.flits_per_router()[0], 2);
+        assert_eq!(net.blocked_channels(0), 1, "a pop that frees too little");
+        assert_eq!(net.unblocked_tiles(), &[0]);
+        // Cycle 1: the link serializes the first message's second flit.
+        net.cycle();
+        assert_eq!(net.blocked_channels(0), 1);
+        // Cycle 2 forwards the second message and empties the buffer.
+        net.cycle();
+        assert_eq!(net.flits_per_router()[0], 4);
+        assert_eq!(net.blocked_channels(0), 0, "the pop that reaches the need");
+        assert_eq!(net.unblocked_tiles(), &[1]);
+        // The report covers one cycle; the retry now succeeds.
+        net.cycle();
+        assert_eq!(net.unblocked_tiles(), &[0]);
+        net.try_inject(0, err.message).unwrap();
+    }
+
+    /// A router whose head is blocked on one downstream buffer sleeps
+    /// (stamp `u64::MAX`) through pops of every other buffer of the
+    /// downstream router, and the pop from its own buffer that frees the
+    /// head's need re-stamps it to the pop's cycle.
+    #[test]
+    fn routers_wake_only_on_the_buffer_they_wait_for() {
+        let mut net = Network::new(
+            NocConfig::new(GridShape::new(3, 1), Topology::Mesh)
+                .with_channels(2)
+                .with_buffer_flits(8)
+                .with_ejection_buffer_flits(4),
+        );
+        // Tile 2's ejection buffer is full, so nothing reaches it.
+        net.try_inject(2, Message::new(2, 0, vec![0; 4])).unwrap();
+        // Tile 1's East channel-0 buffer fills to 7 of 8 flits behind it.
+        for len in [2, 2, 1, 1, 1] {
+            net.try_inject(1, Message::new(2, 0, vec![1; len])).unwrap();
+        }
+        assert!(net.try_inject(1, Message::new(2, 0, vec![1])).is_err());
+        // Tile 0's 2-flit head continues east at tile 1 and needs 2 free
+        // flits there: it blocks in cycle 0 and its router sleeps.
+        net.try_inject(0, Message::new(2, 0, vec![9; 2])).unwrap();
+        net.cycle();
+        assert_eq!(net.flits_per_router(), vec![0, 0, 0]);
+        assert_eq!(net.next_possible_stamp(0), u64::MAX);
+        // Pops of tile 1's other buffers: its ejection buffer, another
+        // channel of its East port, and its West port.
+        net.try_inject(1, Message::new(1, 0, vec![3])).unwrap();
+        net.pop_delivered_on(1, 0).unwrap();
+        assert_eq!(net.next_possible_stamp(0), u64::MAX, "ejection pop");
+        net.try_inject(1, Message::new(2, 1, vec![4])).unwrap();
+        net.try_inject(1, Message::new(0, 0, vec![5])).unwrap();
+        net.cycle();
+        assert_eq!(net.flits_per_router()[1], 2, "both extra messages moved");
+        assert_eq!(
+            net.next_possible_stamp(0),
+            u64::MAX,
+            "other channel and port"
+        );
+        // Draining tile 2 lets tile 1 forward its 2-flit head on the next
+        // cycle, leaving 3 flits free: enough for tile 0's head.
+        net.pop_delivered_on(2, 0).unwrap();
+        let now = net.current_cycle();
+        net.cycle();
+        assert_eq!(net.flits_per_router()[1], 4, "tile 1 forwarded at {now}");
+        assert_eq!(
+            net.next_possible_stamp(0),
+            now,
+            "the pop re-stamps the waiter"
+        );
+        net.cycle();
+        assert_eq!(
+            net.flits_per_router()[0],
+            2,
+            "tile 0 moved on the next cycle"
+        );
     }
 }

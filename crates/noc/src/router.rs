@@ -221,10 +221,7 @@ impl Router {
     }
 
     /// Whether the buffer can accept a message of `flits` under the bubble
-    /// rule. `entering_dimension` is true when the message is being injected
-    /// from the local port or turning from the X to the Y dimension; such
-    /// messages must leave `bubble_flits` of slack so the ring can always
-    /// drain.
+    /// rule (see [`needed_flits`]).
     pub(crate) fn can_accept(
         &self,
         port: Port,
@@ -233,13 +230,27 @@ impl Router {
         entering_dimension: bool,
         bubble_flits: usize,
     ) -> bool {
-        let buffer = self.buffer(port, channel);
-        let needed = if entering_dimension && port != Port::Local {
-            flits + bubble_flits
-        } else {
-            flits
-        };
-        buffer.free_flits() >= needed
+        self.buffer(port, channel).free_flits()
+            >= needed_flits(port, flits, entering_dimension, bubble_flits)
+    }
+}
+
+/// The free flits a `(port, channel)` buffer needs to accept a message of
+/// `flits` under the bubble rule.  `entering_dimension` is true when the
+/// message is being injected from the local port or turning from the X to
+/// the Y dimension; such messages must leave `bubble_flits` of slack so the
+/// ring can always drain.  Ejection into the local port is exempt.
+#[inline]
+pub(crate) fn needed_flits(
+    port: Port,
+    flits: usize,
+    entering_dimension: bool,
+    bubble_flits: usize,
+) -> usize {
+    if entering_dimension && port != Port::Local {
+        flits + bubble_flits
+    } else {
+        flits
     }
 }
 

@@ -41,6 +41,23 @@
 //! schedule-equivalence oracle ([`Engine::Reference`], which also steps
 //! the network with its reference router scheduler); the two produce
 //! cycle-exact identical outcomes.
+//!
+//! # Known-blocked channels and sleeping tiles
+//!
+//! The network knows which channels of a tile a retry would see rejected
+//! (`Network::blocked_channels`): a rejected head stays at the front of
+//! its CQ, and only a pop from its first-hop buffer that frees the head's
+//! need clears the bit.  So the engine never re-attempts a known-blocked
+//! channel.  A running tile counts its rejection where the attempt would
+//! have been, in the same channel order and under the same budget break.
+//! An active tile that cannot drain, dispatch or attempt anything else is
+//! skipped, accounting one rejection per inject-ready channel.  If such a
+//! parked tile has no ready task either, it leaves the active set: only a
+//! delivery (`Network::delivered_tiles`) or an unblock
+//! (`Network::unblocked_tiles`) can change what its cycle does, and both
+//! wake it after the network cycle that caused them.  On waking it
+//! settles the rejections of every cycle it slept.  Tiles whose ready
+//! task waits only for the PU stay active.
 
 use crate::area::{AreaConstants, AreaModel};
 use crate::config::{BarrierMode, Engine, SimConfig};
@@ -121,38 +138,40 @@ impl SimOutcome {
 
 /// Compact per-tile snapshot the engine keeps in a dense, cache-resident
 /// array so the hot loop can prove, together with the network's dense
-/// delivery and injection-blocked bits, that a tile has no possible action
-/// this cycle — no drainable delivery, no injectable message, no
-/// dispatchable task — without touching the tile's (much larger,
-/// scattered) [`TileState`] or its router.  A provably action-free tile's
-/// cycle is a no-op, so skipping it cannot change the schedule; the
-/// snapshot is refreshed whenever the tile actually runs (or is woken by an
-/// epoch push), which are the only points its fields can change.
-#[derive(Debug, Clone, Copy, Default)]
+/// delivery and blocked-channel bits, that a tile has no possible action
+/// this cycle — no drainable delivery, no injection attempt not already
+/// known to fail, no dispatchable task — without touching the tile's (much
+/// larger, scattered) [`TileState`] or its router.  A provably action-free
+/// tile's cycle is a no-op but for the rejections of its known-blocked
+/// channels, so skipping it cannot change the schedule; the snapshot is
+/// refreshed whenever the tile actually runs (or is woken by an epoch
+/// push), which are the only points its fields can change.
+#[derive(Debug, Clone, Copy)]
 struct HotTile {
     /// Mirror of [`TileState::pu_busy_until`].
     pu_busy_until: u64,
+    /// The channels whose CQ holds a full message (mirror of
+    /// [`TileState::cq_ready_mask`]).
+    cq_ready: u64,
+    /// The cycle from which the tile has been asleep — parked, out of the
+    /// active set — and `u64::MAX` while it is awake.  Each cycle it
+    /// sleeps, the oracle would attempt and see rejected every
+    /// inject-ready channel once; the wake settles those rejections.
+    asleep_since: u64,
     /// Whether any IQ or CQ holds words (mirror of `queued_words > 0`).
     queued: bool,
     /// Whether any task is dispatch-eligible.
     task_ready: bool,
-    /// Whether any CQ holds a full message.
-    cq_ready: bool,
-    /// The number of inject-ready channels when the router rejected every
-    /// one of them in the tile's latest run, and 0 otherwise: the
-    /// rejections per cycle the tile accrues while
-    /// [`Network::injection_blocked`] keeps it skipped.
-    parked_ready: u32,
 }
 
 impl HotTile {
-    fn snapshot(tile: &TileState, parked_ready: u32) -> Self {
+    fn snapshot(tile: &TileState) -> Self {
         HotTile {
             pu_busy_until: tile.pu_busy_until,
+            cq_ready: tile.cq_ready_mask(),
+            asleep_since: u64::MAX,
             queued: tile.queued_words() > 0,
             task_ready: tile.task_ready_mask() != 0,
-            cq_ready: tile.cq_ready_mask() != 0,
-            parked_ready,
         }
     }
 
@@ -160,6 +179,15 @@ impl HotTile {
     /// running (used when its cycle is skipped as a no-op).
     fn nonidle_after(&self, cycle: u64) -> bool {
         self.queued || self.pu_busy_until > cycle + 1
+    }
+
+    /// Whether the tile may sleep: every inject-ready channel is known
+    /// blocked (`blocked`, from [`Network::blocked_channels`]) and no task
+    /// is ready, so only a pop that unblocks a channel or a delivery can
+    /// change what its cycle does.  (Ready tasks waiting for a busy PU keep
+    /// the tile awake.)  The caller has checked that no delivery waits.
+    fn parks(&self, blocked: u32) -> bool {
+        !self.task_ready && self.cq_ready != 0 && self.cq_ready & !u64::from(blocked) == 0
     }
 }
 
@@ -309,7 +337,9 @@ impl Simulation {
     /// scheduler.  An active tile whose dense snapshot and network bits
     /// prove it can neither drain, dispatch nor make an injection attempt
     /// not already known to fail is not run at all; only its channels'
-    /// guaranteed injection rejections are accounted.  The modelled
+    /// guaranteed injection rejections are accounted, and if it has no
+    /// ready task it sleeps until a delivery or an unblock wakes it.  The
+    /// modelled
     /// schedule and every statistic are cycle-exact identical to the
     /// [`Engine::Reference`] oracle.
     ///
@@ -443,7 +473,7 @@ impl Simulation {
         // Dense action snapshots for the fast path's no-op skip (see
         // `HotTile`); the reference path ignores them, preserving its
         // pre-overhaul cost profile.
-        let mut hot: Vec<HotTile> = tiles.iter().map(|t| HotTile::snapshot(t, 0)).collect();
+        let mut hot: Vec<HotTile> = tiles.iter().map(HotTile::snapshot).collect();
         // The active tiles, one bit each (bit `t % 64` of word `t / 64`,
         // like the network's delivery bitset), visited in ascending tile id.
         let mut active: Vec<u64> = vec![0; num_tiles.div_ceil(64)];
@@ -484,9 +514,9 @@ impl Simulation {
                         for tile in woken {
                             // The epoch trigger pushed invocations outside
                             // tile_cycle: refresh the action snapshot.  No
-                            // CQ holds a message at global idle, so no
-                            // channel is parked.
-                            hot[tile] = HotTile::snapshot(&tiles[tile], 0);
+                            // CQ holds a message at global idle, so no tile
+                            // is asleep.
+                            hot[tile] = HotTile::snapshot(&tiles[tile]);
                             active[tile / 64] |= 1 << (tile % 64);
                         }
                         // A kernel that keeps answering Continue without
@@ -511,16 +541,21 @@ impl Simulation {
             }
 
             // Advance the network one cycle, then wake the tiles whose
-            // ejection buffers hold a message.
+            // ejection buffers hold a message or whose blocked channels the
+            // cycle's forwards unblocked.
             network.cycle();
-            for (slot, &delivered) in active.iter_mut().zip(network.delivered_tiles()) {
-                *slot |= delivered;
+            let woken = network
+                .delivered_tiles()
+                .iter()
+                .zip(network.unblocked_tiles());
+            for (slot, (&delivered, &unblocked)) in active.iter_mut().zip(woken) {
+                *slot |= delivered | unblocked;
             }
 
-            // Advance every active tile in ascending id.  Only deliveries
-            // and epoch pushes activate tiles, never a tile's cycle, so
-            // each word is walked from a copy: a tile's bit is cleared,
-            // then set again if the tile stays active.
+            // Advance every active tile in ascending id.  Only deliveries,
+            // unblocks and epoch pushes activate tiles, never a tile's
+            // cycle, so each word is walked from a copy: a tile's bit is
+            // cleared, then set again if the tile stays active.
             for (word, slot) in active.iter_mut().enumerate() {
                 let mut bits = *slot;
                 while bits != 0 {
@@ -548,34 +583,47 @@ impl Simulation {
                         }
                         continue;
                     }
+                    let h = &mut hot[t];
+                    let ready_channels = u64::from(h.cq_ready.count_ones());
+                    if h.asleep_since != u64::MAX {
+                        // Woken by a delivery or an unblock: settle the
+                        // rejections of the cycles it slept through, one
+                        // per inject-ready channel per cycle, as the oracle
+                        // counted them.
+                        network.count_injection_backpressure(
+                            t,
+                            (cycle - h.asleep_since) * ready_channels,
+                        );
+                        h.asleep_since = u64::MAX;
+                    }
                     // No-op skip: when the dense snapshots prove the tile
                     // can neither drain, dispatch nor make an injection
                     // attempt that is not already known to fail, running
                     // `tile_cycle` would change nothing but the rejection
-                    // statistics — keep (or drop) the tile without touching
-                    // its state or its router, and account those statistics
-                    // directly.  The service order of the tiles that do act
-                    // cannot change the schedule: between two network cycles
-                    // a tile's calls touch only its own router, and routers
-                    // arbitrate in tile-id order.
-                    let h = hot[t];
+                    // statistics — keep, park or drop the tile without
+                    // touching its state or its router, and account those
+                    // statistics directly.  The service order of the tiles
+                    // that do act cannot change the schedule: between two
+                    // network cycles a tile's calls touch only its own
+                    // router, and routers arbitrate in tile-id order.
                     let dispatchable = h.pu_busy_until <= cycle && h.task_ready;
-                    let inject_live =
-                        h.cq_ready && (h.parked_ready == 0 || !network.injection_blocked(t));
-                    if !network.has_deliveries(t) && !dispatchable && !inject_live {
-                        if h.cq_ready {
-                            // Every inject-ready channel is parked: the
-                            // reference engine would attempt and fail each
-                            // one once this cycle.
-                            network.count_injection_backpressure(t, u64::from(h.parked_ready));
-                        }
-                        if h.nonidle_after(cycle) {
+                    let blocked = network.blocked_channels(t);
+                    if !network.has_deliveries(t)
+                        && !dispatchable
+                        && h.cq_ready & !u64::from(blocked) == 0
+                    {
+                        // Every inject-ready channel is known blocked: the
+                        // oracle would attempt and fail each one once.
+                        network.count_injection_backpressure(t, ready_channels);
+                        if h.parks(blocked) {
+                            h.asleep_since = cycle + 1;
+                        } else if h.nonidle_after(cycle) {
                             *slot |= 1 << bit;
                         }
                         continue;
                     }
                     work.tile_cycles_run += 1;
-                    let parked_ready = self.tile_cycle(
+                    self.tile_cycle(
                         kernel,
                         &tasks,
                         &channels,
@@ -587,8 +635,12 @@ impl Simulation {
                         &mut total_dispatches,
                         &mut work,
                     );
-                    hot[t] = HotTile::snapshot(&tiles[t], parked_ready);
-                    if !tiles[t].is_idle(cycle + 1) || network.has_deliveries(t) {
+                    hot[t] = HotTile::snapshot(&tiles[t]);
+                    if network.has_deliveries(t) {
+                        *slot |= 1 << bit;
+                    } else if hot[t].parks(network.blocked_channels(t)) {
+                        hot[t].asleep_since = cycle + 1;
+                    } else if !tiles[t].is_idle(cycle + 1) {
                         *slot |= 1 << bit;
                     }
                 }
@@ -626,6 +678,9 @@ impl Simulation {
             }
         }
 
+        // A sleeping tile's blocked channel waits on a buffer that holds a
+        // message, so none sleeps once the network is idle.
+        debug_assert!(hot.iter().all(|h| h.asleep_since == u64::MAX));
         self.finish_outcome(
             kernel,
             &arrays,
@@ -807,10 +862,6 @@ impl Simulation {
     /// stack buffer.  Every decision is bit-identical to
     /// [`Simulation::tile_cycle_reference`].  The verifier (V015) keeps
     /// every kernel within the mask widths.
-    ///
-    /// Returns the tile's [`HotTile::parked_ready`] for the caller's no-op
-    /// skip: the number of inject-ready channels if the router rejected
-    /// every one of them, and 0 otherwise.
     #[allow(clippy::too_many_arguments)]
     fn tile_cycle(
         &self,
@@ -824,7 +875,7 @@ impl Simulation {
         cycle: u64,
         total_dispatches: &mut u64,
         work: &mut WorkCounters,
-    ) -> u32 {
+    ) {
         let tile_id = tile.tile;
         let endpoint_budget = self.fault_endpoint_budget(tile_id, cycle);
 
@@ -884,9 +935,13 @@ impl Simulation {
         //    destination tile).  A channel the router rejects is parked for
         //    the rest of the cycle.  A blocked channel must never block the
         //    rest — that separation is what makes the paper's task pipeline
-        //    deadlock-free.
+        //    deadlock-free.  A channel the network already knows to be
+        //    blocked is not attempted: its rejection is counted where the
+        //    attempt would have been.  Injections on other channels fill
+        //    other buffers, so the bits read once stay exact for the loop.
         let mut injected = 0usize;
         let mut parked = 0u64;
+        let blocked = u64::from(network.blocked_channels(tile_id));
         'inject: loop {
             let mut progressed = false;
             let mut mask = tile.cq_ready_mask() & !parked;
@@ -895,6 +950,11 @@ impl Simulation {
                 mask &= mask - 1;
                 if injected == endpoint_budget {
                     break 'inject;
+                }
+                if blocked & (1 << channel) != 0 {
+                    network.count_injection_backpressure(tile_id, 1);
+                    parked |= 1 << channel;
+                    continue;
                 }
                 let decl = &channels[channel];
                 let flits = decl.flits_per_message;
@@ -979,16 +1039,6 @@ impl Simulation {
             tile.counters.pu_busy_cycles += cost;
             tile.pu_busy_until = cycle + cost;
             *total_dispatches += 1;
-        }
-
-        // Summarise the parking only after the dispatched task had its
-        // chance to produce new messages: a fresh full CQ is not parked, so
-        // the no-op skip cannot swallow its injection.
-        let ready = tile.cq_ready_mask();
-        if ready & !parked == 0 {
-            ready.count_ones()
-        } else {
-            0
         }
     }
 

@@ -31,9 +31,12 @@ pub struct MemoryReport {
     /// Router port buffers plus ejection buffers, across the whole fabric.
     pub noc_buffer_bytes: usize,
     /// Calendar router-scheduler bookkeeping: due stamps, the bitset of
-    /// stamped routers and a 2-byte waiter mask per router (no bitset
-    /// under the reference scheduler).  Engine-dependent by design — this
-    /// is simulator bookkeeping, not modeled hardware.
+    /// stamped routers, a 2-byte waiter record per (router, port, channel)
+    /// buffer and the endpoint state the engine's skip reads (blocked
+    /// channels, their awaited buffers and the unblocked-tile bitset; no
+    /// stamped-router bitset under the reference scheduler).
+    /// Engine-dependent by design — this is simulator bookkeeping, not
+    /// modeled hardware.
     pub calendar_bytes: usize,
 }
 

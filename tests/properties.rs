@@ -327,16 +327,24 @@ proptest! {
         messages in proptest::collection::vec((0usize..16, 0usize..16, 1usize..4, 1u32..1000), 1..80),
         drains in 1usize..4,
         torus in proptest::bool::ANY,
+        buffer_flits in 6usize..17,
     ) {
         // The calendar router scheduler against the reference scheduler,
-        // on arbitrary traffic with a throttled endpoint
-        // (small ejection buffers + a per-cycle drain budget keep some
-        // heads blocked on full downstream buffers, exercising the waiter
-        // masks): message conservation, identical statistics, identical
-        // per-tile delivery streams.  On both, a rejected injection blocks
-        // its endpoint, and the delivery bits track the ejection buffers.
+        // on arbitrary traffic with a throttled endpoint (small ejection
+        // buffers + a per-cycle drain budget keep some heads blocked on
+        // full downstream buffers, exercising the per-buffer waiters):
+        // message conservation, identical statistics, identical per-tile
+        // delivery streams.  Transit buffers start at 6 flits, twice the
+        // longest message, so they fill too and a wake that comes one pop
+        // late shows as a divergence.  Each (tile, channel) injects from a
+        // FIFO, like a tile's channel queue: its head is retried until it
+        // is accepted.  On both schedulers a rejected injection blocks its
+        // channel, a retry while the bit is set is rejected again, the
+        // delivery bits track the ejection buffers, and no blocked bit
+        // outlives the traffic.
         let topology = if torus { Topology::Torus } else { Topology::Mesh };
         let config = NocConfig::new(GridShape::new(4, 4), topology)
+            .with_buffer_flits(buffer_flits)
             .with_ejection_buffer_flits(8);
         let mut calendar = Network::new(
             config.clone().with_router_scheduler(RouterScheduler::Calendar),
@@ -344,14 +352,13 @@ proptest! {
         let mut reference =
             Network::new(config.with_router_scheduler(RouterScheduler::Reference));
         let mut expected = vec![0u32; 16];
-        let mut pending: Vec<(usize, Message)> = messages
-            .into_iter()
-            .map(|(src, dst, len, seed)| {
-                expected[dst] += 1;
-                (src, Message::new(dst, (seed % 4) as usize, vec![seed; len]))
-            })
-            .collect();
-        let mut pending_ref = pending.clone();
+        let mut queues: Vec<VecDeque<Message>> = vec![VecDeque::new(); 16 * 4];
+        for (src, dst, len, seed) in messages {
+            expected[dst] += 1;
+            let channel = (seed % 4) as usize;
+            queues[src * 4 + channel].push_back(Message::new(dst, channel, vec![seed; len]));
+        }
+        let mut pendings = [queues.clone(), queues];
         let mut received = vec![0u32; 16];
         let delivery_bits_hold = |net: &Network| {
             (0..16).all(|t| net.has_deliveries(t) == (net.delivered_waiting(t) > 0))
@@ -359,25 +366,27 @@ proptest! {
         let mut guard = 0;
         while !calendar.is_idle()
             || !reference.is_idle()
-            || !pending.is_empty()
-            || !pending_ref.is_empty()
+            || pendings.iter().flatten().any(|queue| !queue.is_empty())
         {
-            let mut retry = Vec::new();
-            for (src, msg) in pending.drain(..) {
-                if let Err(rejected) = calendar.try_inject(src, msg) {
-                    prop_assert!(calendar.injection_blocked(src));
-                    retry.push((src, rejected.message));
+            for (net, pending) in [&mut calendar, &mut reference].into_iter().zip(&mut pendings) {
+                for (slot, queue) in pending.iter_mut().enumerate() {
+                    let (src, channel) = (slot / 4, slot % 4);
+                    while let Some(msg) = queue.pop_front() {
+                        let was_blocked = net.blocked_channels(src) & (1 << channel) != 0;
+                        match net.try_inject(src, msg) {
+                            Ok(()) => prop_assert!(
+                                !was_blocked,
+                                "tile {} channel {} was injected while marked blocked", src, channel
+                            ),
+                            Err(rejected) => {
+                                prop_assert!(net.blocked_channels(src) & (1 << channel) != 0);
+                                queue.push_front(rejected.message);
+                                break;
+                            }
+                        }
+                    }
                 }
             }
-            pending = retry;
-            let mut retry = Vec::new();
-            for (src, msg) in pending_ref.drain(..) {
-                if let Err(rejected) = reference.try_inject(src, msg) {
-                    prop_assert!(reference.injection_blocked(src));
-                    retry.push((src, rejected.message));
-                }
-            }
-            pending_ref = retry;
             calendar.cycle();
             reference.cycle();
             prop_assert!(delivery_bits_hold(&calendar) && delivery_bits_hold(&reference));
@@ -402,6 +411,10 @@ proptest! {
         prop_assert_eq!(received, expected);
         prop_assert_eq!(calendar.stats(), reference.stats());
         prop_assert_eq!(calendar.flits_per_router(), reference.flits_per_router());
+        for tile in 0..16 {
+            prop_assert_eq!(calendar.blocked_channels(tile), 0, "tile {}", tile);
+            prop_assert_eq!(reference.blocked_channels(tile), 0, "tile {}", tile);
+        }
     }
 
     #[test]

@@ -93,13 +93,13 @@ fn golden_work_16x16_sssp() {
     assert_work(
         &outcome,
         Work {
-            tile_visits: 319_320,
-            tile_cycles_run: 101_526,
-            injection_attempts: 66_654,
-            routers_visited: 391_838,
-            routers_scanned: 213_506,
+            tile_visits: 208_214,
+            tile_cycles_run: 72_636,
+            injection_attempts: 33_559,
+            routers_visited: 376_789,
+            routers_scanned: 193_117,
             walks_elided: 516,
-            idle_scans: 26_387,
+            idle_scans: 5_998,
         },
         "16x16 SSSP",
     );
@@ -111,13 +111,13 @@ fn golden_work_32x32_sssp() {
     assert_work(
         &outcome,
         Work {
-            tile_visits: 6_138_821,
-            tile_cycles_run: 1_246_042,
-            injection_attempts: 1_095_309,
-            routers_visited: 4_935_048,
-            routers_scanned: 2_771_322,
+            tile_visits: 1_085_926,
+            tile_cycles_run: 455_138,
+            injection_attempts: 255_921,
+            routers_visited: 4_559_043,
+            routers_scanned: 2_277_677,
             walks_elided: 16,
-            idle_scans: 583_957,
+            idle_scans: 90_312,
         },
         "32x32 SSSP",
     );
@@ -129,13 +129,13 @@ fn golden_work_16x16_faulted_pagerank_barrier() {
     assert_work(
         &outcome,
         Work {
-            tile_visits: 335_337,
-            tile_cycles_run: 108_458,
-            injection_attempts: 83_546,
-            routers_visited: 293_335,
-            routers_scanned: 175_871,
-            walks_elided: 2_493,
-            idle_scans: 32_247,
+            tile_visits: 180_866,
+            tile_cycles_run: 68_378,
+            injection_attempts: 34_952,
+            routers_visited: 274_516,
+            routers_scanned: 150_188,
+            walks_elided: 2_494,
+            idle_scans: 6_564,
         },
         "16x16 faulted PageRank-barrier",
     );
@@ -147,13 +147,13 @@ fn golden_work_32x32_faulted_pagerank_barrier() {
     assert_work(
         &outcome,
         Work {
-            tile_visits: 3_744_104,
-            tile_cycles_run: 813_564,
-            injection_attempts: 726_097,
-            routers_visited: 2_754_985,
-            routers_scanned: 1_650_314,
-            walks_elided: 2_748,
-            idle_scans: 365_403,
+            tile_visits: 736_201,
+            tile_cycles_run: 314_776,
+            injection_attempts: 190_679,
+            routers_visited: 2_516_530,
+            routers_scanned: 1_337_621,
+            walks_elided: 2_768,
+            idle_scans: 52_710,
         },
         "32x32 faulted PageRank-barrier",
     );
