@@ -4,18 +4,21 @@
 //! [`Engine::Calendar`] drives the overhauled per-cycle tile path
 //! (ring-buffer queues, inline message payloads, O(1) idle tracking,
 //! incrementally maintained readiness masks, the no-op skip of action-free
-//! tiles read from the network's delivery and injection-blocked bits)
+//! tiles read from the network's delivery and blocked-channel bits, and
+//! parked tiles that sleep until a delivery or an unblock wakes them)
 //! against the NoC's calendar router scheduler (per-router `next_possible`
-//! due stamps, a bitset of stamped routers walked in tile-id order, one
-//! waiter mask per router for blocked heads).  [`Engine::Reference`] is
-//! the preserved pre-overhaul tile path running every active tile every
-//! cycle against the NoC's reference router scheduler.  The two must agree
-//! on everything — cycle counts, gathered outputs, every tile counter and
-//! every NoC statistic (including the per-tile injection rejections the
-//! no-op skip accounts instead of re-attempting) — across every topology,
-//! placement and scheduling policy, in barrierless and barrier mode, at
-//! wider endpoint-drain budgets, under fault plans, and on grids up to
-//! 16x16 (32x32 in the ignored release-mode tier).
+//! due stamps, a bitset of stamped routers walked in tile-id order, and
+//! per-buffer waiters that only a pop from the awaited buffer wakes).
+//! [`Engine::Reference`] is the preserved pre-overhaul tile path running
+//! every active tile every cycle against the NoC's reference router
+//! scheduler.  The two must agree on everything — cycle counts, gathered
+//! outputs, every tile counter and every NoC statistic (including the
+//! per-tile injection rejections that the engine counts for known-blocked
+//! channels and settles for sleeping tiles instead of re-attempting) —
+//! across every topology, placement and scheduling policy, in barrierless
+//! and barrier mode, at wider endpoint-drain budgets, under fault plans,
+//! and on grids up to 16x16, a factor-4 ruche torus included (32x32, and
+//! 64x64 on the factor-4 ruche torus, in the ignored release-mode tier).
 //!
 //! A small golden table additionally pins absolute cycle counts for
 //! non-default configurations, so both engines drifting *together* (a bug
@@ -147,6 +150,55 @@ fn fast_path_matches_reference_for_every_workload() {
 fn fast_path_matches_reference_for_every_workload_at_32x32() {
     let rmat12 = RmatConfig::new(12, 8).seed(17).build().unwrap();
     assert_every_workload_matches_reference(32, &rmat12);
+}
+
+/// A `side`x`side` factor-4 ruche torus, the topology the simulator
+/// defaults to above 32x32 and the benchmark's SSSP cell runs on.
+fn ruche4(side: usize) -> SimConfigBuilder {
+    SimConfigBuilder::new(GridConfig::square(side))
+        .scratchpad_bytes(1 << 20)
+        .topology(Topology::TorusRuche { factor: 4 })
+}
+
+/// SSSP and epoch-barrier PageRank on a 16x16 factor-4 ruche torus,
+/// unfaulted and under a seeded random fault plan.  Express links land
+/// four tiles away, so routers wait on buffers of neighbours that plain
+/// torus links never reach.
+#[test]
+fn fast_path_matches_reference_on_a_factor_4_ruche_torus() {
+    let rmat10 = RmatConfig::new(10, 8).seed(17).build().unwrap();
+    let faults: FaultPlan = "random:seed=7,count=12,horizon=20000".parse().unwrap();
+    for plan in [FaultPlan::empty(), faults] {
+        let sim =
+            Simulation::new(ruche4(16).faults(plan.clone()).build().unwrap(), &rmat10).unwrap();
+        assert_paths_identical(
+            &sim,
+            Workload::Sssp { root: 0 },
+            &format!("16x16/ruche4/sssp/faults={plan}"),
+        );
+        let barrier = ruche4(16)
+            .faults(plan.clone())
+            .barrier_mode(BarrierMode::EpochBarrier)
+            .build()
+            .unwrap();
+        let sim = Simulation::new(barrier, &rmat10).unwrap();
+        assert_paths_identical(
+            &sim,
+            Workload::PageRank { epochs: 3 },
+            &format!("16x16/ruche4/pagerank-barrier/faults={plan}"),
+        );
+    }
+}
+
+/// SSSP on RMAT-12 at 64x64 on a factor-4 ruche torus, the benchmark SSSP
+/// cell's grid and topology: too slow for a debug build, so it runs in
+/// release with the 32x32 tier (`--ignored`).
+#[test]
+#[ignore = "64x64 oracle case; run in release with --ignored"]
+fn fast_path_matches_reference_at_64x64_on_a_factor_4_ruche_torus() {
+    let rmat12 = RmatConfig::new(12, 8).seed(17).build().unwrap();
+    let sim = Simulation::new(ruche4(64).build().unwrap(), &rmat12).unwrap();
+    assert_paths_identical(&sim, Workload::Sssp { root: 0 }, "64x64/ruche4/sssp");
 }
 
 #[test]
