@@ -8,6 +8,8 @@
 //! ```text
 //! cargo run --release --example graph_analytics
 //! ```
+//!
+//! It takes no arguments: any argument exits 2, naming the first one.
 
 use dalorex::baseline::Workload;
 use dalorex::graph::generators::realworld::RealWorldDataset;
@@ -16,6 +18,10 @@ use dalorex::sim::config::{BarrierMode, GridConfig, SimConfigBuilder};
 use dalorex::sim::Simulation;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unknown argument {arg:?}");
+        std::process::exit(2);
+    }
     // A LiveJournal-shaped scale-free graph at reproduction scale.
     let graph = RealWorldDataset::LiveJournal.config(1 << 12).build()?;
     println!(

@@ -8,6 +8,8 @@
 //! ```text
 //! cargo run --release --example noc_exploration
 //! ```
+//!
+//! It takes no arguments: any argument exits 2, naming the first one.
 
 use dalorex::graph::generators::rmat::RmatConfig;
 use dalorex::kernels::SsspKernel;
@@ -16,6 +18,10 @@ use dalorex::sim::config::{GridConfig, SimConfigBuilder};
 use dalorex::sim::Simulation;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unknown argument {arg:?}");
+        std::process::exit(2);
+    }
     let graph = RmatConfig::new(12, 10).seed(9).build()?;
     let side = 8;
     println!(

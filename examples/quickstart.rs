@@ -6,6 +6,8 @@
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
+//!
+//! It takes no arguments: any argument exits 2, naming the first one.
 
 use dalorex::graph::generators::rmat::RmatConfig;
 use dalorex::graph::reference;
@@ -14,6 +16,10 @@ use dalorex::sim::config::{GridConfig, SimConfigBuilder};
 use dalorex::sim::Simulation;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unknown argument {arg:?}");
+        std::process::exit(2);
+    }
     // 1. Generate a dataset: RMAT with 2^12 vertices and average degree 10,
     //    the same family as the paper's RMAT-16..26 datasets.
     let graph = RmatConfig::new(12, 10).seed(1).build()?;
