@@ -339,9 +339,8 @@ impl Simulation {
     /// not already known to fail is not run at all; only its channels'
     /// guaranteed injection rejections are accounted, and if it has no
     /// ready task it sleeps until a delivery or an unblock wakes it.  The
-    /// modelled
-    /// schedule and every statistic are cycle-exact identical to the
-    /// [`Engine::Reference`] oracle.
+    /// modelled schedule and every statistic are cycle-exact identical to
+    /// the [`Engine::Reference`] oracle.
     ///
     /// # Errors
     ///
