@@ -124,6 +124,10 @@ impl BufferWaiters {
     };
 }
 
+// A need is at most a message plus its bubble, so it fits the `u8` need
+// fields of `BufferWaiters` and `EndpointWait`.
+const _: () = assert!(2 * crate::MAX_FLITS <= u8::MAX as usize);
+
 /// What a tile's rejected injection on one channel waits for: its head's
 /// first-hop buffer at the tile's own router and the free flits the head
 /// needs there.  A rejected head stays at the front of its channel queue
