@@ -102,11 +102,8 @@ pub struct MemoryColumns {
     pub modeled_bytes: usize,
     /// The distributed CSR chunks.
     pub csr_bytes: usize,
-    /// Per-tile arena slabs (materialized tiles only, under lazy
-    /// allocation).
+    /// Per-tile arena slabs, summed over every tile of the grid.
     pub tile_arena_bytes: usize,
-    /// Tiles whose arena was materialized during the run.
-    pub materialized_tiles: usize,
     /// Total tiles in the grid.
     pub total_tiles: usize,
     /// Router port + ejection buffers across the fabric.
@@ -120,7 +117,6 @@ impl MemoryColumns {
             modeled_bytes: report.modeled_total_bytes(),
             csr_bytes: report.csr_bytes,
             tile_arena_bytes: report.tile_arena_bytes,
-            materialized_tiles: report.materialized_tiles,
             total_tiles: report.total_tiles,
             noc_buffer_bytes: report.noc_buffer_bytes,
         }
@@ -241,15 +237,10 @@ impl Measurement {
             Some(m) => format!(
                 concat!(
                     ",\"memory\":{{\"modeled_bytes\":{},\"csr_bytes\":{},",
-                    "\"tile_arena_bytes\":{},\"materialized_tiles\":{},",
-                    "\"total_tiles\":{},\"noc_buffer_bytes\":{}}}"
+                    "\"tile_arena_bytes\":{},\"total_tiles\":{},",
+                    "\"noc_buffer_bytes\":{}}}"
                 ),
-                m.modeled_bytes,
-                m.csr_bytes,
-                m.tile_arena_bytes,
-                m.materialized_tiles,
-                m.total_tiles,
-                m.noc_buffer_bytes,
+                m.modeled_bytes, m.csr_bytes, m.tile_arena_bytes, m.total_tiles, m.noc_buffer_bytes,
             ),
             None => String::new(),
         };
@@ -383,7 +374,6 @@ mod tests {
                 modeled_bytes: 1000,
                 csr_bytes: 600,
                 tile_arena_bytes: 300,
-                materialized_tiles: 3,
                 total_tiles: 16,
                 noc_buffer_bytes: 100,
             }),
@@ -407,7 +397,7 @@ mod tests {
         assert!(json.contains("\"endpoint_drains\":2"));
         assert!(json.contains("\"rejected_injections\":17"));
         assert!(json.contains("\"memory\":{\"modeled_bytes\":1000"));
-        assert!(json.contains("\"materialized_tiles\":3"));
+        assert!(json.contains("\"tile_arena_bytes\":300,\"total_tiles\":16,"));
         assert!(json.contains("\"peak_rss_bytes\":4096"));
         assert!(json.contains("\"walk\":{\"routers_visited\":500"));
         assert!(json.contains("\"walks_elided\":9,\"idle_scans\":6}"));

@@ -103,14 +103,6 @@ impl Message {
         false
     }
 
-    /// Consumes the message and returns its payload as a `Vec`.
-    ///
-    /// This allocates; it is a convenience for tests and tools.  Hot paths
-    /// read [`Message::payload`] (or [`Message::payload_mut`]) instead.
-    pub fn into_payload(self) -> Vec<Flit> {
-        self.payload().to_vec()
-    }
-
     /// Cycle at which the message entered the network (0 before injection).
     pub fn injected_at(&self) -> u64 {
         self.injected_at
@@ -142,7 +134,6 @@ mod tests {
         assert_eq!(m.len(), 3);
         assert!(!m.is_empty());
         assert_eq!(m.payload(), &[1, 2, 3]);
-        assert_eq!(m.into_payload(), vec![1, 2, 3]);
     }
 
     #[test]

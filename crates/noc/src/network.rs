@@ -646,13 +646,6 @@ impl Network {
         buffer.front().map(|q| &q.message)
     }
 
-    /// Number of flits waiting in `tile`'s ejection buffer for `channel`.
-    pub fn ejection_occupancy(&self, tile: TileId, channel: ChannelId) -> usize {
-        self.routers[tile]
-            .buffer(Port::Local, channel)
-            .occupied_flits()
-    }
-
     /// Advances the network by one cycle: every output link that is free and
     /// has a ready message whose downstream buffer can accept it forwards
     /// that message one hop.
@@ -1339,11 +1332,12 @@ mod tests {
     fn ejection_occupancy_reports_waiting_flits() {
         let mut net = small_net(Topology::Torus);
         net.try_inject(3, Message::new(3, 2, vec![5, 6])).unwrap();
-        assert_eq!(net.ejection_occupancy(3, 2), 2);
-        assert_eq!(net.ejection_occupancy(3, 0), 0);
+        assert_eq!(net.delivered_waiting(3), 1);
+        assert!(net.peek_delivered_on(3, 0).is_none());
         assert_eq!(net.peek_delivered_on(3, 2).unwrap().payload(), &[5, 6]);
         net.pop_delivered_on(3, 2).unwrap();
-        assert_eq!(net.ejection_occupancy(3, 2), 0);
+        assert!(net.peek_delivered_on(3, 2).is_none());
+        assert_eq!(net.delivered_waiting(3), 0);
     }
 
     #[test]

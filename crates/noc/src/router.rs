@@ -57,10 +57,6 @@ impl ChannelBuffer {
         self.capacity_flits - self.occupied_flits
     }
 
-    pub(crate) fn occupied_flits(&self) -> usize {
-        self.occupied_flits
-    }
-
     pub(crate) fn front(&self) -> Option<&QueuedMessage> {
         self.queue.front()
     }
@@ -275,7 +271,6 @@ mod tests {
         assert_eq!(buffer.free_flits(), 8);
         buffer.push(queued(3));
         assert_eq!(buffer.free_flits(), 5);
-        assert_eq!(buffer.occupied_flits(), 3);
         assert!(buffer.front().is_some());
         let popped = buffer.pop().unwrap();
         assert_eq!(popped.message.len(), 3);

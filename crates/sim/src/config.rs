@@ -47,6 +47,14 @@ impl GridConfig {
     pub fn shape(&self) -> GridShape {
         GridShape::new(self.width, self.height)
     }
+
+    /// Fixed overhead charged at every epoch barrier (host broadcast of the
+    /// "start next epoch" trigger), in cycles: one per tile along the
+    /// grid's width plus its height.  The idle network ticks through them,
+    /// so its clock stays the chip's.
+    pub fn epoch_broadcast_cycles(&self) -> u64 {
+        (self.width + self.height) as u64
+    }
 }
 
 /// Task-scheduling policy implemented by the TSU (Section III-E).
@@ -81,9 +89,9 @@ pub enum Engine {
     #[default]
     Calendar,
     /// The schedule-equivalence oracle: the preserved pre-overhaul tile
-    /// path (full queue scans, per-pop allocations) and the NoC's reference
-    /// router scheduler, ticking every cycle.  Several times slower; kept
-    /// only to pin [`Engine::Calendar`].
+    /// path (full queue scans, rescanning task picks) and the NoC's
+    /// reference router scheduler, ticking every cycle.  Several times
+    /// slower; kept only to pin [`Engine::Calendar`].
     Reference,
 }
 
@@ -143,10 +151,6 @@ pub struct SimConfig {
     pub max_cycles: u64,
     /// Cycles without any progress after which a deadlock is reported.
     pub watchdog_cycles: u64,
-    /// Fixed overhead charged at every epoch barrier (host broadcast of the
-    /// "start next epoch" trigger), in cycles.  The idle network ticks
-    /// through them, so its clock stays the chip's.
-    pub epoch_broadcast_cycles: u64,
     /// Extra cycles charged on every task dispatch.  Zero for Dalorex's
     /// native, non-interrupting task invocations; the `Data-Local` rung of
     /// the Figure 5 ablation sets it to the 50-cycle interrupt penalty of
@@ -156,12 +160,6 @@ pub struct SimConfig {
     /// [`Engine::Calendar`]).  Both engines model the identical schedule;
     /// the oracle only costs wall-clock (see [`Engine`]).
     pub engine: Engine,
-    /// Materialize every tile's arena slab up front instead of lazily on
-    /// first activity (default `false`).  Laziness is schedule-invisible —
-    /// the equivalence suite pins eager and lazy runs against each other —
-    /// so the only reason to flip this is to measure the idle-tile memory
-    /// laziness saves, or to serve as the eager oracle in that suite.
-    pub eager_tile_init: bool,
     /// Deterministic fault schedule applied bit-identically by both cycle
     /// engines (default empty = schedule-invisible).  See
     /// [`crate::fault::FaultPlan`] for the model and spec format.
@@ -226,10 +224,8 @@ impl SimConfigBuilder {
                 endpoint_drains_per_cycle: 1,
                 max_cycles: 200_000_000,
                 watchdog_cycles: 2_000_000,
-                epoch_broadcast_cycles: (grid.width + grid.height) as u64,
                 invocation_overhead_cycles: 0,
                 engine: Engine::default(),
-                eager_tile_init: false,
                 faults: FaultPlan::default(),
                 verify: VerifyMode::default(),
             },
@@ -312,15 +308,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Overrides lazy tile-state allocation (default `false` = lazy): when
-    /// `true`, every tile's arena slab is materialized before the first
-    /// cycle, as the pre-arena engine did.  The modelled schedule is
-    /// identical either way; the memory report's tile-arena line is not.
-    pub fn eager_tile_init(mut self, eager: bool) -> Self {
-        self.config.eager_tile_init = eager;
-        self
-    }
-
     /// Installs a deterministic fault schedule (default empty).  An empty
     /// plan is schedule-invisible; a non-empty plan degrades the run but
     /// stays bit-identical between the engine and its oracle.
@@ -396,6 +383,7 @@ mod tests {
         assert_eq!(config.scratchpad_bytes, 4 * 1024 * 1024);
         assert_eq!(config.endpoint_drains_per_cycle, 1);
         assert_eq!(config.verify, VerifyMode::Warn);
+        assert_eq!(config.grid.epoch_broadcast_cycles(), 32);
     }
 
     #[test]
@@ -441,19 +429,6 @@ mod tests {
         assert_eq!(config.vertex_placement, VertexPlacement::Chunked);
         assert_eq!(config.barrier_mode, BarrierMode::EpochBarrier);
         assert_eq!(config.max_cycles, 1000);
-    }
-
-    #[test]
-    fn tile_init_defaults_to_lazy() {
-        let config = SimConfigBuilder::new(GridConfig::square(4))
-            .build()
-            .unwrap();
-        assert!(!config.eager_tile_init);
-        let eager = SimConfigBuilder::new(GridConfig::square(4))
-            .eager_tile_init(true)
-            .build()
-            .unwrap();
-        assert!(eager.eager_tile_init);
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl TaskContext for SimTaskContext<'_> {
     }
 
     fn cq_free(&self, channel: usize) -> usize {
-        self.tile.cq_free(channel)
+        self.tile.cqs()[channel].free()
     }
 
     fn try_send(&mut self, channel: usize, words: &[u32]) -> bool {
@@ -156,7 +156,7 @@ impl TaskContext for SimTaskContext<'_> {
     }
 
     fn iq_free(&self, task: TaskId) -> usize {
-        self.tile.iq_free(task)
+        self.tile.iqs()[task].free()
     }
 
     fn try_push_local(&mut self, task: TaskId, words: &[u32]) -> bool {
@@ -180,7 +180,7 @@ impl TaskContext for SimTaskContext<'_> {
     }
 
     fn iq_len(&self) -> usize {
-        self.tile.iq_len(self.current_task)
+        self.tile.iqs()[self.current_task].len()
     }
 
     fn charge_ops(&mut self, n: u64) {
@@ -321,8 +321,9 @@ mod tests {
     use super::*;
     use crate::kernel::{ArrayInit, LocalArrayDecl, LocalArrayLen, TaskDecl, TaskParams};
     use crate::placement::VertexPlacement;
-    use crate::tile::distribute_graph;
+    use crate::tile::{distribute_graph, TileInit};
     use dalorex_graph::generators::grid2d::GridConfig;
+    use std::sync::Arc;
 
     fn setup() -> (
         Placement,
@@ -352,10 +353,22 @@ mod tests {
         (placement, csr, tasks, channels, arrays)
     }
 
+    fn tile_state(
+        tile: usize,
+        placement: &Placement,
+        tasks: &[TaskDecl],
+        channels: &[ChannelDecl],
+        arrays: &[LocalArrayDecl],
+        num_vars: usize,
+    ) -> TileState {
+        let init = TileInit::new(tasks, channels, arrays, num_vars);
+        TileState::new(tile, placement, Arc::new(init))
+    }
+
     #[test]
     fn task_context_charges_accesses() {
         let (placement, csr, tasks, channels, arrays) = setup();
-        let mut tile = TileState::new(0, &placement, &tasks, &channels, &arrays, 2);
+        let mut tile = tile_state(0, &placement, &tasks, &channels, &arrays, 2);
         let mut ctx = SimTaskContext {
             tile: &mut tile,
             csr: &csr[0],
@@ -391,7 +404,7 @@ mod tests {
     #[test]
     fn edge_parts_stream_back_to_back_and_charge_per_piece() {
         let (placement, csr, tasks, channels, arrays) = setup();
-        let mut tile = TileState::new(0, &placement, &tasks, &channels, &arrays, 2);
+        let mut tile = tile_state(0, &placement, &tasks, &channels, &arrays, 2);
         let mut ctx = SimTaskContext {
             tile: &mut tile,
             csr: &csr[0],
@@ -429,7 +442,7 @@ mod tests {
     #[test]
     fn task_context_send_respects_capacity() {
         let (placement, csr, tasks, channels, arrays) = setup();
-        let mut tile = TileState::new(1, &placement, &tasks, &channels, &arrays, 0);
+        let mut tile = tile_state(1, &placement, &tasks, &channels, &arrays, 0);
         let mut ctx = SimTaskContext {
             tile: &mut tile,
             csr: &csr[1],
@@ -452,7 +465,7 @@ mod tests {
     #[test]
     fn bootstrap_context_maps_vertices() {
         let (placement, csr, tasks, channels, arrays) = setup();
-        let mut tile = TileState::new(2, &placement, &tasks, &channels, &arrays, 1);
+        let mut tile = tile_state(2, &placement, &tasks, &channels, &arrays, 1);
         let mut ctx = SimBootstrapContext {
             tile: &mut tile,
             csr: &csr[2],
@@ -485,7 +498,7 @@ mod tests {
     fn epoch_context_wakes_tiles_it_pushes_to() {
         let (placement, _csr, tasks, channels, arrays) = setup();
         let mut tiles: Vec<TileState> = (0..4)
-            .map(|t| TileState::new(t, &placement, &tasks, &channels, &arrays, 1))
+            .map(|t| tile_state(t, &placement, &tasks, &channels, &arrays, 1))
             .collect();
         let mut ctx = SimEpochContext {
             tiles: &mut tiles,

@@ -70,7 +70,7 @@ use crate::memory::MemoryReport;
 use crate::output::KernelOutput;
 use crate::placement::{ArraySpace, Placement};
 use crate::stats::SimStats;
-use crate::tile::{distribute_graph, TileCsr, TileInit, TileState};
+use crate::tile::{distribute_graph, TileCsr, TileInit, TileState, MAX_AUTOPOP_WORDS};
 use crate::tsu::Scheduler;
 use dalorex_graph::CsrGraph;
 use dalorex_noc::{Message, Network, NocConfig, RouterScheduler};
@@ -192,10 +192,10 @@ impl HotTile {
 }
 
 /// Builds the structured [`DeadlockDiagnostics`] payload for a watchdog
-/// firing.  Reads only schedule-identical state (tile queue occupancies
-/// through the hollow-safe accessors, the network's in-flight counters and
-/// the progress markers), so the engine and its oracle attach a
-/// bit-identical snapshot — pinned by `tests/engine_error_parity.rs`.
+/// firing.  Reads only schedule-identical state (tile queue occupancies,
+/// the network's in-flight counters and the progress markers), so the
+/// engine and its oracle attach a bit-identical snapshot — pinned by
+/// `tests/engine_error_parity.rs`.
 fn deadlock_diagnostics(
     tiles: &[TileState],
     network: &Network,
@@ -398,9 +398,9 @@ impl Simulation {
     /// through, and the one the equivalence tests drive the oracle by.
     ///
     /// [`Engine::Reference`] is the schedule-equivalence oracle: the
-    /// pre-overhaul tile path (per-pop `Vec`s, full channel scans,
-    /// full-rescan scheduling, O(n) idle checks) on the reference router
-    /// scheduler, running every active tile every cycle.
+    /// pre-overhaul tile path (full channel scans, full-rescan scheduling,
+    /// O(n) idle checks) on the reference router scheduler, running every
+    /// active tile every cycle.
     ///
     /// # Errors
     ///
@@ -417,11 +417,8 @@ impl Simulation {
         self.verify_kernel(kernel)?;
 
         let num_tiles = self.placement.num_tiles();
-        // One shared declaration record; every tile starts hollow (no
-        // arena slab) and materializes on first activity, so idle tiles
-        // cost nothing.  `eager_tile_init` restores the pre-arena
-        // allocate-everything behaviour; the schedule is identical either
-        // way (pinned by the lazy-vs-eager equivalence test).
+        // One shared declaration record, from which every tile builds its
+        // arena slab.
         let init = std::sync::Arc::new(TileInit::new(
             &tasks,
             &channels,
@@ -429,17 +426,10 @@ impl Simulation {
             kernel.num_tile_vars(),
         ));
         let mut tiles: Vec<TileState> = (0..num_tiles)
-            .map(|t| TileState::hollow(t, &self.placement, std::sync::Arc::clone(&init)))
+            .map(|t| TileState::new(t, &self.placement, std::sync::Arc::clone(&init)))
             .collect();
-        if self.config.eager_tile_init {
-            for tile in tiles.iter_mut() {
-                tile.materialize();
-            }
-        }
 
         // Bootstrap every tile (initial state and the root invocation).
-        // A bootstrap that only inspects a tile (e.g. "am I the root's
-        // owner?") leaves it hollow; any write or push materializes it.
         for tile in tiles.iter_mut() {
             let mut ctx = SimBootstrapContext {
                 csr: &self.csr[tile.tile],
@@ -505,10 +495,11 @@ impl Simulation {
                         // The idle network ticks through the broadcast, so
                         // the engine, the network and its fault windows
                         // share one clock.
-                        for _ in 0..self.config.epoch_broadcast_cycles {
+                        let broadcast = self.config.grid.epoch_broadcast_cycles();
+                        for _ in 0..broadcast {
                             network.cycle();
                         }
-                        cycle += self.config.epoch_broadcast_cycles;
+                        cycle += broadcast;
                         debug_assert_eq!(network.current_cycle(), cycle);
                         for tile in woken {
                             // The epoch trigger pushed invocations outside
@@ -680,16 +671,7 @@ impl Simulation {
         // A sleeping tile's blocked channel waits on a buffer that holds a
         // message, so none sleeps once the network is idle.
         debug_assert!(hot.iter().all(|h| h.asleep_since == u64::MAX));
-        self.finish_outcome(
-            kernel,
-            &arrays,
-            tasks.len(),
-            &tiles,
-            &network,
-            cycle,
-            epochs,
-            work,
-        )
+        self.finish_outcome(kernel, &arrays, &tiles, &network, cycle, epochs, work)
     }
 
     /// Gathers statistics, output and the derived energy/area figures into
@@ -699,7 +681,6 @@ impl Simulation {
         &self,
         kernel: &dyn Kernel,
         arrays: &[crate::kernel::LocalArrayDecl],
-        num_tasks: usize,
         tiles: &[TileState],
         network: &Network,
         cycle: u64,
@@ -717,12 +698,6 @@ impl Simulation {
         for tile in tiles {
             stats.absorb_tile(&tile.counters);
         }
-        // Hollow tiles carry an empty per-task counter vector; pad the
-        // aggregate so an eager run (every vector full-length) and a lazy
-        // run produce bit-identical stats.
-        if stats.task_invocations.len() < num_tasks {
-            stats.task_invocations.resize(num_tasks, 0);
-        }
         stats.router_busy_fraction = network.router_utilization().values().to_vec();
         stats.activity.cycles = cycle;
         stats.activity.noc_flit_hops = network.stats().flit_hops;
@@ -738,18 +713,10 @@ impl Simulation {
             .memory_bandwidth_bytes_per_s(&stats.activity);
         let chip_area = self.area_model.chip_mm2();
         let noc_mem = network.memory_report();
-        let mut materialized_tiles = 0usize;
-        let mut tile_arena_bytes = 0usize;
-        for tile in tiles {
-            if tile.is_materialized() {
-                materialized_tiles += 1;
-                tile_arena_bytes += tile.arena_bytes();
-            }
-        }
         let memory = MemoryReport {
             csr_bytes: self.csr.iter().map(TileCsr::footprint_bytes).sum(),
-            tile_arena_bytes,
-            materialized_tiles,
+            tile_arena_bytes: tiles.iter().map(TileState::arena_bytes).sum(),
+            materialized_tiles: tiles.len(),
             total_tiles: tiles.len(),
             noc_buffer_bytes: noc_mem.buffer_bytes,
             calendar_bytes: noc_mem.calendar_bytes,
@@ -859,8 +826,9 @@ impl Simulation {
     /// The dispatch step consults the incrementally maintained task-ready
     /// mask through [`Scheduler::pick`] and auto-pops parameters into a
     /// stack buffer.  Every decision is bit-identical to
-    /// [`Simulation::tile_cycle_reference`].  The verifier (V015) keeps
-    /// every kernel within the mask widths.
+    /// [`Simulation::tile_cycle_reference`].  The verifier keeps every
+    /// kernel within the mask widths (V015) and the parameter buffer
+    /// (V016).
     #[allow(clippy::too_many_arguments)]
     fn tile_cycle(
         &self,
@@ -889,9 +857,6 @@ impl Simulation {
         let delivered = network.has_deliveries(tile_id);
         debug_assert_eq!(delivered, network.delivered_waiting(tile_id) > 0);
         if delivered {
-            // Arriving traffic is the one way a hollow tile wakes up: its
-            // IQ rings must exist before `can_push` probes them below.
-            tile.materialize();
             'drain: loop {
                 let mut progressed = false;
                 let mut mask = network.delivered_channel_mask(tile_id);
@@ -1000,25 +965,16 @@ impl Simulation {
             let Some(task) = scheduler.pick(tile, tasks) else {
                 break 'dispatch;
             };
-            // Auto-popped parameters land in a stack buffer; the heap
-            // fallback only exists for hypothetical kernels auto-popping
-            // more than 16 words per invocation.
-            let mut param_buf = [0u32; 16];
-            let param_spill: Vec<u32>;
+            // Auto-popped parameters land in a stack buffer (the verifier's
+            // V016 keeps every task within it).
+            let mut param_buf = [0u32; MAX_AUTOPOP_WORDS];
             let params: &[u32] = match tasks[task].params {
-                TaskParams::AutoPop(n) if n <= param_buf.len() => {
+                TaskParams::AutoPop(n) => {
                     let popped = tile.pop_iq_into(task, n, &mut param_buf);
                     debug_assert!(popped, "eligibility guarantees parameters");
                     // TSU pre-loads the parameters: scratchpad reads.
                     tile.counters.sram_reads += n as u64;
                     &param_buf[..n]
-                }
-                TaskParams::AutoPop(n) => {
-                    param_spill = tile
-                        .pop_iq_invocation(task, n)
-                        .expect("eligibility guarantees parameters");
-                    tile.counters.sram_reads += n as u64;
-                    &param_spill
                 }
                 TaskParams::SelfManaged => &[],
             };
@@ -1043,12 +999,16 @@ impl Simulation {
 
     /// One TSU + PU cycle on one tile — the preserved pre-overhaul path.
     ///
-    /// Kept verbatim in shape and cost profile (full channel scans, `Vec`
-    /// per popped invocation, heap copy per drained payload, full-rescan
-    /// scheduling) as the oracle [`Engine::Reference`] drives.  Both paths
-    /// mutate the tile exclusively through the counter-maintaining
-    /// [`TileState`] methods, so they cannot drift in behaviour — only in
-    /// cost.
+    /// Kept in the pre-overhaul shape as the oracle [`Engine::Reference`]
+    /// drives: it scans every channel to drain and to inject instead of
+    /// walking the occupancy masks, re-attempts every inject-ready channel
+    /// without consulting the network's blocked bits, and picks through
+    /// [`Scheduler::pick_reference`], which rescans every task's queues;
+    /// the engine keeps it active by the scanning
+    /// [`TileState::is_idle_scan`].  Like the fast path it pops into stack
+    /// buffers and rewrites drained heads in place.  Both paths mutate the
+    /// tile exclusively through the counter-maintaining [`TileState`]
+    /// methods, so they cannot drift in behaviour — only in cost.
     #[allow(clippy::too_many_arguments)]
     fn tile_cycle_reference(
         &self,
@@ -1069,9 +1029,6 @@ impl Simulation {
         // 1. Drain: scan the channels in declaration order, repeatedly.
         let mut drained = 0usize;
         if network.delivered_waiting(tile_id) > 0 {
-            // Arriving traffic is the one way a hollow tile wakes up: its
-            // IQ rings must exist before `can_push` probes them below.
-            tile.materialize();
             'drain: loop {
                 let mut progressed = false;
                 for (channel, decl) in channels.iter().enumerate() {
@@ -1085,14 +1042,14 @@ impl Simulation {
                     if !tile.iqs()[dest_task].can_push(message.len()) {
                         continue;
                     }
-                    let message = network
+                    let mut message = network
                         .pop_delivered_on(tile_id, channel)
                         .expect("peeked message is present");
-                    let mut words = message.into_payload();
+                    let words = message.payload_mut();
                     words[0] = self.placement.to_local(decl.space, words[0] as usize) as u32;
-                    let pushed = tile.push_iq(dest_task, &words);
+                    let pushed = tile.push_iq(dest_task, message.payload());
                     debug_assert!(pushed);
-                    tile.counters.sram_writes += words.len() as u64;
+                    tile.counters.sram_writes += message.len() as u64;
                     tile.counters.messages_received += 1;
                     drained += 1;
                     progressed = true;
@@ -1101,13 +1058,6 @@ impl Simulation {
                     break;
                 }
             }
-        }
-
-        if !tile.is_materialized() {
-            // Nothing was delivered and nothing was ever queued: a hollow
-            // tile has no message to inject and no dispatchable task, and
-            // its queue descriptors do not exist to scan.
-            return;
         }
 
         // 2. Inject: scan the channels in declaration order, parking
@@ -1129,18 +1079,18 @@ impl Simulation {
                 }
                 let head = tile.cq_peek(channel).expect("non-empty CQ");
                 let dest = self.placement.owner(decl.space, head as usize);
-                let words = tile
-                    .pop_cq_invocation(channel, flits)
-                    .expect("checked length");
+                let mut flit_buf = [0u32; dalorex_noc::MAX_FLITS];
+                let popped = tile.pop_cq_into(channel, flits, &mut flit_buf);
+                debug_assert!(popped, "checked length");
                 work.injection_attempts += 1;
-                match network.try_inject(tile_id, Message::new(dest, channel, words)) {
+                match network.try_inject(tile_id, Message::new(dest, channel, &flit_buf[..flits])) {
                     Ok(()) => {
                         tile.counters.sram_reads += flits as u64;
                         injected += 1;
                         progressed = true;
                     }
                     Err(rejected) => {
-                        tile.restore_cq_front(channel, &rejected.message.into_payload());
+                        tile.restore_cq_front(channel, rejected.message.payload());
                         rejected_channels |= 1u64 << channel;
                     }
                 }
@@ -1163,15 +1113,15 @@ impl Simulation {
         let Some(task) = scheduler.pick_reference(tile, tasks) else {
             return;
         };
-        let params = match tasks[task].params {
+        let mut param_buf = [0u32; MAX_AUTOPOP_WORDS];
+        let params: &[u32] = match tasks[task].params {
             TaskParams::AutoPop(n) => {
-                let popped = tile
-                    .pop_iq_invocation(task, n)
-                    .expect("eligibility guarantees parameters");
+                let popped = tile.pop_iq_into(task, n, &mut param_buf);
+                debug_assert!(popped, "eligibility guarantees parameters");
                 tile.counters.sram_reads += n as u64;
-                popped
+                &param_buf[..n]
             }
-            TaskParams::SelfManaged => Vec::new(),
+            TaskParams::SelfManaged => &[],
         };
         let mut ctx = SimTaskContext {
             csr: &self.csr[tile_id],
@@ -1182,7 +1132,7 @@ impl Simulation {
             cost: InvocationCost { cycles: 1 }, // dispatch overhead
             tile,
         };
-        kernel.execute(task, &params, &mut ctx);
+        kernel.execute(task, params, &mut ctx);
         let cost = (ctx.cost.cycles + self.config.invocation_overhead_cycles).max(1);
         let cost = self.fault_slowed_cost(tile, cycle, cost);
         tile.counters.task_invocations[task] += 1;
@@ -1208,8 +1158,6 @@ impl Simulation {
             for (v, slot) in global.iter_mut().enumerate() {
                 let tile = self.placement.owner(ArraySpace::Vertex, v);
                 let local = self.placement.to_local(ArraySpace::Vertex, v);
-                // Hollow tiles hand back their declared initial values —
-                // an idle tile's output is whatever the kernel initialized.
                 *slot = tiles[tile].read_array_word(array_id, local);
             }
             output.insert(name, global);

@@ -3,8 +3,7 @@
 //! DL-PIM's critique (and ours): data-locality wins are only credible when
 //! the resident working set is *measured*, not estimated.  Every run
 //! therefore reports where its modeled memory went — the distributed CSR,
-//! the per-tile arena slabs (which, under lazy allocation, only exist for
-//! tiles that saw activity), the NoC's router buffers, and the calendar
+//! the per-tile arena slabs, the NoC's router buffers, and the calendar
 //! scheduler's bookkeeping — alongside cycles and energy.  The
 //! `tests/memory_budget.rs` tier pins these totals like the cycle goldens,
 //! so a memory regression fails CI the same way a schedule regression does.
@@ -20,11 +19,14 @@ pub struct MemoryReport {
     /// The distributed CSR chunks (2 row words per vertex + 2 words per
     /// edge; equals `CsrGraph::distributed_footprint_bytes`).
     pub csr_bytes: usize,
-    /// Per-tile arena slabs (kernel arrays, variables, IQ/CQ rings).  Under
-    /// lazy allocation only materialized tiles contribute; an idle tile
-    /// costs 0.
+    /// Per-tile arena slabs (kernel arrays, variables, IQ/CQ rings), summed
+    /// over every tile of the grid.
     pub tile_arena_bytes: usize,
-    /// Tiles whose arena was materialized during the run.
+    /// Tiles that hold an arena slab.  Every tile builds its slab when the
+    /// run starts, so this always equals `total_tiles`; it stays only
+    /// because the benchmark package reports it as
+    /// `sim.mem.materialized_tiles`, and can go with the next change to
+    /// that package.
     pub materialized_tiles: usize,
     /// Total tiles in the grid.
     pub total_tiles: usize,
@@ -56,7 +58,7 @@ mod tests {
         let report = MemoryReport {
             csr_bytes: 100,
             tile_arena_bytes: 20,
-            materialized_tiles: 2,
+            materialized_tiles: 16,
             total_tiles: 16,
             noc_buffer_bytes: 7,
             calendar_bytes: 3,

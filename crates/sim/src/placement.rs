@@ -147,21 +147,6 @@ impl Placement {
         }
     }
 
-    /// The vertex-space `global = base + local * stride` mapping for `tile`.
-    ///
-    /// Both placements are affine in the local offset (chunked: `base =
-    /// tile * vertices_per_tile`, stride 1; interleaved: `base = tile`,
-    /// stride `num_tiles`), which is what lets a lazily allocated tile
-    /// capture its whole vertex mapping in two words and materialize later
-    /// without a `Placement` in hand.  Matches [`Placement::to_global`]
-    /// exactly for `ArraySpace::Vertex`.
-    pub fn vertex_affine(&self, tile: TileId) -> (usize, usize) {
-        match self.vertex_placement {
-            VertexPlacement::Chunked => (tile * self.vertices_per_tile, 1),
-            VertexPlacement::Interleaved => (tile, self.num_tiles),
-        }
-    }
-
     /// Number of elements of the given array space stored on `tile`.
     pub fn local_len(&self, space: ArraySpace, tile: TileId) -> usize {
         let (total, per_tile) = match space {
@@ -264,23 +249,6 @@ mod tests {
                         "round trip failed for {space:?} {index} under {placement:?}"
                     );
                     assert!(local < p.chunk_capacity(space));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn vertex_affine_matches_to_global() {
-        for placement in [VertexPlacement::Chunked, VertexPlacement::Interleaved] {
-            let p = Placement::new(7, 103, 311, placement);
-            for tile in 0..7 {
-                let (base, stride) = p.vertex_affine(tile);
-                for local in 0..p.chunk_capacity(ArraySpace::Vertex) + 2 {
-                    assert_eq!(
-                        base + local * stride,
-                        p.to_global(ArraySpace::Vertex, tile, local),
-                        "affine mapping diverged for tile {tile} local {local} under {placement:?}"
-                    );
                 }
             }
         }

@@ -26,8 +26,7 @@
 //! allocation: pushes, pops and the speculative head restore move words
 //! within the preallocated slab.  The allocation-free readers are
 //! [`WordQueue::pop_invocation_into`] and [`WordQueue::head_slices`]; the
-//! `Vec`-returning [`WordQueue::pop_invocation`] is kept for the preserved
-//! reference tile path and for tests.
+//! `Vec`-returning [`WordQueue::pop_invocation`] is kept for tests.
 
 /// A bounded circular FIFO of 32-bit words holding whole task invocations,
 /// stored as a window into an external arena slab.
@@ -97,11 +96,6 @@ impl WordQueue {
     /// Free space in words.
     pub fn free(&self) -> usize {
         (self.cap - self.len) as usize
-    }
-
-    /// Occupancy as a fraction of capacity, in `[0, 1]`.
-    pub fn occupancy_fraction(&self) -> f64 {
-        self.len as f64 / self.cap as f64
     }
 
     /// Whether the queue is at or above three quarters of its capacity —
@@ -228,9 +222,9 @@ impl WordQueue {
     /// Returns `None` (leaving the queue unchanged) if fewer than `count`
     /// words are queued.
     ///
-    /// Allocates the returned `Vec`; the engine's hot path uses
+    /// Allocates the returned `Vec`; both of the engine's tile paths use
     /// [`WordQueue::pop_invocation_into`] instead, and this form remains for
-    /// the preserved reference tile path and for tests.
+    /// tests.
     pub fn pop_invocation(&mut self, slab: &[u32], count: usize) -> Option<Vec<u32>> {
         if (self.len as usize) < count {
             return None;
@@ -271,17 +265,6 @@ impl WordQueue {
     pub fn iter<'s>(&self, slab: &'s [u32]) -> impl Iterator<Item = u32> + 's {
         let (a, b) = self.head_slices(slab, self.len as usize);
         a.iter().chain(b.iter()).copied()
-    }
-
-    /// Whether two queues hold the same logical content (front to back) at
-    /// the same capacity and high-water mark, regardless of the physical
-    /// head position within each ring.  The descriptor form cannot
-    /// implement `PartialEq` directly because content lives in the slabs.
-    pub fn logical_eq(&self, slab: &[u32], other: &Self, other_slab: &[u32]) -> bool {
-        self.cap == other.cap
-            && self.max_occupancy == other.max_occupancy
-            && self.len == other.len
-            && self.iter(slab).eq(other.iter(other_slab))
     }
 }
 
@@ -384,7 +367,7 @@ mod tests {
         q.pop_word(&s);
         q.try_push(&mut s, &[5]);
         assert_eq!(q.max_occupancy(), 4);
-        assert!((q.occupancy_fraction() - 0.4).abs() < 1e-12);
+        assert_eq!(q.len(), 4);
         assert_eq!(q.free(), 6);
     }
 
@@ -394,14 +377,15 @@ mod tests {
             let mut s = vec![0u32; capacity];
             let mut q = WordQueue::new(0, capacity);
             for len in 0..=capacity {
+                let fraction = len as f64 / capacity as f64;
                 assert_eq!(
                     q.at_least_three_quarters_full(),
-                    q.occupancy_fraction() >= crate::tsu::HIGH_PRIORITY_IQ_FRACTION,
+                    fraction >= crate::tsu::HIGH_PRIORITY_IQ_FRACTION,
                     "capacity {capacity}, len {len}"
                 );
                 assert_eq!(
                     q.at_most_one_quarter_full(),
-                    q.occupancy_fraction() <= crate::tsu::MEDIUM_PRIORITY_OQ_FRACTION,
+                    fraction <= crate::tsu::MEDIUM_PRIORITY_OQ_FRACTION,
                     "capacity {capacity}, len {len}"
                 );
                 q.try_push(&mut s, &[len as u32]);
@@ -449,9 +433,8 @@ mod tests {
             b.iter(&sb).collect::<Vec<_>>()
         );
         assert_eq!(a.max_occupancy(), b.max_occupancy());
-        assert!(a.logical_eq(&sa, &b, &sb));
         a.pop_word(&sa);
-        assert!(!a.logical_eq(&sa, &b, &sb));
+        assert!(a.iter(&sa).ne(b.iter(&sb)));
     }
 
     #[test]

@@ -8,24 +8,18 @@
 //! [`crate::placement::Placement`]; [`TileState`] is the mutable
 //! part (kernel arrays, variables, queues, counters).
 //!
-//! # Arena layout and lazy materialization
+//! # Arena layout
 //!
 //! The mutable scratchpad image of a tile is a single `Vec<u32>` arena slab
 //! laid out `[kernel arrays][variables][IQ rings][CQ rings]`, indexed by
 //! `u32` spans ([`crate::queues::WordQueue`] descriptors and array spans) —
 //! one allocation per tile instead of one per array and per queue, sized
-//! exactly like the hardware scratchpad it models.  A tile starts *hollow*:
-//! no slab, no queues, no counters vector.  The first mutation (an IQ/CQ
-//! push from the network or bootstrap, an array or variable write)
-//! materializes the slab with the declared initial values; reads on a
-//! hollow tile compute those declared values on the fly, so laziness is
-//! invisible to the modelled schedule.  The declaration-derived metadata a
-//! materialization needs ([`TileInit`]: capacity rules, array declarations,
-//! readiness metadata) is shared across every tile behind an `Arc`, and the
-//! vertex mapping is captured as the affine
-//! [`crate::placement::Placement::vertex_affine`] pair, so a hollow tile
-//! is a few dozen bytes.  [`TileState::arena_bytes`] (0 while hollow) is
-//! what the memory budget report sums per tile.
+//! exactly like the hardware scratchpad it models.  Every tile builds its
+//! slab when the run starts, from the declaration-derived metadata shared
+//! across the grid behind an `Arc` ([`TileInit`]: capacity rules, array
+//! declarations, readiness metadata), with the kernel arrays holding their
+//! declared initial values.  [`TileState::arena_bytes`] is what the memory
+//! budget report sums per tile.
 //!
 //! # Incremental readiness tracking
 //!
@@ -52,7 +46,9 @@
 //!
 //! The masks are [`MAX_TASKS`] and [`dalorex_noc::MAX_CHANNELS`] bits wide
 //! (the paper's kernels declare at most four tasks and channels); the
-//! verifier rejects wider kernels before the first cycle (V015).
+//! verifier rejects wider kernels before the first cycle (V015), and tasks
+//! auto-popping more than [`MAX_AUTOPOP_WORDS`] parameters (V016), which
+//! the engine's stack buffers cannot hold.
 
 use crate::kernel::{
     ArrayInit, ChannelDecl, LocalArrayDecl, LocalArrayLen, QueueCapacity, TaskDecl, TaskParams,
@@ -65,6 +61,10 @@ use std::sync::Arc;
 /// The most tasks a kernel may declare: the width of the per-tile
 /// task-ready bitmask.
 pub const MAX_TASKS: usize = 64;
+
+/// The most parameter words a task may auto-pop per invocation: the size
+/// of the stack buffer the TSU pops them into.
+pub const MAX_AUTOPOP_WORDS: usize = 16;
 
 /// The read-only chunk of the dataset owned by one tile.
 ///
@@ -145,8 +145,7 @@ pub struct TileCounters {
     pub pu_ops: u64,
     /// Cycles during which the PU was executing a task.
     pub pu_busy_cycles: u64,
-    /// Invocations executed, per task.  Empty until the tile materializes
-    /// (an all-zero vector and an absent one aggregate identically).
+    /// Invocations executed, one entry per declared task.
     pub task_invocations: Vec<u64>,
     /// Edges processed (reported by the kernel via `count_edges`).
     pub edges_processed: u64,
@@ -239,8 +238,8 @@ impl ReadyMeta {
 }
 
 /// Declaration-derived tile metadata, built once per run and shared across
-/// every [`TileState`] behind an `Arc` — everything a hollow tile needs to
-/// materialize its arena or to answer reads without one.
+/// every [`TileState`] behind an `Arc`: what a tile's arena is built from,
+/// and what its readiness masks are maintained by.
 #[derive(Debug)]
 pub struct TileInit {
     /// Per-task IQ capacity rule.
@@ -288,11 +287,6 @@ impl TileInit {
     /// Number of declared tasks.
     pub fn num_tasks(&self) -> usize {
         self.iq_capacity.len()
-    }
-
-    /// Number of declared channels.
-    pub fn num_channels(&self) -> usize {
-        self.cq_capacity_words.len()
     }
 }
 
@@ -349,16 +343,7 @@ pub struct TileState {
     pub tile: usize,
     /// Shared declaration-derived metadata.
     init: Arc<TileInit>,
-    /// Vertices this tile owns.
-    local_vertices: u32,
-    /// Edges this tile owns.
-    local_edges: u32,
-    /// `global_vertex = vertex_base + local * vertex_stride`.
-    vertex_base: usize,
-    /// See `vertex_base`.
-    vertex_stride: usize,
-    /// The arena slab: `[arrays][vars][IQ rings][CQ rings]`.  Empty until
-    /// the tile materializes.
+    /// The arena slab: `[arrays][vars][IQ rings][CQ rings]`.
     slab: Vec<u32>,
     /// Kernel array windows into the slab, in declaration order.
     array_spans: Box<[Span]>,
@@ -369,8 +354,6 @@ pub struct TileState {
     iqs: Box<[WordQueue]>,
     /// One channel queue per channel.
     cqs: Box<[WordQueue]>,
-    /// Whether the arena has been materialized.
-    materialized: bool,
     /// Cycle until which the PU is busy with the current task.
     pub pu_busy_until: u64,
     /// Activity counters.
@@ -384,81 +367,17 @@ pub struct TileState {
 }
 
 impl TileState {
-    /// Builds the state for `tile` given the kernel declarations and the
-    /// tile's share of the dataset, materialized eagerly (the historical
-    /// constructor, used by tests and the eager-init oracle; runs share one
-    /// [`TileInit`] via [`TileState::hollow`] instead).
+    /// Builds the state for `tile`: allocates its arena slab from the shared
+    /// declarations, sized by the tile's share of the dataset under
+    /// `placement`, and fills the kernel arrays with their declared initial
+    /// values.  Every queue starts empty, so no task or channel is ready.
     ///
     /// # Panics
     ///
-    /// Panics on declarations wider than the readiness masks (see
-    /// [`TileInit::new`]).
-    pub fn new(
-        tile: usize,
-        placement: &Placement,
-        tasks: &[TaskDecl],
-        channels: &[ChannelDecl],
-        arrays: &[LocalArrayDecl],
-        num_vars: usize,
-    ) -> Self {
-        let init = Arc::new(TileInit::new(tasks, channels, arrays, num_vars));
-        let mut state = TileState::hollow(tile, placement, init);
-        state.materialize();
-        state
-    }
-
-    /// Builds a hollow (unmaterialized) tile: no arena, no queues, no
-    /// counters vector — a few dozen bytes regardless of dataset size.
-    /// The first mutation materializes it; reads before that compute the
-    /// declared initial values.
-    pub fn hollow(tile: usize, placement: &Placement, init: Arc<TileInit>) -> Self {
-        let local_vertices = placement.local_len(ArraySpace::Vertex, tile);
-        let local_edges = placement.local_len(ArraySpace::Edge, tile);
-        let (vertex_base, vertex_stride) = placement.vertex_affine(tile);
-        TileState {
-            tile,
-            init,
-            local_vertices: u32::try_from(local_vertices)
-                .expect("per-tile vertex count exceeds the 32-bit index space"),
-            local_edges: u32::try_from(local_edges)
-                .expect("per-tile edge count exceeds the 32-bit index space"),
-            vertex_base,
-            vertex_stride,
-            slab: Vec::new(),
-            array_spans: Box::new([]),
-            vars_off: 0,
-            iqs: Box::new([]),
-            cqs: Box::new([]),
-            materialized: false,
-            pu_busy_until: 0,
-            counters: TileCounters::default(),
-            queued_words: 0,
-            task_ready: 0,
-            cq_ready: 0,
-        }
-    }
-
-    /// Whether the arena slab has been allocated.
-    pub fn is_materialized(&self) -> bool {
-        self.materialized
-    }
-
-    /// Heap bytes held by this tile's arena slab (0 while hollow) — the
-    /// per-tile line the memory budget report sums.
-    pub fn arena_bytes(&self) -> usize {
-        self.slab.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Allocates and initializes the arena slab.  Idempotent; called
-    /// automatically by every mutation, or eagerly by
-    /// `Simulation::run_with_engine` under the eager-init policy.
-    pub fn materialize(&mut self) {
-        if self.materialized {
-            return;
-        }
-        let lv = self.local_vertices as usize;
-        let le = self.local_edges as usize;
-        let init = Arc::clone(&self.init);
+    /// Panics if the arena exceeds the 32-bit index space.
+    pub fn new(tile: usize, placement: &Placement, init: Arc<TileInit>) -> Self {
+        let lv = placement.local_len(ArraySpace::Vertex, tile);
+        let le = placement.local_len(ArraySpace::Edge, tile);
 
         let mut off = 0usize;
         let array_spans: Box<[Span]> = init
@@ -499,6 +418,7 @@ impl TileState {
         );
 
         let mut slab = vec![0u32; off];
+        let global = |local: usize| placement.to_global(ArraySpace::Vertex, tile, local) as u32;
         for (decl, span) in init.arrays.iter().zip(array_spans.iter()) {
             let window = &mut slab[span.range()];
             match &decl.init {
@@ -507,37 +427,51 @@ impl TileState {
                 ArrayInit::MaxU32 => window.fill(u32::MAX),
                 ArrayInit::GlobalVertexId => {
                     for (local, word) in window.iter_mut().enumerate() {
-                        *word = (self.vertex_base + local * self.vertex_stride) as u32;
+                        *word = global(local);
                     }
                 }
                 ArrayInit::PerVertexFn(f) => {
                     for (local, word) in window.iter_mut().enumerate() {
-                        *word = f((self.vertex_base + local * self.vertex_stride) as u32);
+                        *word = f(global(local));
                     }
                 }
             }
         }
 
-        self.slab = slab;
-        self.array_spans = array_spans;
-        self.vars_off = vars_off as u32;
-        self.iqs = iqs;
-        self.cqs = cqs;
-        self.counters.task_invocations = vec![0; init.num_tasks()];
-        self.materialized = true;
-        self.rebuild_masks();
+        let counters = TileCounters {
+            task_invocations: vec![0; init.num_tasks()],
+            ..TileCounters::default()
+        };
+        TileState {
+            tile,
+            init,
+            slab,
+            array_spans,
+            vars_off: vars_off as u32,
+            iqs,
+            cqs,
+            pu_busy_until: 0,
+            counters,
+            queued_words: 0,
+            task_ready: 0,
+            cq_ready: 0,
+        }
+    }
+
+    /// Heap bytes held by this tile's arena slab — the per-tile line the
+    /// memory budget report sums.
+    pub fn arena_bytes(&self) -> usize {
+        self.slab.len() * std::mem::size_of::<u32>()
     }
 
     /// The task input queues, in declaration order (read-only: mutations go
     /// through [`TileState::push_iq`] and friends so the incremental
-    /// counters stay exact).  Empty while the tile is hollow; use the
-    /// capacity/occupancy accessors for hollow-safe reads.
+    /// counters stay exact).
     pub fn iqs(&self) -> &[WordQueue] {
         &self.iqs
     }
 
     /// The channel (output) queues, in declaration order (read-only).
-    /// Empty while the tile is hollow.
     pub fn cqs(&self) -> &[WordQueue] {
         &self.cqs
     }
@@ -558,57 +492,19 @@ impl TileState {
         self.queued_words
     }
 
-    /// Occupancy of task `task`'s IQ in words (0 while hollow).
-    pub fn iq_len(&self, task: usize) -> usize {
-        if self.materialized {
-            self.iqs[task].len()
-        } else {
-            0
-        }
-    }
-
-    /// Free space in task `task`'s IQ in words (the full declared capacity
-    /// while hollow).
-    pub fn iq_free(&self, task: usize) -> usize {
-        if self.materialized {
-            self.iqs[task].free()
-        } else {
-            declared_iq_words(self.init.iq_capacity[task], self.local_vertices as usize)
-        }
-    }
-
-    /// Free space in channel `channel`'s CQ in words (the full declared
-    /// capacity while hollow).
-    pub fn cq_free(&self, channel: usize) -> usize {
-        if self.materialized {
-            self.cqs[channel].free()
-        } else {
-            self.init.cq_capacity_words[channel].max(1)
-        }
-    }
-
     /// The head word of task `task`'s IQ without consuming it.
     pub fn iq_peek(&self, task: usize) -> Option<u32> {
-        if self.materialized {
-            self.iqs[task].peek(&self.slab)
-        } else {
-            None
-        }
+        self.iqs[task].peek(&self.slab)
     }
 
     /// The head word of channel `channel`'s CQ without consuming it.
     pub fn cq_peek(&self, channel: usize) -> Option<u32> {
-        if self.materialized {
-            self.cqs[channel].peek(&self.slab)
-        } else {
-            None
-        }
+        self.cqs[channel].peek(&self.slab)
     }
 
     /// Pushes an invocation into task `task`'s IQ; returns `false` if it
-    /// does not fit.  Materializes a hollow tile.
+    /// does not fit.
     pub fn push_iq(&mut self, task: usize, words: &[u32]) -> bool {
-        self.materialize();
         let accepted = self.iqs[task].try_push(&mut self.slab, words);
         if accepted {
             self.queued_words += words.len();
@@ -619,9 +515,6 @@ impl TileState {
 
     /// Pops one word from task `task`'s IQ (the self-managed `iq_pop`).
     pub fn pop_iq_word(&mut self, task: usize) -> Option<u32> {
-        if !self.materialized {
-            return None;
-        }
         let word = self.iqs[task].pop_word(&self.slab);
         if word.is_some() {
             self.queued_words -= 1;
@@ -634,9 +527,6 @@ impl TileState {
     /// allocation-free.  Returns `false` (queue unchanged) if fewer than
     /// `count` words are queued.
     pub fn pop_iq_into(&mut self, task: usize, count: usize, out: &mut [u32]) -> bool {
-        if !self.materialized {
-            return false;
-        }
         let popped = self.iqs[task].pop_invocation_into(&self.slab, count, out);
         if popped {
             self.queued_words -= count;
@@ -645,24 +535,9 @@ impl TileState {
         popped
     }
 
-    /// `Vec`-returning variant of [`TileState::pop_iq_into`], preserved for
-    /// the reference tile path and tests.
-    pub fn pop_iq_invocation(&mut self, task: usize, count: usize) -> Option<Vec<u32>> {
-        if !self.materialized {
-            return None;
-        }
-        let popped = self.iqs[task].pop_invocation(&self.slab, count);
-        if popped.is_some() {
-            self.queued_words -= count;
-            self.note_iq_changed(task);
-        }
-        popped
-    }
-
     /// Pushes a message into channel `channel`'s CQ; returns `false` if it
-    /// does not fit.  Materializes a hollow tile.
+    /// does not fit.
     pub fn push_cq(&mut self, channel: usize, words: &[u32]) -> bool {
-        self.materialize();
         let accepted = self.cqs[channel].try_push(&mut self.slab, words);
         if accepted {
             self.queued_words += words.len();
@@ -675,25 +550,8 @@ impl TileState {
     /// allocation-free.  Returns `false` (queue unchanged) if fewer than
     /// `count` words are queued.
     pub fn pop_cq_into(&mut self, channel: usize, count: usize, out: &mut [u32]) -> bool {
-        if !self.materialized {
-            return false;
-        }
         let popped = self.cqs[channel].pop_invocation_into(&self.slab, count, out);
         if popped {
-            self.queued_words -= count;
-            self.note_cq_changed(channel);
-        }
-        popped
-    }
-
-    /// `Vec`-returning variant of [`TileState::pop_cq_into`], preserved for
-    /// the reference tile path and tests.
-    pub fn pop_cq_invocation(&mut self, channel: usize, count: usize) -> Option<Vec<u32>> {
-        if !self.materialized {
-            return None;
-        }
-        let popped = self.cqs[channel].pop_invocation(&self.slab, count);
-        if popped.is_some() {
             self.queued_words -= count;
             self.note_cq_changed(channel);
         }
@@ -708,118 +566,50 @@ impl TileState {
     /// Panics if the words no longer fit (they always do when undoing a pop
     /// performed in the same cycle).
     pub fn restore_cq_front(&mut self, channel: usize, words: &[u32]) {
-        self.materialize();
         self.cqs[channel].push_front_invocation(&mut self.slab, words);
         self.queued_words += words.len();
         self.note_cq_changed(channel);
     }
 
-    /// Declared length of kernel array `array` on this tile (hollow-safe).
-    pub fn array_len(&self, array: usize) -> usize {
-        let decl = &self.init.arrays[array];
-        declared_array_len(
-            decl.len,
-            self.local_vertices as usize,
-            self.local_edges as usize,
-        )
-    }
-
     /// Kernel array `array` as a slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tile is hollow (use [`TileState::read_array_word`] for
-    /// hollow-safe reads).
     pub fn array(&self, array: usize) -> &[u32] {
-        assert!(
-            self.materialized,
-            "array slice read on an unmaterialized tile (use read_array_word)"
-        );
         &self.slab[self.array_spans[array].range()]
     }
 
-    /// Reads `array[index]`, computing the declared initial value when the
-    /// tile is hollow — the read an idle tile would serve without ever
-    /// allocating its arena.
-    pub fn read_array_word(&self, array: usize, index: usize) -> u32 {
-        if self.materialized {
-            let span = self.array_spans[array];
-            assert!(index < span.len as usize, "array index out of bounds");
-            self.slab[span.off as usize + index]
-        } else {
-            assert!(index < self.array_len(array), "array index out of bounds");
-            match &self.init.arrays[array].init {
-                ArrayInit::Zero => 0,
-                ArrayInit::Const(v) => *v,
-                ArrayInit::MaxU32 => u32::MAX,
-                ArrayInit::GlobalVertexId => (self.vertex_base + index * self.vertex_stride) as u32,
-                ArrayInit::PerVertexFn(f) => {
-                    f((self.vertex_base + index * self.vertex_stride) as u32)
-                }
-            }
-        }
-    }
-
-    /// Writes `array[index] = value`, materializing a hollow tile.
-    pub fn write_array_word(&mut self, array: usize, index: usize, value: u32) {
-        self.materialize();
-        let span = self.array_spans[array];
-        assert!(index < span.len as usize, "array index out of bounds");
-        self.slab[span.off as usize + index] = value;
-    }
-
-    /// Number of per-tile scalar variables.
-    pub fn num_vars(&self) -> usize {
-        self.init.num_vars
-    }
-
-    /// Reads variable `index` (0 while hollow — variables start zeroed).
-    pub fn var(&self, index: usize) -> u32 {
-        assert!(index < self.init.num_vars, "variable index out of bounds");
-        if self.materialized {
-            self.slab[self.vars_off as usize + index]
-        } else {
-            0
-        }
-    }
-
-    /// Writes variable `index`, materializing a hollow tile.
-    pub fn set_var(&mut self, index: usize, value: u32) {
-        assert!(index < self.init.num_vars, "variable index out of bounds");
-        self.materialize();
-        self.slab[self.vars_off as usize + index] = value;
-    }
-
-    /// The variables window as a slice.
+    /// Reads `array[index]`.
     ///
     /// # Panics
     ///
-    /// Panics if the tile is hollow (use [`TileState::var`] for hollow-safe
-    /// reads).
-    pub fn vars(&self) -> &[u32] {
-        assert!(
-            self.materialized,
-            "vars slice read on an unmaterialized tile (use var)"
-        );
-        let off = self.vars_off as usize;
-        &self.slab[off..off + self.init.num_vars]
+    /// Panics if `index` is outside the array.
+    pub fn read_array_word(&self, array: usize, index: usize) -> u32 {
+        self.array(array)[index]
     }
 
-    /// Recomputes every readiness bit from scratch (materialization and
-    /// debug-mode validation).
-    fn rebuild_masks(&mut self) {
-        self.task_ready = 0;
-        for task in 0..self.iqs.len() {
-            if self.compute_task_ready(task) {
-                self.task_ready |= 1u64 << task;
-            }
-        }
-        self.cq_ready = 0;
-        for channel in 0..self.cqs.len() {
-            if self.cqs[channel].len() >= self.init.meta.cq_msg_words[channel] {
-                self.cq_ready |= 1u64 << channel;
-            }
-        }
+    /// Writes `array[index] = value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is outside the array.
+    pub fn write_array_word(&mut self, array: usize, index: usize, value: u32) {
+        let range = self.array_spans[array].range();
+        self.slab[range][index] = value;
+    }
+
+    /// Reads variable `index`.
+    pub fn var(&self, index: usize) -> u32 {
+        self.vars()[index]
+    }
+
+    /// Writes variable `index`.
+    pub fn set_var(&mut self, index: usize, value: u32) {
+        let off = self.vars_off as usize;
+        self.slab[off..off + self.init.num_vars][index] = value;
+    }
+
+    /// The variables window as a slice.
+    pub fn vars(&self) -> &[u32] {
+        let off = self.vars_off as usize;
+        &self.slab[off..off + self.init.num_vars]
     }
 
     /// Whether task `task` is dispatch-eligible, computed from the stored
@@ -900,34 +690,6 @@ impl TileState {
 
     fn scan_queues_empty(&self) -> bool {
         self.iqs.iter().all(WordQueue::is_empty) && self.cqs.iter().all(WordQueue::is_empty)
-    }
-
-    /// Scratchpad bytes the kernel's arrays, variables and queues occupy on
-    /// this tile, computed from the declarations — the *modelled* hardware
-    /// footprint, identical whether or not the simulator has materialized
-    /// the arena (and equal to [`TileState::arena_bytes`] once it has).
-    pub fn kernel_footprint_bytes(&self) -> usize {
-        let lv = self.local_vertices as usize;
-        let le = self.local_edges as usize;
-        let array_words: usize = self
-            .init
-            .arrays
-            .iter()
-            .map(|decl| declared_array_len(decl.len, lv, le))
-            .sum();
-        let queue_words: usize = self
-            .init
-            .iq_capacity
-            .iter()
-            .map(|&c| declared_iq_words(c, lv))
-            .sum::<usize>()
-            + self
-                .init
-                .cq_capacity_words
-                .iter()
-                .map(|&c| c.max(1))
-                .sum::<usize>();
-        4 * (array_words + self.init.num_vars + queue_words)
     }
 }
 
@@ -1012,11 +774,21 @@ mod tests {
         )
     }
 
+    /// Builds tile `tile`'s state from `decls` and `num_vars` variables.
+    fn build(
+        tile: usize,
+        placement: &Placement,
+        (tasks, channels, arrays): &(Vec<TaskDecl>, Vec<ChannelDecl>, Vec<LocalArrayDecl>),
+        num_vars: usize,
+    ) -> TileState {
+        let init = TileInit::new(tasks, channels, arrays, num_vars);
+        TileState::new(tile, placement, Arc::new(init))
+    }
+
     #[test]
     fn tile_state_builds_arrays_with_declared_inits() {
         let placement = Placement::new(2, 10, 20, VertexPlacement::Interleaved);
-        let (tasks, channels, arrays) = test_decls();
-        let state = TileState::new(1, &placement, &tasks, &channels, &arrays, 3);
+        let state = build(1, &placement, &test_decls(), 3);
         assert_eq!(state.array_spans.len(), 5);
         // Tile 1 owns vertices 1, 3, 5, 7, 9 under interleaved placement.
         assert_eq!(state.array(0), &[u32::MAX; 5]);
@@ -1027,84 +799,20 @@ mod tests {
         assert_eq!(state.vars(), &[0, 0, 0]);
         assert_eq!(state.iqs().len(), 2);
         assert_eq!(state.cqs().len(), 1);
-        assert!(state.is_idle(0));
-        assert!(state.kernel_footprint_bytes() > 0);
-        // The arena holds exactly the modelled scratchpad image.
-        assert_eq!(state.arena_bytes(), state.kernel_footprint_bytes());
-    }
-
-    #[test]
-    fn hollow_tile_costs_nothing_and_reads_declared_values() {
-        let placement = Placement::new(2, 10, 20, VertexPlacement::Interleaved);
-        let (tasks, channels, arrays) = test_decls();
-        let init = Arc::new(TileInit::new(&tasks, &channels, &arrays, 3));
-        let eager = TileState::new(1, &placement, &tasks, &channels, &arrays, 3);
-        let hollow = TileState::hollow(1, &placement, init);
-        assert!(!hollow.is_materialized());
-        assert_eq!(hollow.arena_bytes(), 0);
-        // The modelled footprint is declaration-derived, not
-        // allocation-derived.
-        assert_eq!(
-            hollow.kernel_footprint_bytes(),
-            eager.kernel_footprint_bytes()
-        );
-        // Hollow reads compute exactly what the eager build stored.
-        for array in 0..5 {
-            assert_eq!(hollow.array_len(array), eager.array(array).len());
-            for index in 0..hollow.array_len(array) {
-                assert_eq!(
-                    hollow.read_array_word(array, index),
-                    eager.array(array)[index],
-                    "array {array} index {index}"
-                );
-            }
-        }
-        for var in 0..3 {
-            assert_eq!(hollow.var(var), 0);
-        }
-        assert_eq!(hollow.iq_len(0), 0);
-        assert_eq!(hollow.iq_free(0), 32);
-        assert_eq!(hollow.cq_free(0), 16);
-        assert_eq!(hollow.iq_peek(0), None);
-        assert_eq!(hollow.cq_peek(0), None);
-        assert!(hollow.is_idle(0));
-        assert_eq!(hollow.task_ready_mask(), 0);
-        assert_eq!(hollow.cq_ready_mask(), 0);
-    }
-
-    #[test]
-    fn first_mutation_materializes_the_arena() {
-        let placement = Placement::new(2, 10, 20, VertexPlacement::Interleaved);
-        let (tasks, channels, arrays) = test_decls();
-        let init = Arc::new(TileInit::new(&tasks, &channels, &arrays, 3));
-        let mut state = TileState::hollow(1, &placement, Arc::clone(&init));
-        assert!(state.push_iq(0, &[7]));
-        assert!(state.is_materialized());
-        assert_eq!(state.arena_bytes(), state.kernel_footprint_bytes());
-        assert_eq!(state.iq_peek(0), Some(7));
-        // Declared initial values landed in the slab.
-        assert_eq!(state.array(0), &[u32::MAX; 5]);
-        assert_eq!(state.array(2), &[1, 3, 5, 7, 9]);
         assert_eq!(state.counters.task_invocations, vec![0, 0]);
-
-        // Array and variable writes materialize too.
-        let mut by_write = TileState::hollow(0, &placement, Arc::clone(&init));
-        by_write.write_array_word(0, 2, 42);
-        assert!(by_write.is_materialized());
-        assert_eq!(by_write.read_array_word(0, 2), 42);
-        assert_eq!(by_write.read_array_word(0, 1), u32::MAX);
-        let mut by_var = TileState::hollow(0, &placement, init);
-        by_var.set_var(1, 5);
-        assert!(by_var.is_materialized());
-        assert_eq!(by_var.var(1), 5);
-        assert_eq!(by_var.var(0), 0);
+        // Empty queues: idle, and nothing ready.
+        assert!(state.is_idle(0));
+        assert_eq!(state.task_ready_mask(), 0);
+        assert_eq!(state.cq_ready_mask(), 0);
+        // The arena holds exactly the modelled scratchpad image: 20 array
+        // words, 3 variables, IQs of 32 and 64 words and a 16-word CQ.
+        assert_eq!(state.arena_bytes(), 4 * (20 + 3 + 32 + 64 + 16));
     }
 
     #[test]
     fn tile_is_not_idle_with_queued_work_or_busy_pu() {
         let placement = Placement::new(2, 10, 20, VertexPlacement::Chunked);
-        let (tasks, channels, arrays) = test_decls();
-        let mut state = TileState::new(0, &placement, &tasks, &channels, &arrays, 0);
+        let mut state = build(0, &placement, &test_decls(), 0);
         assert!(state.is_idle(5));
         state.push_iq(0, &[7]);
         assert!(!state.is_idle(5));
@@ -1119,8 +827,7 @@ mod tests {
     #[test]
     fn queue_mutations_keep_the_word_counter_exact() {
         let placement = Placement::new(2, 10, 20, VertexPlacement::Chunked);
-        let (tasks, channels, arrays) = test_decls();
-        let mut state = TileState::new(0, &placement, &tasks, &channels, &arrays, 0);
+        let mut state = build(0, &placement, &test_decls(), 0);
         assert_eq!(state.queued_words(), 0);
         assert!(state.push_iq(1, &[1, 2]));
         assert!(state.push_cq(0, &[3, 4]));
@@ -1131,8 +838,11 @@ mod tests {
         assert_eq!(state.queued_words(), 2);
         state.restore_cq_front(0, &buf);
         assert_eq!(state.queued_words(), 4);
-        assert_eq!(state.pop_cq_invocation(0, 2), Some(vec![3, 4]));
-        assert_eq!(state.pop_iq_invocation(1, 2), Some(vec![1, 2]));
+        let mut buf = [0u32; 2];
+        assert!(state.pop_cq_into(0, 2, &mut buf));
+        assert_eq!(buf, [3, 4]);
+        assert!(state.pop_iq_into(1, 2, &mut buf));
+        assert_eq!(buf, [1, 2]);
         assert_eq!(state.queued_words(), 0);
         assert!(state.is_idle(0));
     }
@@ -1140,10 +850,10 @@ mod tests {
     #[test]
     fn task_ready_mask_tracks_inputs_and_output_space() {
         let placement = Placement::new(2, 10, 20, VertexPlacement::Chunked);
-        let (mut tasks, channels, arrays) = test_decls();
+        let mut decls = test_decls();
         // T2 (AutoPop(2)) additionally needs 4 free words on channel 0.
-        tasks[1] = TaskDecl::new("T2", 64, TaskParams::AutoPop(2)).requires_cq_space(0, 4);
-        let mut state = TileState::new(0, &placement, &tasks, &channels, &arrays, 0);
+        decls.0[1] = TaskDecl::new("T2", 64, TaskParams::AutoPop(2)).requires_cq_space(0, 4);
+        let mut state = build(0, &placement, &decls, 0);
         assert_eq!(state.task_ready_mask(), 0);
         // One word is not a full AutoPop(2) invocation.
         state.push_iq(1, &[1]);
@@ -1154,11 +864,11 @@ mod tests {
         state.push_iq(0, &[9]);
         assert_eq!(state.task_ready_mask(), 0b11);
         // Fill channel 0 so fewer than 4 words remain: T2 loses its bit.
-        let filler = vec![0u32; 13];
+        let mut filler = vec![0u32; 13];
         assert!(state.push_cq(0, &filler));
         assert_eq!(state.task_ready_mask(), 0b01);
         // Draining the CQ restores it.
-        assert!(state.pop_cq_invocation(0, 13).is_some());
+        assert!(state.pop_cq_into(0, 13, &mut filler));
         assert_eq!(state.task_ready_mask(), 0b11);
         // Consuming T2's invocation clears its bit again.
         let mut buf = [0u32; 2];
@@ -1169,9 +879,8 @@ mod tests {
     #[test]
     fn cq_ready_mask_requires_one_full_message() {
         let placement = Placement::new(2, 10, 20, VertexPlacement::Chunked);
-        let (tasks, channels, arrays) = test_decls();
         // Channel 0 sends 2-flit messages.
-        let mut state = TileState::new(0, &placement, &tasks, &channels, &arrays, 0);
+        let mut state = build(0, &placement, &test_decls(), 0);
         assert_eq!(state.cq_ready_mask(), 0);
         state.push_cq(0, &[1]);
         assert_eq!(state.cq_ready_mask(), 0);

@@ -71,12 +71,6 @@ impl Scheduler {
     /// holds.  This is the reference definition; the tile's task-ready mask
     /// maintains exactly this predicate incrementally.
     pub fn is_eligible(tile: &TileState, tasks: &[TaskDecl], task: usize) -> bool {
-        if !tile.is_materialized() {
-            // A hollow tile has no queued work by construction, so nothing
-            // can be dispatch-eligible (and its queue descriptors do not
-            // exist to probe).
-            return false;
-        }
         let decl = &tasks[task];
         let iq = &tile.iqs()[task];
         let has_input = match decl.params {
@@ -224,6 +218,8 @@ mod tests {
     use super::*;
     use crate::kernel::{ChannelDecl, LocalArrayDecl};
     use crate::placement::{ArraySpace, Placement, VertexPlacement};
+    use crate::tile::TileInit;
+    use std::sync::Arc;
 
     fn decls() -> (Vec<TaskDecl>, Vec<ChannelDecl>, Vec<LocalArrayDecl>) {
         (
@@ -240,7 +236,8 @@ mod tests {
     fn tile() -> TileState {
         let placement = Placement::new(4, 64, 256, VertexPlacement::Interleaved);
         let (tasks, channels, arrays) = decls();
-        TileState::new(0, &placement, &tasks, &channels, &arrays, 0)
+        let init = TileInit::new(&tasks, &channels, &arrays, 0);
+        TileState::new(0, &placement, Arc::new(init))
     }
 
     #[test]
@@ -274,7 +271,8 @@ mod tests {
         assert!(!Scheduler::is_eligible(&tile, &tasks, 1));
         assert_eq!(tile.task_ready_mask() & 0b010, 0);
         // Drain it and the task becomes eligible again.
-        tile.pop_cq_invocation(0, 12).unwrap();
+        let mut drained = [0u32; 12];
+        assert!(tile.pop_cq_into(0, 12, &mut drained));
         assert!(Scheduler::is_eligible(&tile, &tasks, 1));
         assert_ne!(tile.task_ready_mask() & 0b010, 0);
     }
@@ -378,7 +376,8 @@ mod tests {
                 if let Some(task) = a {
                     match tasks[task].params {
                         TaskParams::AutoPop(n) => {
-                            tile.pop_iq_invocation(task, n);
+                            let mut params = [0u32; 3];
+                            tile.pop_iq_into(task, n, &mut params);
                         }
                         TaskParams::SelfManaged => {
                             tile.pop_iq_word(task);

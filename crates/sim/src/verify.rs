@@ -9,9 +9,10 @@
 //! runs a pass pipeline over it, producing structured [`Diagnostic`]s with
 //! stable codes (`V001`…).  The passes:
 //!
-//! 1. **Structural** (`V001`–`V015`) — dangling task/channel indices,
+//! 1. **Structural** (`V001`–`V016`) — dangling task/channel indices,
 //!    zero-sized queues, messages that cannot fit their queues, kernels
-//!    wider than the hardware's ready and channel masks.  These
+//!    wider than the hardware's ready and channel masks, tasks auto-popping
+//!    more words than the TSU's parameter buffer holds.  These
 //!    would corrupt or abort a run, so they are fatal under every
 //!    [`VerifyMode`], exactly as the engine's pre-verifier validation was.
 //! 2. **Dataflow** (`V02x`) — unreachable tasks, tasks that can never
@@ -45,7 +46,7 @@
 
 use crate::config::SchedulingPolicy;
 use crate::kernel::{ChannelDecl, Kernel, QueueCapacity, TaskDecl, TaskParams};
-use crate::tile::MAX_TASKS;
+use crate::tile::{MAX_AUTOPOP_WORDS, MAX_TASKS};
 use dalorex_noc::MAX_CHANNELS;
 use std::fmt;
 use std::str::FromStr;
@@ -381,6 +382,18 @@ fn structural_pass(
                 subject.clone(),
                 "auto-pops zero parameters; it could dispatch forever on an empty IQ".to_string(),
             );
+        }
+        if let TaskParams::AutoPop(n) = task.params {
+            if n > MAX_AUTOPOP_WORDS {
+                error(
+                    "V016",
+                    subject.clone(),
+                    format!(
+                        "auto-pops {n} parameters; the TSU's parameter buffer holds at most \
+                         {MAX_AUTOPOP_WORDS} words"
+                    ),
+                );
+            }
         }
         for &(channel, words) in &task.cq_space_required {
             if channel >= channels.len() {

@@ -2,7 +2,8 @@
 //! 10): run SSSP on the same dataset and grid while swapping the
 //! interconnect between a 2D mesh, a 2D torus and a torus with ruche
 //! channels, and show how the torus relieves the centre-of-mesh contention
-//! and improves runtime.
+//! and improves runtime.  Every topology's distances are checked against
+//! the sequential reference.
 //!
 //! Run with:
 //! ```text
@@ -12,6 +13,7 @@
 //! It takes no arguments: any argument exits 2, naming the first one.
 
 use dalorex::graph::generators::rmat::RmatConfig;
+use dalorex::graph::reference;
 use dalorex::kernels::SsspKernel;
 use dalorex::noc::Topology;
 use dalorex::sim::config::{GridConfig, SimConfigBuilder};
@@ -34,6 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "topology", "cycles", "speedup/mesh", "router util var", "avg msg latency"
     );
 
+    let expected = reference::sssp(&graph, 0);
     let mut mesh_cycles: Option<u64> = None;
     for topology in [
         Topology::Mesh,
@@ -46,6 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?;
         let sim = Simulation::new(config, &graph)?;
         let outcome = sim.run(&SsspKernel::new(0))?;
+        assert_eq!(
+            outcome.output.as_u32_array("value"),
+            expected.distances(),
+            "{} output diverged from the reference",
+            topology.name()
+        );
         let mesh = *mesh_cycles.get_or_insert(outcome.cycles);
         println!(
             "{:>12}  {:>12}  {:>13.2}x  {:>16.3}  {:>16.1}",

@@ -15,11 +15,10 @@
 //! T4-vs-T1 occupancy-priority tie (fixed by T4's `requires_iq_space`
 //! output-queue guarantee); CI runs that step as a regression smoke.
 //!
-//! Each row also prints the run's modeled memory footprint and how many of
-//! the grid's tiles materialized an arena slab: tile state is allocated
-//! lazily on first activity, so idle tiles cost nothing — the mechanism
-//! that lets the same simulator hold paper-scale (millions-of-vertices)
-//! datasets in a CI machine's RAM.
+//! Each row also prints the run's modeled memory footprint: the
+//! distributed CSR, one arena slab per tile the size of its modelled
+//! scratchpad image, the NoC buffers and the calendar scheduler's
+//! bookkeeping.
 
 use dalorex::graph::generators::rmat::RmatConfig;
 use dalorex::kernels::BfsKernel;
@@ -56,15 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         graph.num_edges()
     );
     println!(
-        "{:>6}  {:>14}  {:>12}  {:>12}  {:>10}  {:>8}  {:>13}  {:>12}",
-        "tiles",
-        "vertices/tile",
-        "cycles",
-        "speedup",
-        "energy(mJ)",
-        "PU util",
-        "modeled-bytes",
-        "active-tiles"
+        "{:>6}  {:>14}  {:>12}  {:>12}  {:>10}  {:>8}  {:>13}",
+        "tiles", "vertices/tile", "cycles", "speedup", "energy(mJ)", "PU util", "modeled-bytes"
     );
 
     let mut baseline_cycles: Option<u64> = None;
@@ -82,16 +74,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let outcome = sim.run(&BfsKernel::new(0))?;
         let baseline = *baseline_cycles.get_or_insert(outcome.cycles);
         println!(
-            "{:>6}  {:>14}  {:>12}  {:>11.1}x  {:>10.3}  {:>7.1}%  {:>13}  {:>9}/{:<3}",
+            "{:>6}  {:>14}  {:>12}  {:>11.1}x  {:>10.3}  {:>7.1}%  {:>13}",
             tiles,
             graph.num_vertices() / tiles,
             outcome.cycles,
             baseline as f64 / outcome.cycles as f64,
             outcome.total_energy_j() * 1e3,
             100.0 * outcome.stats.mean_pu_utilization(),
-            outcome.memory.modeled_total_bytes(),
-            outcome.memory.materialized_tiles,
-            outcome.memory.total_tiles
+            outcome.memory.modeled_total_bytes()
         );
     }
     println!();

@@ -3,20 +3,21 @@
 //!
 //! The tentpole claim of the arena/SoA refactor is that the simulator's
 //! footprint scales like the hardware it models: the distributed CSR and
-//! the NoC buffers grow with the dataset and the grid, while per-tile
-//! arena slabs exist only for tiles that saw activity — an all-idle tile
-//! contributes exactly 0 arena bytes.  These tests pin the per-subsystem
-//! totals for two grid sizes, assert the idle-tile guarantee directly, and
-//! check that the report's CSR line equals the graph's own accounting, so
-//! any future allocation regression (a hidden eager allocation, a grown
-//! queue ring, a padded arena) fails CI the same way a schedule
+//! the NoC buffers grow with the dataset and the grid, and every tile
+//! holds one arena slab exactly the size of its modelled scratchpad image
+//! (kernel arrays, variables, IQ and CQ rings).  These tests pin the
+//! per-subsystem totals for two grid sizes, price one tile's arena from
+//! the kernel's declarations, and check that the report's CSR line equals
+//! the graph's own accounting, so any future allocation regression (a
+//! grown queue ring, a padded arena) fails CI the same way a schedule
 //! regression would.
 
 use dalorex::graph::generators::rmat::RmatConfig;
-use dalorex::graph::{CsrGraph, Edge, EdgeList};
+use dalorex::graph::CsrGraph;
 use dalorex::kernels::SsspKernel;
 use dalorex::sim::config::{GridConfig, SimConfigBuilder};
-use dalorex::sim::{MemoryReport, Simulation, VertexPlacement};
+use dalorex::sim::kernel::{LocalArrayLen, QueueCapacity};
+use dalorex::sim::{Kernel, MemoryReport, Simulation};
 
 fn run_sssp(side: usize, graph: &CsrGraph) -> dalorex::sim::SimOutcome {
     let config = SimConfigBuilder::new(GridConfig::square(side))
@@ -39,8 +40,8 @@ fn golden_memory_budget_16x16_sssp() {
         outcome.memory,
         MemoryReport {
             csr_bytes: 61_664,
-            tile_arena_bytes: 2_688_336,
-            materialized_tiles: 252,
+            tile_arena_bytes: 2_731_008,
+            materialized_tiles: 256,
             total_tiles: 256,
             noc_buffer_bytes: 262_144,
             calendar_bytes: 13_376,
@@ -56,8 +57,8 @@ fn golden_memory_budget_16x16_sssp() {
 }
 
 /// Same pin at 64x64 (4096 tiles): the NoC buffer line scales with the
-/// fabric, the CSR line with the dataset, and the arena line only with
-/// the tiles that actually ran something.
+/// fabric, the CSR line with the dataset, and the arena line with the
+/// tiles and the vertices each one owns.
 #[test]
 fn golden_memory_budget_64x64_sssp() {
     let graph = RmatConfig::new(12, 8).seed(17).build().unwrap();
@@ -66,8 +67,8 @@ fn golden_memory_budget_64x64_sssp() {
         outcome.memory,
         MemoryReport {
             csr_bytes: 261_472,
-            tile_arena_bytes: 43_508_448,
-            materialized_tiles: 4_083,
+            tile_arena_bytes: 43_646_976,
+            materialized_tiles: 4096,
             total_tiles: 4096,
             noc_buffer_bytes: 6_291_456,
             calendar_bytes: 214_016,
@@ -81,80 +82,63 @@ fn golden_memory_budget_64x64_sssp() {
     );
 }
 
-/// The idle-tile guarantee, asserted directly: a root with no out-edges
-/// touches exactly one tile (its owner, materialized by the bootstrap
-/// push), and the other 15 tiles of the grid finish the run hollow —
-/// contributing 0 arena bytes.  The eager-init oracle on the same
-/// workload allocates all 16 uniform arenas, so the lazy total must be
-/// exactly one sixteenth of the eager total.
-#[test]
-fn all_idle_tiles_contribute_zero_arena_bytes() {
-    // 64 vertices, one edge between two vertices both owned by tile 0
-    // under chunked placement (4 vertices per tile on a 4x4 grid; the
-    // default interleaved placement would put vertex 1 on tile 1), and
-    // the SSSP root is vertex 0: no message ever leaves tile 0.
-    let edges = EdgeList::from_edges(64, [Edge::new(0, 1, 3)]).unwrap();
-    let graph = CsrGraph::from_edge_list(&edges);
-    let base = SimConfigBuilder::new(GridConfig::square(4))
-        .scratchpad_bytes(1 << 20)
-        .vertex_placement(VertexPlacement::Chunked);
-    let lazy_sim = Simulation::new(base.clone().build().unwrap(), &graph).unwrap();
-    let lazy = lazy_sim.run(&SsspKernel::new(0)).unwrap();
-    assert_eq!(lazy.memory.total_tiles, 16);
-    assert_eq!(
-        lazy.memory.materialized_tiles, 1,
-        "only the root's owner tile saw activity"
-    );
-    assert!(lazy.memory.tile_arena_bytes > 0);
-
-    let eager_sim = Simulation::new(base.eager_tile_init(true).build().unwrap(), &graph).unwrap();
-    let eager = eager_sim.run(&SsspKernel::new(0)).unwrap();
-    assert_eq!(eager.memory.materialized_tiles, 16);
-    // Chunked placement gives every tile the same 4-vertex chunk, so all
-    // 16 arenas are the same size: 15 idle tiles contribute exactly 0.
-    assert_eq!(
-        eager.memory.tile_arena_bytes,
-        16 * lazy.memory.tile_arena_bytes
-    );
-    // And the schedule itself is untouched by laziness.
-    assert_eq!(lazy.cycles, eager.cycles);
-    assert_eq!(lazy.stats, eager.stats);
-    assert_eq!(lazy.output, eager.output);
+/// One SSSP tile's arena in bytes, priced from the kernel's declarations
+/// for a tile owning `vertices` vertices: its arrays, its variables, and
+/// the words of its IQ and CQ rings (a queue holds at least one word).
+fn sssp_tile_arena_bytes(vertices: usize) -> usize {
+    let kernel = SsspKernel::new(0);
+    let array_words: usize = kernel
+        .arrays()
+        .iter()
+        .map(|array| match array.len {
+            LocalArrayLen::PerVertex => vertices,
+            LocalArrayLen::VertexBitmap => vertices.div_ceil(32),
+            LocalArrayLen::Words(n) => n,
+            LocalArrayLen::PerEdge => panic!("SSSP declares no per-edge array"),
+        })
+        .sum();
+    let iq_words: usize = kernel
+        .tasks()
+        .iter()
+        .map(|task| match task.iq_capacity {
+            QueueCapacity::Words(n) => n,
+            QueueCapacity::PerVertex => vertices,
+            QueueCapacity::VertexBlocks => vertices.div_ceil(32),
+        })
+        .map(|words| words.max(1))
+        .sum();
+    let cq_words: usize = kernel
+        .channels()
+        .iter()
+        .map(|channel| channel.cq_capacity_words.max(1))
+        .sum();
+    4 * (array_words + kernel.num_tile_vars() + iq_words + cq_words)
 }
 
-/// The arena line counts exactly the materialized tiles, at per-tile
-/// granularity: with 1024 vertices interleaved over 256 tiles every tile
-/// owns the same 4-vertex chunk, so every arena is the same size — the
-/// eager oracle prices one tile as `eager_total / 256`, and the lazy
-/// total must be exactly `materialized x that price`.  The physical
-/// fabric lines are unaffected by laziness, and the NoC buffer line
-/// scales exactly with the router count.
+/// The arena line prices every tile of the grid: with 1024 vertices
+/// interleaved over 256 tiles every tile owns the same 4 vertices, so the
+/// total must be exactly 256 times one tile's arena as the SSSP
+/// declarations price it.  The NoC buffer line scales exactly with the
+/// router count.
 #[test]
 fn arena_bytes_count_exactly_the_materialized_tiles() {
     let graph = RmatConfig::new(10, 8).seed(17).build().unwrap();
-    let lazy = run_sssp(16, &graph);
-    let eager_config = SimConfigBuilder::new(GridConfig::square(16))
-        .scratchpad_bytes(1 << 20)
-        .eager_tile_init(true)
-        .build()
-        .unwrap();
-    let eager_sim = Simulation::new(eager_config, &graph).unwrap();
-    let eager = eager_sim.run(&SsspKernel::new(0)).unwrap();
-    assert_eq!(eager.memory.materialized_tiles, 256);
-    assert_eq!(eager.memory.tile_arena_bytes % 256, 0, "arenas are uniform");
-    let per_tile = eager.memory.tile_arena_bytes / 256;
+    let outcome = run_sssp(16, &graph);
+    assert_eq!(outcome.memory.total_tiles, 256);
     assert_eq!(
-        lazy.memory.tile_arena_bytes,
-        lazy.memory.materialized_tiles * per_tile,
-        "the lazy arena total must price exactly the materialized tiles"
+        outcome.memory.materialized_tiles,
+        outcome.memory.total_tiles
     );
-    assert_eq!(lazy.memory.csr_bytes, eager.memory.csr_bytes);
-    assert_eq!(lazy.memory.noc_buffer_bytes, eager.memory.noc_buffer_bytes);
+    assert_eq!(
+        outcome.memory.tile_arena_bytes,
+        256 * sssp_tile_arena_bytes(4),
+        "every tile holds one arena the size its declarations price"
+    );
     // Fabric scaling: 4x the routers on a 16x16 grid vs an 8x8 grid means
     // exactly 4x the modeled buffer bytes.
     let small = run_sssp(8, &graph);
     assert_eq!(
-        lazy.memory.noc_buffer_bytes,
+        outcome.memory.noc_buffer_bytes,
         small.memory.noc_buffer_bytes * 4
     );
 }

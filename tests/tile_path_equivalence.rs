@@ -272,44 +272,6 @@ fn engines_agree_on_alternating_sparse_dense_traffic() {
     }
 }
 
-/// Lazy tile-arena allocation must be schedule-invisible: the eager-init
-/// oracle (`eager_tile_init(true)`, which materializes every tile's arena
-/// slab up front exactly like the pre-arena engine) and the default lazy
-/// mode must agree on cycles, outputs and every statistic, on both
-/// engines.  Only the memory report may differ — and only in its arena
-/// lines, in the expected direction: lazily materialized tiles are a
-/// subset of the grid, and the physical lines (CSR, NoC buffers) are
-/// identical.
-#[test]
-fn lazy_tile_allocation_is_schedule_invisible() {
-    let graph = graph();
-    for workload in [Workload::Sssp { root: 0 }, Workload::Wcc] {
-        let kernel = workload.kernel();
-        let base = SimConfigBuilder::new(GridConfig::square(4)).scratchpad_bytes(1 << 20);
-        let lazy_sim = Simulation::new(base.clone().build().unwrap(), &graph).unwrap();
-        let eager_sim =
-            Simulation::new(base.eager_tile_init(true).build().unwrap(), &graph).unwrap();
-        for engine in Engine::ALL {
-            let lazy = lazy_sim.run_with_engine(kernel.as_ref(), engine).unwrap();
-            let eager = eager_sim.run_with_engine(kernel.as_ref(), engine).unwrap();
-            let label = format!("{}/{engine}", workload.name());
-            assert_eq!(lazy.cycles, eager.cycles, "{label}: cycles diverged");
-            assert_eq!(lazy.output, eager.output, "{label}: outputs diverged");
-            assert_eq!(lazy.stats, eager.stats, "{label}: statistics diverged");
-            assert_eq!(
-                lazy.total_energy_j(),
-                eager.total_energy_j(),
-                "{label}: energy diverged"
-            );
-            assert_eq!(eager.memory.materialized_tiles, eager.memory.total_tiles);
-            assert!(lazy.memory.materialized_tiles <= eager.memory.materialized_tiles);
-            assert!(lazy.memory.tile_arena_bytes <= eager.memory.tile_arena_bytes);
-            assert_eq!(lazy.memory.csr_bytes, eager.memory.csr_bytes);
-            assert_eq!(lazy.memory.noc_buffer_bytes, eager.memory.noc_buffer_bytes);
-        }
-    }
-}
-
 /// The fault-injection half of the equivalence tests: the engine and its
 /// oracle must stay bit-identical under non-empty fault plans — including the per-event `FaultReport` — and a
 /// faulted run must never finish earlier than its fault-free twin (faults

@@ -178,12 +178,14 @@ fn deny_rejects_hazards_before_the_first_cycle_and_warn_does_not() {
     }
 }
 
-/// A kernel `tasks` tasks and `channels` channels wide, every declaration
-/// otherwise valid.  Its bootstrap panics: a kernel the verifier rejects
-/// must never reach cycle 0.
+/// A kernel `tasks` tasks and `channels` channels wide whose tasks each
+/// auto-pop `autopop` words, every declaration otherwise valid.  Its
+/// bootstrap panics: a kernel the verifier rejects must never reach
+/// cycle 0.
 struct WideKernel {
     tasks: usize,
     channels: usize,
+    autopop: usize,
 }
 
 impl Kernel for WideKernel {
@@ -192,7 +194,7 @@ impl Kernel for WideKernel {
     }
     fn tasks(&self) -> Vec<TaskDecl> {
         (0..self.tasks)
-            .map(|_| TaskDecl::new("t", 8, TaskParams::AutoPop(1)))
+            .map(|_| TaskDecl::new("t", 64, TaskParams::AutoPop(self.autopop)))
             .collect()
     }
     fn channels(&self) -> Vec<ChannelDecl> {
@@ -207,7 +209,7 @@ impl Kernel for WideKernel {
         vec![]
     }
     fn bootstrap(&self, _ctx: &mut dyn BootstrapContext) {
-        panic!("a kernel wider than the masks must be rejected before cycle 0");
+        panic!("a kernel the verifier rejects must never reach cycle 0");
     }
     fn execute(&self, _task: TaskId, _params: &[u32], _ctx: &mut dyn TaskContext) {}
     fn on_global_idle(&self, _epoch: usize, _ctx: &mut dyn EpochContext) -> EpochDecision {
@@ -221,30 +223,65 @@ impl Kernel for WideKernel {
 /// verify clean.
 #[test]
 fn kernels_wider_than_the_masks_are_rejected_with_v015() {
-    let graph = mesh4x4();
     for (tasks, channels) in [(1, 33), (65, 1)] {
-        let kernel = WideKernel { tasks, channels };
-        for mode in [VerifyMode::Off, VerifyMode::Deny] {
-            let config = SimConfigBuilder::new(GridConfig::square(2))
-                .scratchpad_bytes(1 << 20)
-                .verify(mode)
-                .build()
-                .unwrap();
-            let sim = Simulation::new(config, &graph).unwrap();
-            match sim.run(&kernel) {
-                Err(SimError::Verification { report }) => {
-                    assert!(report.has_code("V015"), "{report}");
-                }
-                other => panic!("{tasks} tasks, {channels} channels: expected V015, got {other:?}"),
-            }
-        }
+        let kernel = WideKernel {
+            tasks,
+            channels,
+            autopop: 1,
+        };
+        assert_rejected_before_cycle_0(&kernel, "V015");
     }
     let widest = WideKernel {
         tasks: 64,
         channels: 32,
+        autopop: 1,
     };
     let report = verify_kernel(&widest, &ctx());
     assert!(!report.has_code("V015"), "{report}");
+}
+
+/// V016: a task auto-popping more than 16 words (the TSU's parameter
+/// buffer) is a structural error under every mode, returned before the
+/// first cycle.  16 words verify clean.
+#[test]
+fn tasks_auto_popping_more_than_the_parameter_buffer_are_rejected_with_v016() {
+    let kernel = WideKernel {
+        tasks: 1,
+        channels: 1,
+        autopop: 17,
+    };
+    assert_rejected_before_cycle_0(&kernel, "V016");
+    let widest = WideKernel {
+        tasks: 1,
+        channels: 1,
+        autopop: 16,
+    };
+    let report = verify_kernel(&widest, &ctx());
+    assert!(!report.has_code("V016"), "{report}");
+}
+
+/// Runs `kernel` under `Off` and `Deny` and asserts that both return a
+/// verification error carrying `code` (the kernel's bootstrap panics, so
+/// reaching cycle 0 fails the test).
+fn assert_rejected_before_cycle_0(kernel: &WideKernel, code: &str) {
+    let graph = mesh4x4();
+    for mode in [VerifyMode::Off, VerifyMode::Deny] {
+        let config = SimConfigBuilder::new(GridConfig::square(2))
+            .scratchpad_bytes(1 << 20)
+            .verify(mode)
+            .build()
+            .unwrap();
+        let sim = Simulation::new(config, &graph).unwrap();
+        match sim.run(kernel) {
+            Err(SimError::Verification { report }) => {
+                assert!(report.has_code(code), "{report}");
+            }
+            other => panic!(
+                "{} tasks, {} channels, auto-pop {}: expected {code}, got {other:?}",
+                kernel.tasks, kernel.channels, kernel.autopop
+            ),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
