@@ -24,9 +24,8 @@
 //!
 //! The steady-state tile path ([`crate::engine`]) performs no heap
 //! allocation: pushes, pops and the speculative head restore move words
-//! within the preallocated slab.  The allocation-free readers are
-//! [`WordQueue::pop_invocation_into`] and [`WordQueue::head_slices`]; the
-//! `Vec`-returning [`WordQueue::pop_invocation`] is kept for tests.
+//! within the preallocated slab.  The readers are
+//! [`WordQueue::pop_invocation_into`] and [`WordQueue::head_slices`].
 
 /// A bounded circular FIFO of 32-bit words holding whole task invocations,
 /// stored as a window into an external arena slab.
@@ -218,23 +217,6 @@ impl WordQueue {
         true
     }
 
-    /// Pops `count` words from the head as one invocation's parameters.
-    /// Returns `None` (leaving the queue unchanged) if fewer than `count`
-    /// words are queued.
-    ///
-    /// Allocates the returned `Vec`; both of the engine's tile paths use
-    /// [`WordQueue::pop_invocation_into`] instead, and this form remains for
-    /// tests.
-    pub fn pop_invocation(&mut self, slab: &[u32], count: usize) -> Option<Vec<u32>> {
-        if (self.len as usize) < count {
-            return None;
-        }
-        let mut out = vec![0u32; count];
-        let popped = self.pop_invocation_into(slab, count, &mut out);
-        debug_assert!(popped);
-        Some(out)
-    }
-
     /// Re-inserts words at the head of the queue, preserving their order.
     /// Used to undo a speculative pop when the network rejects an injection.
     ///
@@ -284,7 +266,9 @@ mod tests {
         assert!(q.try_push(&mut s, &[1, 2, 3]));
         assert_eq!(q.len(), 3);
         assert_eq!(q.peek(&s), Some(1));
-        assert_eq!(q.pop_invocation(&s, 3), Some(vec![1, 2, 3]));
+        let mut buf = [0u32; 3];
+        assert!(q.pop_invocation_into(&s, 3, &mut buf));
+        assert_eq!(buf, [1, 2, 3]);
         assert!(q.is_empty());
     }
 
@@ -304,10 +288,13 @@ mod tests {
         let mut s = slab();
         let mut q = WordQueue::new(0, 4);
         q.try_push(&mut s, &[1]);
-        assert_eq!(q.pop_invocation(&s, 2), None);
+        let mut buf = [0u32; 2];
+        assert!(!q.pop_invocation_into(&s, 2, &mut buf));
+        assert_eq!(buf, [0, 0]);
         assert_eq!(q.len(), 1);
         q.try_push(&mut s, &[2]);
-        assert_eq!(q.pop_invocation(&s, 2), Some(vec![1, 2]));
+        assert!(q.pop_invocation_into(&s, 2, &mut buf));
+        assert_eq!(buf, [1, 2]);
     }
 
     #[test]
@@ -398,10 +385,13 @@ mod tests {
         let mut s = slab();
         let mut q = WordQueue::new(0, 8);
         q.try_push(&mut s, &[1, 2, 3, 4]);
-        let head = q.pop_invocation(&s, 2).unwrap();
-        assert_eq!(head, vec![1, 2]);
+        let mut head = [0u32; 2];
+        assert!(q.pop_invocation_into(&s, 2, &mut head));
+        assert_eq!(head, [1, 2]);
         q.push_front_invocation(&mut s, &head);
-        assert_eq!(q.pop_invocation(&s, 4), Some(vec![1, 2, 3, 4]));
+        let mut all = [0u32; 4];
+        assert!(q.pop_invocation_into(&s, 4, &mut all));
+        assert_eq!(all, [1, 2, 3, 4]);
     }
 
     #[test]
@@ -410,11 +400,14 @@ mod tests {
         let mut q = WordQueue::new(0, 4);
         q.try_push(&mut s, &[9, 1, 2]);
         q.pop_word(&s); // head now at index 1
-        let head = q.pop_invocation(&s, 2).unwrap(); // head at index 3, empty
-        assert_eq!(head, vec![1, 2]);
+        let mut head = [0u32; 2];
+        assert!(q.pop_invocation_into(&s, 2, &mut head)); // head at index 3, empty
+        assert_eq!(head, [1, 2]);
         q.try_push(&mut s, &[3]); // written at index 3
         q.push_front_invocation(&mut s, &head); // head wraps back to index 1
-        assert_eq!(q.pop_invocation(&s, 3), Some(vec![1, 2, 3]));
+        let mut all = [0u32; 3];
+        assert!(q.pop_invocation_into(&s, 3, &mut all));
+        assert_eq!(all, [1, 2, 3]);
     }
 
     #[test]

@@ -165,11 +165,12 @@ proptest! {
                 }
                 QueueOp::PopAndRestore(count) => {
                     if count <= model.len() {
-                        let head = queue.pop_invocation(&slab, count).unwrap();
+                        let mut head = [0u32; 8];
+                        prop_assert!(queue.pop_invocation_into(&slab, count, &mut head));
                         let expected: Vec<u32> =
                             model.iter().take(count).copied().collect();
-                        prop_assert_eq!(&head, &expected);
-                        queue.push_front_invocation(&mut slab, &head);
+                        prop_assert_eq!(&head[..count], expected.as_slice());
+                        queue.push_front_invocation(&mut slab, &head[..count]);
                     }
                 }
             }
