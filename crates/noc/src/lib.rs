@@ -184,6 +184,38 @@ impl NocConfig {
         self.faults = faults;
         self
     }
+
+    /// The message-handle ring slots of a [`Network`] built from this
+    /// configuration: one per modelled flit of buffer capacity, over every
+    /// wired non-local port at `buffer_flits` and every ejection buffer at
+    /// `ejection_buffer_flits`, per channel and tile.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NocError::InvalidConfig`] when one buffer holds more than
+    /// `u16::MAX` flits or the whole fabric more than `u32::MAX`: the
+    /// network's flat buffer store indexes a buffer's flits with 16 bits,
+    /// and the fabric's flits and messages with 32.
+    pub fn buffer_store_slots(&self) -> Result<usize, NocError> {
+        let largest = self.buffer_flits.max(self.ejection_buffer_flits);
+        if largest > usize::from(u16::MAX) {
+            return Err(NocError::InvalidConfig {
+                reason: format!("a buffer holds at most {} flits, got {largest}", u16::MAX),
+            });
+        }
+        let wired_ports = if self.topology.ruche_factor().is_some() {
+            8
+        } else {
+            4
+        };
+        (wired_ports * self.buffer_flits + self.ejection_buffer_flits)
+            .checked_mul(self.channels)
+            .and_then(|per_tile| per_tile.checked_mul(self.shape.num_tiles()))
+            .filter(|&slots| slots <= u32::MAX as usize)
+            .ok_or_else(|| NocError::InvalidConfig {
+                reason: format!("the buffers hold more than {} flits in all", u32::MAX),
+            })
+    }
 }
 
 #[cfg(test)]
@@ -200,5 +232,33 @@ mod tests {
         assert_eq!(config.channels, 2);
         assert_eq!(config.buffer_flits, 8);
         assert_eq!(config.ejection_buffer_flits, 4);
+    }
+
+    #[test]
+    fn buffer_store_slots_count_wired_flits_and_reject_overflow() {
+        // 16 tiles, 2 channels: 4 wired ports of 8 flits plus a 4-flit
+        // ejection buffer per channel; a ruche torus wires 8 ports.
+        let config = NocConfig::new(GridShape::new(4, 4), Topology::Torus)
+            .with_channels(2)
+            .with_buffer_flits(8)
+            .with_ejection_buffer_flits(4);
+        assert_eq!(config.buffer_store_slots(), Ok(16 * 2 * (4 * 8 + 4)));
+        let ruche = NocConfig {
+            topology: Topology::TorusRuche { factor: 2 },
+            ..config.clone()
+        };
+        assert_eq!(ruche.buffer_store_slots(), Ok(16 * 2 * (8 * 8 + 4)));
+        let deep = config.clone().with_ejection_buffer_flits(1 << 16);
+        assert!(matches!(
+            deep.buffer_store_slots(),
+            Err(NocError::InvalidConfig { .. })
+        ));
+        let wide = NocConfig::new(GridShape::new(1024, 1024), Topology::Mesh)
+            .with_channels(32)
+            .with_buffer_flits(1 << 15);
+        assert!(matches!(
+            wide.buffer_store_slots(),
+            Err(NocError::InvalidConfig { .. })
+        ));
     }
 }

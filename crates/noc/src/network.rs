@@ -43,12 +43,15 @@
 //!
 //! [`Network::cycle`] is event-driven end-to-end: only routers that may
 //! commit a forward this cycle are scanned, only their occupied ports are
-//! visited (per-port message counts in the router), only the ports the
+//! visited (an occupied-port mask in the router), only the ports the
 //! topology actually wires are considered (a mesh or plain torus never
 //! looks at ruche ports), and steady-state cycling performs no heap
-//! allocation.  The [`RouterScheduler::Reference`](crate::RouterScheduler)
-//! scheduler, a plain id-order loop, is the schedule oracle that
-//! regression tests drive side by side with the production walk.
+//! allocation.  Every buffer lives in one flat store (see the
+//! [`router`](crate::router) module's hot-path layout): a forward moves a
+//! 4-byte message handle from one ring to the next, never the message.
+//! The [`RouterScheduler::Reference`](crate::RouterScheduler) scheduler, a
+//! plain id-order loop, is the schedule oracle that regression tests drive
+//! side by side with the production walk.
 //!
 //! # The calendar router scheduler
 //!
@@ -62,7 +65,7 @@
 //! plus a bitset of the stamped routers.  A head blocked on a full
 //! downstream buffer contributes no stamp: it sets its router's bit in the
 //! waiters of that one (router, port, channel) buffer, which also keep the
-//! least free flits any of their heads needs.  `Router::can_accept`
+//! least free flits any of their heads needs.  The acceptance check
 //! reads only that buffer, so only a pop from it can let the head move,
 //! and only a pop that leaves the least need free re-stamps the waiters.
 //! Stamps are lower bounds, so a due router may still commit nothing (it
@@ -98,7 +101,7 @@
 //! queue until it is injected.
 
 use crate::message::Message;
-use crate::router::{needed_flits, QueuedMessage, Router};
+use crate::router::{needed_flits, BufferStore, Router};
 use crate::stats::{NocStats, UtilizationGrid};
 use crate::topology::{Port, RoutingGrid};
 use crate::{ChannelId, NocConfig, NocError, RouterScheduler, TileId};
@@ -207,9 +210,12 @@ pub struct Network {
     config: NocConfig,
     grid: RoutingGrid,
     routers: Vec<Router>,
-    /// Non-local output ports the topology actually wires, in `Port::ALL`
-    /// order (mesh and plain torus exclude the four ruche ports).
-    forward_ports: Vec<Port>,
+    /// Every (router, port, channel) FIFO and every buffered message,
+    /// FIFOs indexed like [`Network::buffer_slot`].
+    store: BufferStore,
+    /// Non-local output ports the topology actually wires, bit `p` for
+    /// `Port::ALL[p]` (mesh and plain torus exclude the four ruche ports).
+    forward_port_mask: u32,
     /// Precomputed link destinations, `link_dest[tile * 9 + port.index()]`:
     /// the tile each output link leads to.  Dimension-ordered routing makes
     /// a buffered message's output port equal to the port it is buffered
@@ -280,7 +286,9 @@ impl Network {
     ///
     /// Panics if the configuration requests zero channels or more than
     /// [`crate::MAX_CHANNELS`] (the width of the routers' channel masks),
-    /// or zero-sized buffers (a network that can never carry a message).
+    /// zero-sized buffers (a network that can never carry a message), or
+    /// more buffer space than the flat store indexes (see
+    /// [`NocConfig::buffer_store_slots`]).
     pub fn new(config: NocConfig) -> Self {
         assert!(config.channels > 0, "at least one channel is required");
         assert!(
@@ -297,22 +305,34 @@ impl Network {
             config.ejection_buffer_flits > 0,
             "ejection buffers must hold at least one flit"
         );
+        let ring_slots = config
+            .buffer_store_slots()
+            .unwrap_or_else(|err| panic!("{err}"));
         let num_tiles = config.shape.num_tiles();
-        let routers = (0..num_tiles)
-            .map(|_| {
-                Router::new(
-                    config.channels,
-                    config.buffer_flits,
-                    config.ejection_buffer_flits,
-                )
-            })
-            .collect();
+        let routers = vec![Router::default(); num_tiles];
         let grid = RoutingGrid::new(config.shape, config.topology);
         let has_ruche = config.topology.ruche_factor().is_some();
-        let forward_ports: Vec<Port> = Port::ALL
+        let forward_port_mask = Port::ALL
             .into_iter()
             .filter(|&p| p != Port::Local && (has_ruche || !p.is_ruche()))
-            .collect();
+            .fold(0, |mask, p| mask | 1 << p.index());
+        // One FIFO per (router, port, channel) in `buffer_slot` order; a
+        // port the topology does not wire gets an empty ring.
+        let capacity = |port: Port| {
+            if port == Port::Local {
+                config.ejection_buffer_flits
+            } else if forward_port_mask & 1 << port.index() != 0 {
+                config.buffer_flits
+            } else {
+                0
+            }
+        };
+        let store = BufferStore::new((0..num_tiles).flat_map(|_| {
+            Port::ALL
+                .into_iter()
+                .flat_map(|port| std::iter::repeat_n(capacity(port), config.channels))
+        }));
+        debug_assert_eq!(store.ring_slots(), ring_slots);
         let ruche = config.topology.ruche_factor().unwrap_or(1) as isize;
         let (width, height) = (
             config.shape.width() as isize,
@@ -353,7 +373,8 @@ impl Network {
         Network {
             grid,
             routers,
-            forward_ports,
+            store,
+            forward_port_mask,
             link_dest,
             coords,
             cycle: 0,
@@ -444,7 +465,7 @@ impl Network {
     /// legitimately differs between router schedulers).
     pub fn memory_report(&self) -> NocMemoryReport {
         const FLIT_BYTES: usize = 4;
-        let per_router = (self.forward_ports.len() * self.config.buffer_flits
+        let per_router = (self.forward_port_mask.count_ones() as usize * self.config.buffer_flits
             + self.config.ejection_buffer_flits)
             * self.config.channels
             * FLIT_BYTES;
@@ -483,10 +504,16 @@ impl Network {
     }
 
     /// Number of delivered messages waiting in `tile`'s ejection buffers
-    /// across all channels, in O(1).  The tile simulator polls this instead
-    /// of scanning every channel's occupancy each cycle.
+    /// across all channels, summed over the occupied channels only.
     pub fn delivered_waiting(&self, tile: TileId) -> usize {
-        self.routers[tile].msgs_at(Port::Local) as usize
+        let mut mask = self.routers[tile].occupied_channel_mask(Port::Local);
+        let mut waiting = 0;
+        while mask != 0 {
+            let channel = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            waiting += self.store.len(self.buffer_slot(tile, Port::Local, channel));
+        }
+        waiting
     }
 
     /// Bitmask of channels with at least one delivered message waiting at
@@ -574,7 +601,8 @@ impl Network {
         let channel = message.channel();
         let (port, entering) = self.routed_port(src, dest, Dimension::None);
         let need = needed_flits(port, flits, entering, flits);
-        if self.routers[src].buffer(port, channel).free_flits() < need {
+        let slot = self.buffer_slot(src, port, channel);
+        if self.store.free_flits(slot) < need {
             self.count_injection_backpressure(src, 1);
             // The head waits for this buffer; `wake_waiters` clears the bit.
             self.blocked[src] |= 1 << channel;
@@ -589,61 +617,66 @@ impl Network {
         }
         let mut message = message;
         message.injected_at = self.cycle;
-        let queued = QueuedMessage {
-            ready_at: self.cycle,
-            message,
-        };
+        self.store.push_new(slot, message, self.cycle);
+        self.routers[src].mark_pushed(port, channel);
         self.stats.injected_messages += 1;
         if port == Port::Local {
             self.awaiting_ejection += 1;
             self.stats.delivered_messages += 1;
             self.stats.delivered_flits += flits as u64;
             self.delivered[src / 64] |= 1 << (src % 64);
-            self.routers[src].push(port, channel, queued);
         } else {
             self.in_flight_messages += 1;
             // The new message is forwardable as soon as its output link is
             // free: a fresh candidate for the router's due stamp.
             let candidate = self.cycle.max(self.routers[src].link_busy_until(port));
             self.schedule_due(src, candidate);
-            self.routers[src].push(port, channel, queued);
         }
         Ok(())
     }
 
-    /// Pops the next delivered message at `tile`, searching channels in
-    /// round-robin order. Returns `None` when the ejection buffers are
-    /// empty.
+    /// Pops the next delivered message at `tile` from its lowest occupied
+    /// channel. Returns `None` when the ejection buffers are empty.
     pub fn pop_delivered(&mut self, tile: TileId) -> Option<Message> {
-        if self.routers[tile].msgs_at(Port::Local) == 0 {
+        let mask = self.routers[tile].occupied_channel_mask(Port::Local);
+        if mask == 0 {
             return None;
         }
-        for channel in 0..self.config.channels {
-            if let Some(message) = self.pop_delivered_on(tile, channel) {
-                return Some(message);
-            }
-        }
-        None
+        self.pop_delivered_on(tile, mask.trailing_zeros() as usize)
     }
 
     /// Pops the next delivered message at `tile` on a specific channel.
+    /// Returns `None` when that ejection buffer is empty, or `channel` is
+    /// not one of the network's channels.
     pub fn pop_delivered_on(&mut self, tile: TileId, channel: ChannelId) -> Option<Message> {
-        let queued = self.routers[tile].pop(Port::Local, channel)?;
-        self.awaiting_ejection -= 1;
-        if self.routers[tile].msgs_at(Port::Local) == 0 {
-            self.delivered[tile / 64] &= !(1 << (tile % 64));
+        if channel >= self.config.channels {
+            return None;
         }
+        let slot = self.buffer_slot(tile, Port::Local, channel);
+        let message = self.store.pop(slot)?;
+        if self.store.len(slot) == 0 {
+            self.routers[tile].mark_emptied(Port::Local, channel);
+            if !self.routers[tile].port_occupied(Port::Local) {
+                self.delivered[tile / 64] &= !(1 << (tile % 64));
+            }
+        }
+        self.awaiting_ejection -= 1;
         // The freed ejection space may unblock an upstream waiter on the
         // next simulated cycle, or this tile's own self-addressed head.
         self.wake_waiters(tile, Port::Local, channel, self.cycle);
-        Some(queued.message)
+        Some(message)
     }
 
     /// Peeks at the next delivered message at `tile` on `channel` without
     /// removing it.
     pub fn peek_delivered_on(&self, tile: TileId, channel: ChannelId) -> Option<&Message> {
-        let buffer = self.routers[tile].buffer(Port::Local, channel);
-        buffer.front().map(|q| &q.message)
+        if channel >= self.config.channels {
+            return None;
+        }
+        let slot = self.buffer_slot(tile, Port::Local, channel);
+        self.store
+            .front(slot)
+            .map(|handle| self.store.message(handle))
     }
 
     /// Advances the network by one cycle: every output link that is free and
@@ -717,7 +750,8 @@ impl Network {
         }
     }
 
-    /// The index of `tile`'s `(port, channel)` buffer in `waiters`.
+    /// The index of `tile`'s `(port, channel)` buffer in `waiters` and in
+    /// the store.
     #[inline]
     fn buffer_slot(&self, tile: TileId, port: Port, channel: ChannelId) -> usize {
         (tile * Port::ALL.len() + port.index()) * self.config.channels + channel
@@ -735,8 +769,8 @@ impl Network {
     /// too little wakes no one: nobody it could wake would be able to move.
     #[inline]
     fn wake_waiters(&mut self, tile: TileId, port: Port, channel: ChannelId, stamp: u64) {
-        let free = self.routers[tile].buffer(port, channel).free_flits();
         let slot = self.buffer_slot(tile, port, channel);
+        let free = self.store.free_flits(slot);
         let waiters = self.waiters[slot];
         if waiters.neighbours != 0 && free >= usize::from(waiters.least_need) {
             self.waiters[slot] = BufferWaiters::NONE;
@@ -772,7 +806,7 @@ impl Network {
     fn cycle_reference(&mut self) {
         let now = self.cycle;
         for tile in 0..self.routers.len() {
-            if self.routers[tile].forwardable_messages() == 0 {
+            if !self.routers[tile].has_forwardable() {
                 continue;
             }
             // Mirror of the calendar walk's fault gates: a stalled router
@@ -825,14 +859,16 @@ impl Network {
             }
         }
         let mut stamp = u64::MAX;
-        for i in 0..self.forward_ports.len() {
-            let port = self.forward_ports[i];
+        // Only the occupied ports, in `Port::ALL` order: an empty port's
+        // residual link serialization was fully accounted when its last
+        // message was forwarded.  A forward changes no other port of this
+        // router (no link leads back to its own router), so one read of
+        // the mask serves the whole scan.
+        let mut ports = self.routers[tile].occupied_ports() & self.forward_port_mask;
+        while ports != 0 {
+            let port = Port::ALL[ports.trailing_zeros() as usize];
+            ports &= ports - 1;
             let router = &self.routers[tile];
-            if router.msgs_at(port) == 0 {
-                // Nothing buffered here.  Any residual link serialization was
-                // fully accounted when the occupying message was forwarded.
-                continue;
-            }
             if let Some(faults) = self.faults.as_deref() {
                 if let Some(recovery) = faults.outage_candidate(tile, port, now) {
                     // The link is blacked out: buffered messages wait until
@@ -860,8 +896,8 @@ impl Network {
     /// `stamp` to this port's next candidate cycle.
     ///
     /// This is the optimised candidate evaluation: the per-channel
-    /// occupancy mask skips empty FIFOs without touching their heap
-    /// buffers, the link destination comes from the precomputed table, and
+    /// occupancy mask skips empty FIFOs without touching the store, the
+    /// link destination comes from the precomputed table, and
     /// the downstream port is routed from cached coordinates.  The
     /// decisions it commits are bit-identical to
     /// [`Network::try_forward_reference`].
@@ -897,11 +933,8 @@ impl Network {
                     let (next_port, entering) =
                         self.routed_port(next_tile, dest, port_dimension(port));
                     let need = needed_flits(next_port, flits, entering, flits);
-                    if self.routers[next_tile]
-                        .buffer(next_port, channel)
-                        .free_flits()
-                        < need
-                    {
+                    let slot = self.buffer_slot(next_tile, next_port, channel);
+                    if self.store.free_flits(slot) < need {
                         // Blocked on a full downstream buffer: this head can
                         // only move after a pop from that buffer frees its
                         // need, so it contributes no time candidate — this
@@ -911,7 +944,6 @@ impl Network {
                         // behind the opposite port.
                         let back = port.index() ^ 1;
                         debug_assert_eq!(self.link_dest[next_tile * Port::ALL.len() + back], tile);
-                        let slot = self.buffer_slot(next_tile, next_port, channel);
                         let waiters = &mut self.waiters[slot];
                         waiters.neighbours |= 1 << back;
                         waiters.least_need = waiters.least_need.min(need as u8);
@@ -923,7 +955,7 @@ impl Network {
                     // `commit_forward` through the waiter mask).  An emptied
                     // port needs no stamp: the next push re-stamps the
                     // router with the link's free cycle.
-                    if self.routers[tile].msgs_at(port) > 0 {
+                    if self.routers[tile].port_occupied(port) {
                         *stamp = (*stamp).min(self.routers[tile].link_busy_until(port));
                     }
                     return;
@@ -968,7 +1000,8 @@ impl Network {
                 }
             };
             let bubble = flits;
-            if !self.routers[next_tile].can_accept(next_port, channel, flits, entering, bubble) {
+            let slot = self.buffer_slot(next_tile, next_port, channel);
+            if self.store.free_flits(slot) < needed_flits(next_port, flits, entering, bubble) {
                 continue;
             }
             self.commit_forward(tile, port, channel, flits, next_tile, next_port, now);
@@ -976,9 +1009,9 @@ impl Network {
         }
     }
 
-    /// Commits one forwarding decision: dequeues the message, occupies the
-    /// link, accounts busy time and traffic statistics, and enqueues the
-    /// message downstream (ejecting it if the downstream port is local).
+    /// Commits one forwarding decision: moves the message's handle to the
+    /// downstream buffer (ejecting it if the downstream port is local),
+    /// occupies the link, and accounts busy time and traffic statistics.
     #[allow(clippy::too_many_arguments)]
     fn commit_forward(
         &mut self,
@@ -990,47 +1023,46 @@ impl Network {
         next_port: Port,
         now: u64,
     ) {
-        let queued = self.routers[tile]
-            .pop(port, channel)
-            .expect("forwardable message exists");
+        let from = self.buffer_slot(tile, port, channel);
         if let Some(faults) = self.faults.as_deref_mut() {
             // Attribute the head's wait to any fault window it overlapped —
             // at the commit, the one event every scheduler agrees on.
-            faults.record_commit(tile, port, queued.ready_at, now);
+            let head = self.store.front(from).expect("forwardable message exists");
+            faults.record_commit(tile, port, self.store.ready_at(head), now);
         }
+        let serialization = flits as u64;
+        let arrival = now + serialization;
+        let to = self.buffer_slot(next_tile, next_port, channel);
+        let handle = self.store.forward(from, to, arrival);
+        if self.store.len(from) == 0 {
+            self.routers[tile].mark_emptied(port, channel);
+        }
+        self.routers[next_tile].mark_pushed(next_port, channel);
         // The freed output-buffer space may unblock an upstream waiter: it
         // contends at `now` if its id is larger than this router's, and on
         // the next cycle otherwise.
         self.wake_waiters(tile, port, channel, now);
-        let serialization = flits as u64;
-        self.routers[tile].set_link_busy_until(port, now + serialization);
-        self.routers[tile].flits_per_port[port.index()] += flits as u64;
-        self.account_busy(tile, now, now + serialization);
+        self.routers[tile].set_link_busy_until(port, arrival);
+        self.routers[tile].flits += flits as u64;
+        self.account_busy(tile, now, arrival);
 
         self.stats.flit_hops += flits as u64;
         self.stats.flit_tile_spans +=
             flits as f64 * self.config.topology.hop_wire_tiles(port.hop_kind());
 
-        let arriving = QueuedMessage {
-            ready_at: now + serialization,
-            message: queued.message,
-        };
         if next_port == Port::Local {
             self.in_flight_messages -= 1;
             self.awaiting_ejection += 1;
             self.stats.delivered_messages += 1;
             self.stats.delivered_flits += flits as u64;
-            self.stats.total_latency_cycles += now + serialization - arriving.message.injected_at;
+            self.stats.total_latency_cycles += arrival - self.store.message(handle).injected_at;
             self.delivered[next_tile / 64] |= 1 << (next_tile % 64);
-            self.routers[next_tile].push(next_port, channel, arriving);
         } else {
             // The arriving head can go once its last flit has landed and
             // the downstream link is free: a due-stamp candidate for the
             // downstream router.
-            let downstream_due =
-                (now + serialization).max(self.routers[next_tile].link_busy_until(next_port));
+            let downstream_due = arrival.max(self.routers[next_tile].link_busy_until(next_port));
             self.schedule_due(next_tile, downstream_due);
-            self.routers[next_tile].push(next_port, channel, arriving);
         }
         self.routers[tile].advance_rr(port, self.config.channels);
     }
@@ -1045,16 +1077,16 @@ impl Network {
         channel: ChannelId,
         now: u64,
     ) -> ForwardCandidate {
-        let buffer = self.routers[tile].buffer(port, channel);
-        let Some(queued) = buffer.front() else {
+        let Some(head) = self.store.front(self.buffer_slot(tile, port, channel)) else {
             return ForwardCandidate::Empty;
         };
-        if queued.ready_at > now {
-            return ForwardCandidate::ReadyAt(queued.ready_at);
+        let ready_at = self.store.ready_at(head);
+        if ready_at > now {
+            return ForwardCandidate::ReadyAt(ready_at);
         }
         ForwardCandidate::Ready {
-            flits: queued.message.len(),
-            dest: queued.message.dest(),
+            flits: self.store.flits(head),
+            dest: self.store.dest(head),
         }
     }
 
@@ -1094,10 +1126,7 @@ impl Network {
     /// Flits forwarded by every router (row-major), a contention proxy used
     /// by tests.
     pub fn flits_per_router(&self) -> Vec<u64> {
-        self.routers
-            .iter()
-            .map(|r| r.flits_per_port.iter().sum())
-            .collect()
+        self.routers.iter().map(|r| r.flits).collect()
     }
 }
 
@@ -1362,6 +1391,47 @@ mod tests {
         net.try_inject(0, Message::new(9, 0, vec![4])).unwrap();
         run_until_idle(&mut net, 1000);
         assert!(net.has_deliveries(9));
+    }
+
+    /// `pop_delivered` serves the lowest occupied ejection channel first,
+    /// whatever order the messages arrived in, and an out-of-range channel
+    /// holds nothing.
+    #[test]
+    fn pop_delivered_serves_the_lowest_occupied_channel_first() {
+        let mut net = small_net(Topology::Torus);
+        for (channel, flit) in [(2, 20), (1, 10), (2, 21), (3, 30)] {
+            net.try_inject(5, Message::new(5, channel, [flit])).unwrap();
+        }
+        assert_eq!(net.delivered_waiting(5), 4);
+        assert!(net.peek_delivered_on(5, 4).is_none());
+        assert!(net.pop_delivered_on(5, 4).is_none());
+        let order: Vec<u32> = std::iter::from_fn(|| net.pop_delivered(5))
+            .map(|m| m.payload()[0])
+            .collect();
+        assert_eq!(order, [10, 20, 21, 30]);
+        assert!(!net.has_deliveries(5));
+        assert!(net.is_idle());
+    }
+
+    /// The store's handle rings take exactly 4 host bytes per modelled
+    /// flit: a mesh and a plain torus give their unwired ruche ports no
+    /// ring.
+    #[test]
+    fn store_rings_take_four_bytes_per_modelled_flit() {
+        for topology in [
+            Topology::Mesh,
+            Topology::Torus,
+            Topology::TorusRuche { factor: 2 },
+        ] {
+            let config = NocConfig::new(GridShape::new(8, 4), topology)
+                .with_channels(3)
+                .with_buffer_flits(12)
+                .with_ejection_buffer_flits(6);
+            let net = Network::new(config.clone());
+            let slots = net.store.ring_slots();
+            assert_eq!(slots * 4, net.memory_report().buffer_bytes, "{topology:?}");
+            assert_eq!(config.buffer_store_slots(), Ok(slots), "{topology:?}");
+        }
     }
 
     #[test]

@@ -348,9 +348,11 @@ impl Simulation {
     /// declarations (structurally broken graphs under any
     /// [`crate::verify::VerifyMode`]; hazardous ones under
     /// [`crate::verify::VerifyMode::Deny`]), [`SimError::CycleLimitExceeded`]
-    /// or [`SimError::Deadlock`] if the run does not terminate, and
+    /// or [`SimError::Deadlock`] if the run does not terminate,
     /// [`SimError::UnknownKernelResource`] if the kernel's declared output
-    /// arrays do not exist.
+    /// arrays do not exist, and [`SimError::InvalidConfig`] if the NoC
+    /// buffers exceed what the network's buffer store indexes (see
+    /// [`dalorex_noc::NocConfig::buffer_store_slots`]).
     pub fn run(&self, kernel: &dyn Kernel) -> Result<SimOutcome, SimError> {
         self.run_with_engine(kernel, self.config.engine)
     }
@@ -452,6 +454,11 @@ impl Simulation {
         if let Some(armed) = self.faults.as_deref() {
             noc_config = noc_config.with_faults(armed.noc_faults.clone());
         }
+        noc_config
+            .buffer_store_slots()
+            .map_err(|err| SimError::InvalidConfig {
+                reason: err.to_string(),
+            })?;
         let mut network = Network::new(noc_config);
 
         let mut schedulers: Vec<Scheduler> = (0..num_tiles)

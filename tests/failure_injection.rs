@@ -43,6 +43,21 @@ fn zero_sized_configuration_is_rejected() {
 }
 
 #[test]
+fn buffers_the_network_store_cannot_index_are_rejected_at_run() {
+    let graph = RmatConfig::new(6, 4).seed(1).build().unwrap();
+    let config = SimConfigBuilder::new(GridConfig::square(2))
+        .noc_ejection_flits(1 << 16)
+        .build()
+        .unwrap();
+    let sim = Simulation::new(config, &graph).unwrap();
+    let err = sim.run(&BfsKernel::new(0)).unwrap_err();
+    match err {
+        SimError::InvalidConfig { reason } => assert!(reason.contains("65535"), "{reason}"),
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+}
+
+#[test]
 fn cycle_limit_is_enforced() {
     let graph = RmatConfig::new(9, 8).seed(2).build().unwrap();
     let config = SimConfigBuilder::new(GridConfig::square(2))
