@@ -265,24 +265,25 @@ impl BufferStore {
 /// Number of output ports per router (the length of [`Port::ALL`]).
 const NUM_PORTS: usize = Port::ALL.len();
 
+/// Number of links a router drives: every port but [`Port::Local`], which
+/// is last in [`Port::ALL`].
+const NUM_LINKS: usize = NUM_PORTS - 1;
+
+// `Port::index()` addresses the link arrays, and every channel fits a
+// round-robin byte.
+const _: () = assert!(Port::Local.index() == NUM_LINKS && crate::MAX_CHANNELS <= 256);
+
 /// Router state for one tile: per-port link state and occupancy masks.
 ///
 /// The state lives in inline arrays, not `Vec`s, so the whole `routers`
 /// vector of a [`crate::Network`] is one contiguous allocation; the
-/// buffers themselves live in the network's [`BufferStore`].
+/// buffers themselves live in the network's [`BufferStore`].  The local
+/// port drives no link, so the link arrays leave it out, which keeps the
+/// record at 136 bytes.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Router {
-    /// Cycle until which each output link is transmitting.
-    link_busy_until: [u64; NUM_PORTS],
-    /// Round-robin arbitration pointer per output port.
-    rr_next_channel: [u32; NUM_PORTS],
-    /// Bitmask of channels with at least one buffered message, per port
-    /// ([`crate::MAX_CHANNELS`] bits wide).  Lets the channel arbitration
-    /// skip empty FIFOs without touching the store.
-    occupied_channels: [u32; NUM_PORTS],
-    /// Bit `p` is set when port `Port::ALL[p]` buffers a message on any
-    /// channel: the ports a scan visits.
-    occupied_ports: u32,
+    /// Cycle until which each link is transmitting, by `Port::index()`.
+    link_busy_until: [u64; NUM_LINKS],
     /// Cycles in which at least one output link of this router transmitted.
     pub(crate) busy_cycles: u64,
     /// Cycle up to which `busy_cycles` already covers this router's link
@@ -290,6 +291,16 @@ pub(crate) struct Router {
     pub(crate) busy_covered_until: u64,
     /// Flits forwarded through all output ports.
     pub(crate) flits: u64,
+    /// Bitmask of channels with at least one buffered message, per port
+    /// ([`crate::MAX_CHANNELS`] bits wide).  Lets the channel arbitration
+    /// skip empty FIFOs without touching the store.
+    occupied_channels: [u32; NUM_PORTS],
+    /// Bit `p` is set when port `Port::ALL[p]` buffers a message on any
+    /// channel: the ports a scan visits.
+    occupied_ports: u32,
+    /// Round-robin arbitration pointer per link (a channel below
+    /// [`crate::MAX_CHANNELS`], so it fits a byte).
+    rr_next_channel: [u8; NUM_LINKS],
 }
 
 impl Router {
@@ -362,7 +373,7 @@ impl Router {
     #[inline]
     pub(crate) fn advance_rr(&mut self, port: Port, channels: usize) {
         let slot = &mut self.rr_next_channel[port.index()];
-        *slot = (*slot + 1) % channels as u32;
+        *slot = ((usize::from(*slot) + 1) % channels) as u8;
     }
 }
 
@@ -419,6 +430,11 @@ mod tests {
         assert!(free < needed_flits(Port::East, 6, true, 3));
         // Ejection to the local port is exempt from the bubble rule.
         assert_eq!(needed_flits(Port::Local, 6, true, 3), 6);
+    }
+
+    #[test]
+    fn router_record_is_compact() {
+        assert_eq!(std::mem::size_of::<Router>(), 136);
     }
 
     #[test]
