@@ -13,10 +13,13 @@
 //! per invocation, and any message must fit the ejection buffer to be
 //! deliverable.  [`Message`] therefore stores its payload *inline*, in a
 //! fixed `[Flit; MAX_FLITS]` array plus a length, instead of a heap `Vec`.
-//! Creating, cloning, forwarding and delivering a message never allocates;
-//! the whole per-cycle injection → hop → ejection path is heap-free.  The
-//! `dalorex-sim` engine validates at kernel-declaration time that every
-//! channel's `flits_per_message` fits [`MAX_FLITS`].
+//! Creating, cloning and delivering a message never allocates.  Inside the
+//! network a message stays in one slot of a slab whose freed slots are
+//! reused, and a hop moves only its handle (see the
+//! [`router`](crate::router) module), so the per-cycle injection → hop →
+//! ejection path allocates only when more messages are live than ever
+//! before.  The `dalorex-sim` engine validates at kernel-declaration time
+//! that every channel's `flits_per_message` fits [`MAX_FLITS`].
 
 use crate::{ChannelId, TileId};
 
