@@ -119,6 +119,7 @@ fn main() {
                     // so their rows omit the memory object entirely.
                     memory: outcome.memory.map(|r| MemoryColumns::from_report(&r)),
                     peak_rss_bytes: None,
+                    host_parallelism: None,
                     // The ablation outcome aggregates to cycles + energy
                     // (the Tesseract rungs are analytical), so no walk
                     // counters here.

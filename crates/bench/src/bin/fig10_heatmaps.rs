@@ -101,6 +101,7 @@ fn main() {
                 rejected_injections: outcome.stats.noc.total_injection_rejections(),
                 memory: Some(MemoryColumns::from_report(&outcome.memory)),
                 peak_rss_bytes: None,
+                host_parallelism: None,
                 walk: Some(WalkColumns::from_outcome(&outcome)),
             });
         }

@@ -100,6 +100,7 @@ fn main() {
         rejected_injections: baseline.stats.noc.total_injection_rejections(),
         memory: None,
         peak_rss_bytes: None,
+        host_parallelism: None,
         walk: Some(WalkColumns::from_outcome(&baseline)),
     }];
 
@@ -133,6 +134,7 @@ fn main() {
                 rejected_injections: outcome.stats.noc.total_injection_rejections(),
                 memory: None,
                 peak_rss_bytes: None,
+                host_parallelism: None,
                 walk: Some(WalkColumns::from_outcome(&outcome)),
             });
         }

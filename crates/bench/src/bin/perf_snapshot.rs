@@ -19,6 +19,8 @@
 //! Linux, absent elsewhere): the first is the memory the simulated machine
 //! would need, the second is what the simulator itself costs — the pair
 //! catches host-footprint regressions that the modeled numbers cannot see.
+//! Every row also carries the host's core count (`host_parallelism`), so
+//! a `BENCH_<n>.json` file names the host it was measured on.
 //!
 //! Two workloads run by default: a light 32x32 SSSP and the dense 64x64
 //! SSSP middle.  `--full` adds a dense 128x128 grid.
@@ -159,11 +161,12 @@ fn main() {
             rejected_injections: rejections,
             memory,
             peak_rss_bytes: peak_rss,
+            host_parallelism: Some(cores),
             walk,
         });
     }
 
-    fault_overhead_rung(&mut measurements);
+    fault_overhead_rung(&mut measurements, cores);
 
     table.print(
         &format!("Engine throughput snapshot (modelled cycles per wall-clock second, host parallelism {cores})"),
@@ -184,7 +187,7 @@ fn main() {
 /// goes first, and the median pair ratio is gated: host speed drifts over
 /// seconds, so only adjacent runs compare like with like, and alternating
 /// keeps any first-run or second-run advantage from favouring one plan.
-fn fault_overhead_rung(measurements: &mut Vec<Measurement>) {
+fn fault_overhead_rung(measurements: &mut Vec<Measurement>, cores: usize) {
     let graph = RmatConfig::new(12, 8).seed(11).build().unwrap();
     let armed: FaultPlan = "link:tile=5,start=4000000000,end=4000000100;\
                             stall:tile=9,start=4000000000,end=4000000100;\
@@ -247,6 +250,7 @@ fn fault_overhead_rung(measurements: &mut Vec<Measurement>) {
         rejected_injections: 0,
         memory: None,
         peak_rss_bytes: peak_rss_bytes(),
+        host_parallelism: Some(cores),
         walk: None,
     });
 }

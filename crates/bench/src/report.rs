@@ -192,6 +192,10 @@ pub struct Measurement {
     /// catch the simulator's own footprint regressing; the figure binaries
     /// leave it `None`.
     pub peak_rss_bytes: Option<usize>,
+    /// The host's available parallelism (its core count) when the row was
+    /// taken.  `perf_snapshot` fills it so that every `BENCH_<n>.json` row
+    /// names the host it measured; the figure binaries leave it `None`.
+    pub host_parallelism: Option<usize>,
     /// Walk-efficiency counters of the run's router scheduler, when the
     /// producing binary reports them (`None` for analytical baselines and
     /// aggregated rows).
@@ -248,6 +252,10 @@ impl Measurement {
             Some(bytes) => format!(",\"peak_rss_bytes\":{bytes}"),
             None => String::new(),
         };
+        let host = match self.host_parallelism {
+            Some(cores) => format!(",\"host_parallelism\":{cores}"),
+            None => String::new(),
+        };
         let walk = match &self.walk {
             Some(w) => format!(
                 concat!(
@@ -270,7 +278,7 @@ impl Measurement {
             concat!(
                 "{{\"experiment\":\"{}\",\"workload\":\"{}\",\"dataset\":\"{}\",",
                 "\"configuration\":\"{}\",\"cycles\":{},\"energy_j\":{},\"value\":{},",
-                "\"endpoint_drains\":{},\"rejected_injections\":{}{}{}{}}}"
+                "\"endpoint_drains\":{},\"rejected_injections\":{}{}{}{}{}}}"
             ),
             json_escape(&self.experiment),
             json_escape(&self.workload),
@@ -283,6 +291,7 @@ impl Measurement {
             self.rejected_injections,
             memory,
             peak_rss,
+            host,
             walk,
         )
     }
@@ -378,6 +387,7 @@ mod tests {
                 noc_buffer_bytes: 100,
             }),
             peak_rss_bytes: Some(4096),
+            host_parallelism: Some(2),
             walk: Some(WalkColumns {
                 routers_visited: 500,
                 routers_scanned: 40,
@@ -398,7 +408,7 @@ mod tests {
         assert!(json.contains("\"rejected_injections\":17"));
         assert!(json.contains("\"memory\":{\"modeled_bytes\":1000"));
         assert!(json.contains("\"tile_arena_bytes\":300,\"total_tiles\":16,"));
-        assert!(json.contains("\"peak_rss_bytes\":4096"));
+        assert!(json.contains("\"peak_rss_bytes\":4096,\"host_parallelism\":2,"));
         assert!(json.contains("\"walk\":{\"routers_visited\":500"));
         assert!(json.contains("\"walks_elided\":9,\"idle_scans\":6}"));
         assert!(json.contains(
@@ -424,6 +434,7 @@ mod tests {
             rejected_injections: 0,
             memory: None,
             peak_rss_bytes: None,
+            host_parallelism: None,
             walk: None,
         };
         let json = m.to_json();
@@ -431,6 +442,10 @@ mod tests {
         assert!(json.contains("\"energy_j\":null"));
         assert!(!json.contains("\"memory\""), "absent report emits no key");
         assert!(!json.contains("peak_rss"), "absent RSS emits no key");
+        assert!(
+            !json.contains("host_parallelism"),
+            "absent host emits no key"
+        );
         assert!(!json.contains("\"walk\""), "absent walk emits no key");
         assert!(!json.contains("\"work\""), "absent walk emits no work key");
     }

@@ -10,8 +10,7 @@
 //! has a *reproduction scale factor*: the generated graph keeps the original
 //! shape (degree distribution, average degree, RMAT parameters) but at a
 //! reduced vertex count.  The scale can be raised towards the paper's
-//! original sizes via [`DatasetCatalog::with_scale_shift`] or the
-//! `DALOREX_FULL` environment variable used by the bench harness.
+//! original sizes via [`DatasetCatalog::with_scale_shift`].
 
 use crate::csr::CsrGraph;
 use crate::generators::realworld::RealWorldDataset;

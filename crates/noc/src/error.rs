@@ -26,12 +26,12 @@ pub enum NocError {
     /// A message was constructed with an empty payload; a message needs at
     /// least a head flit.
     EmptyMessage,
-    /// A message is longer than a buffer can ever hold, so it could never
-    /// make progress.
+    /// A message is longer than the network carries, so it could never
+    /// make progress (see [`crate::max_message_flits`]).
     MessageTooLong {
         /// Flits in the message.
         flits: usize,
-        /// Buffer capacity in flits.
+        /// The longest message the network carries, in flits.
         capacity: usize,
     },
     /// The network configuration is invalid (e.g. zero-sized grid).
@@ -59,7 +59,7 @@ impl fmt::Display for NocError {
             NocError::EmptyMessage => write!(f, "a message must contain at least one flit"),
             NocError::MessageTooLong { flits, capacity } => write!(
                 f,
-                "message of {flits} flits can never fit a {capacity}-flit buffer"
+                "message of {flits} flits exceeds the {capacity} flits the network carries"
             ),
             NocError::InvalidConfig { reason } => {
                 write!(f, "invalid network configuration: {reason}")

@@ -70,7 +70,7 @@ mod error;
 
 pub use error::NocError;
 pub use fault::{FaultImpact, NocFaultEvent, NocFaults};
-pub use message::{Message, MAX_FLITS};
+pub use message::{max_message_flits, Message, MAX_FLITS};
 pub use network::{Network, NocMemoryReport};
 pub use stats::NocStats;
 pub use topology::{GridShape, Topology};

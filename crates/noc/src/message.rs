@@ -28,9 +28,18 @@ pub type Flit = u32;
 
 /// Maximum flits a [`Message`] can carry inline.  The paper's kernels use
 /// 2–3 flits per message; the default 16-flit router buffers bound
-/// acceptable messages to 8 flits anyway (a message needs its own length
-/// plus bubble slack).
+/// acceptable messages to 8 flits anyway (see [`max_message_flits`]).
 pub const MAX_FLITS: usize = 8;
+
+/// The longest message, in flits, a network with `buffer_flits`-flit
+/// router buffers and `ejection_buffer_flits`-flit ejection buffers
+/// carries.  A message needs its own flits plus an equal bubble in a router
+/// buffer, its flits in an ejection buffer, and at most [`MAX_FLITS`].
+/// [`crate::Network::try_inject`] rejects a longer message as
+/// [`crate::NocError::MessageTooLong`].
+pub fn max_message_flits(buffer_flits: usize, ejection_buffer_flits: usize) -> usize {
+    (buffer_flits / 2).min(ejection_buffer_flits).min(MAX_FLITS)
+}
 
 /// A message travelling through the network.  The payload lives inline (no
 /// heap allocation); see the module docs.

@@ -100,7 +100,7 @@
 //! is exact because a rejected head stays at the front of its channel
 //! queue until it is injected.
 
-use crate::message::Message;
+use crate::message::{max_message_flits, Message};
 use crate::router::{needed_flits, BufferStore, Router};
 use crate::stats::{NocStats, UtilizationGrid};
 use crate::topology::{Port, RoutingGrid};
@@ -557,7 +557,8 @@ impl Network {
     /// Returns [`Rejected`] with:
     /// * [`NocError::TileOutOfRange`] / [`NocError::ChannelOutOfRange`] for
     ///   invalid addressing,
-    /// * [`NocError::MessageTooLong`] if the message can never fit a buffer,
+    /// * [`NocError::MessageTooLong`] if the message is longer than
+    ///   [`max_message_flits`] allows, so it could never fit a buffer,
     /// * [`NocError::InjectionBackpressure`] if the first-hop buffer is
     ///   currently full.
     pub fn try_inject(&mut self, src: TileId, message: Message) -> Result<(), Rejected> {
@@ -583,16 +584,11 @@ impl Network {
             });
         }
         let flits = message.len();
-        let max_needed = flits + flits; // message plus bubble slack
-        if flits > self.config.ejection_buffer_flits || max_needed > self.config.buffer_flits {
+        let capacity =
+            max_message_flits(self.config.buffer_flits, self.config.ejection_buffer_flits);
+        if flits > capacity {
             return Err(Rejected {
-                error: NocError::MessageTooLong {
-                    flits,
-                    capacity: self
-                        .config
-                        .buffer_flits
-                        .min(self.config.ejection_buffer_flits),
-                },
+                error: NocError::MessageTooLong { flits, capacity },
                 message,
             });
         }
@@ -600,7 +596,7 @@ impl Network {
         let dest = message.dest();
         let channel = message.channel();
         let (port, entering) = self.routed_port(src, dest, Dimension::None);
-        let need = needed_flits(port, flits, entering, flits);
+        let need = needed_flits(port, flits, entering);
         let slot = self.buffer_slot(src, port, channel);
         if self.store.free_flits(slot) < need {
             self.count_injection_backpressure(src, 1);
@@ -932,7 +928,7 @@ impl Network {
                     );
                     let (next_port, entering) =
                         self.routed_port(next_tile, dest, port_dimension(port));
-                    let need = needed_flits(next_port, flits, entering, flits);
+                    let need = needed_flits(next_port, flits, entering);
                     let slot = self.buffer_slot(next_tile, next_port, channel);
                     if self.store.free_flits(slot) < need {
                         // Blocked on a full downstream buffer: this head can
@@ -999,9 +995,8 @@ impl Network {
                     (next_hop.port, entering)
                 }
             };
-            let bubble = flits;
             let slot = self.buffer_slot(next_tile, next_port, channel);
-            if self.store.free_flits(slot) < needed_flits(next_port, flits, entering, bubble) {
+            if self.store.free_flits(slot) < needed_flits(next_port, flits, entering) {
                 continue;
             }
             self.commit_forward(tile, port, channel, flits, next_tile, next_port, now);
@@ -1133,6 +1128,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultImpact, NocFaultEvent, NocFaults};
     use crate::topology::GridShape;
     use crate::Topology;
 
@@ -1779,5 +1775,86 @@ mod tests {
             2,
             "tile 0 moved on the next cycle"
         );
+    }
+
+    /// A `width`×1 mesh under `scheduler` whose routers follow `events`.
+    fn faulted_row(
+        width: usize,
+        events: Vec<NocFaultEvent>,
+        scheduler: RouterScheduler,
+    ) -> Network {
+        Network::new(
+            NocConfig::new(GridShape::new(width, 1), Topology::Mesh)
+                .with_router_scheduler(scheduler)
+                .with_faults(NocFaults { events }),
+        )
+    }
+
+    /// A stalled router freezes its forwards only: it accepts an injection
+    /// in the middle of the window, forwards nothing before the window's
+    /// end and forwards at the end.  The stall is charged one delayed
+    /// message and the cycles from the injection to the end.
+    #[test]
+    fn a_stalled_router_accepts_injections_and_forwards_at_the_window_end() {
+        for scheduler in [RouterScheduler::Calendar, RouterScheduler::Reference] {
+            let stall = NocFaultEvent::RouterStall {
+                tile: 0,
+                start: 0,
+                end: 20,
+            };
+            let mut net = faulted_row(2, vec![stall], scheduler);
+            for _ in 0..5 {
+                net.cycle();
+            }
+            net.try_inject(0, Message::new(1, 0, vec![7; 2])).unwrap();
+            while net.current_cycle() < 20 {
+                net.cycle();
+                assert_eq!(net.flits_per_router()[0], 0, "{scheduler:?}");
+            }
+            net.cycle();
+            assert_eq!(net.flits_per_router()[0], 2, "{scheduler:?}");
+            assert_eq!(
+                net.fault_impacts(),
+                &[FaultImpact {
+                    messages_delayed: 1,
+                    delayed_cycles: 20 - 5,
+                }],
+                "{scheduler:?}"
+            );
+        }
+    }
+
+    /// A link outage on one port holds that port only: the router's West
+    /// link forwards on time, and the East message goes at the window's
+    /// end.
+    #[test]
+    fn a_link_outage_holds_its_port_only() {
+        for scheduler in [RouterScheduler::Calendar, RouterScheduler::Reference] {
+            let outage = NocFaultEvent::LinkOutage {
+                tile: 1,
+                port: Some(Port::East),
+                start: 0,
+                end: 30,
+            };
+            let mut net = faulted_row(3, vec![outage], scheduler);
+            net.try_inject(1, Message::new(2, 0, vec![1; 2])).unwrap();
+            net.try_inject(1, Message::new(0, 0, vec![2; 3])).unwrap();
+            net.cycle();
+            assert_eq!(net.flits_per_router()[1], 3, "{scheduler:?}: West");
+            while net.current_cycle() < 30 {
+                net.cycle();
+            }
+            assert_eq!(net.flits_per_router()[1], 3, "{scheduler:?}: East held");
+            net.cycle();
+            assert_eq!(net.flits_per_router()[1], 5, "{scheduler:?}: East");
+            assert_eq!(
+                net.fault_impacts(),
+                &[FaultImpact {
+                    messages_delayed: 1,
+                    delayed_cycles: 30,
+                }],
+                "{scheduler:?}"
+            );
+        }
     }
 }

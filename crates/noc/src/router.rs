@@ -380,17 +380,13 @@ impl Router {
 /// The free flits a `(port, channel)` buffer needs to accept a message of
 /// `flits` under the bubble rule.  `entering_dimension` is true when the
 /// message is being injected from the local port or turning from the X to
-/// the Y dimension; such messages must leave `bubble_flits` of slack so the
-/// ring can always drain.  Ejection into the local port is exempt.
+/// the Y dimension; such messages must leave a bubble of their own length
+/// as slack so the ring can always drain.  Ejection into the local port is
+/// exempt.
 #[inline]
-pub(crate) fn needed_flits(
-    port: Port,
-    flits: usize,
-    entering_dimension: bool,
-    bubble_flits: usize,
-) -> usize {
+pub(crate) fn needed_flits(port: Port, flits: usize, entering_dimension: bool) -> usize {
     if entering_dimension && port != Port::Local {
-        flits + bubble_flits
+        2 * flits
     } else {
         flits
     }
@@ -422,14 +418,14 @@ mod tests {
     #[test]
     fn router_bubble_rule_reserves_slack_for_entering_messages() {
         let free = BufferStore::new([8]).free_flits(0);
-        // Continuing message: only its own 6 flits are needed.
-        assert_eq!(needed_flits(Port::East, 6, false, 3), 6);
-        assert!(free >= needed_flits(Port::East, 6, false, 3));
-        // Entering message: 6 + 3 bubble does not fit in 8.
-        assert_eq!(needed_flits(Port::East, 6, true, 3), 9);
-        assert!(free < needed_flits(Port::East, 6, true, 3));
+        // Continuing message: only its own 5 flits are needed.
+        assert_eq!(needed_flits(Port::East, 5, false), 5);
+        assert!(free >= needed_flits(Port::East, 5, false));
+        // Entering message: 5 + a 5-flit bubble does not fit in 8.
+        assert_eq!(needed_flits(Port::East, 5, true), 10);
+        assert!(free < needed_flits(Port::East, 5, true));
         // Ejection to the local port is exempt from the bubble rule.
-        assert_eq!(needed_flits(Port::Local, 6, true, 3), 6);
+        assert_eq!(needed_flits(Port::Local, 5, true), 5);
     }
 
     #[test]

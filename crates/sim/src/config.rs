@@ -14,6 +14,10 @@ use crate::placement::VertexPlacement;
 use crate::verify::VerifyMode;
 use dalorex_noc::{GridShape, Topology};
 
+/// Paper-default router buffer capacity per port and channel, in flits —
+/// shared with [`crate::verify::VerifyContext::paper_default`].
+pub const DEFAULT_BUFFER_FLITS: usize = 16;
+
 /// Paper-default ejection (local delivery) buffer capacity per channel, in
 /// flits — shared with [`crate::verify::VerifyContext::paper_default`].
 pub const DEFAULT_EJECTION_FLITS: usize = 64;
@@ -219,7 +223,7 @@ impl SimConfigBuilder {
                 vertex_placement: VertexPlacement::Interleaved,
                 barrier_mode: BarrierMode::Barrierless,
                 scratchpad_bytes: 4 * 1024 * 1024,
-                noc_buffer_flits: 16,
+                noc_buffer_flits: DEFAULT_BUFFER_FLITS,
                 noc_ejection_flits: DEFAULT_EJECTION_FLITS,
                 endpoint_drains_per_cycle: 1,
                 max_cycles: 200_000_000,

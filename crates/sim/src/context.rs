@@ -273,9 +273,6 @@ pub(crate) struct SimEpochContext<'a> {
     pub tiles: &'a mut [TileState],
     pub placement: &'a Placement,
     pub barrier_mode: bool,
-    /// Tiles that received new work during this epoch trigger, so the engine
-    /// can re-activate them.
-    pub woken: Vec<usize>,
 }
 
 impl EpochContext for SimEpochContext<'_> {
@@ -304,11 +301,7 @@ impl EpochContext for SimEpochContext<'_> {
     }
 
     fn push_invocation(&mut self, tile: usize, task: TaskId, words: &[u32]) -> bool {
-        let accepted = self.tiles[tile].push_iq(task, words);
-        if accepted {
-            self.woken.push(tile);
-        }
-        accepted
+        self.tiles[tile].push_iq(task, words)
     }
 
     fn barrier_mode(&self) -> bool {
@@ -504,7 +497,6 @@ mod tests {
             tiles: &mut tiles,
             placement: &placement,
             barrier_mode: true,
-            woken: Vec::new(),
         };
         assert_eq!(ctx.num_tiles(), 4);
         assert!(ctx.barrier_mode());
@@ -514,6 +506,9 @@ mod tests {
         assert_eq!(ctx.read_array(2, 0, 0), 42);
         assert_eq!(ctx.read_var(1, 0), 5);
         assert_eq!(ctx.num_local_vertices(0), 4);
-        assert_eq!(ctx.woken, vec![3]);
+        // The engine wakes the tiles that hold queued work after the
+        // trigger: only the one pushed to.
+        let queued: Vec<bool> = tiles.iter().map(TileState::has_queued_work).collect();
+        assert_eq!(queued, vec![false, false, false, true]);
     }
 }

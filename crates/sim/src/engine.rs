@@ -33,11 +33,11 @@
 //! The per-cycle tile path is allocation-free end to end, mirroring the
 //! event-driven network overhaul: queues are preallocated ring buffers
 //! ([`crate::queues::WordQueue`]), messages carry their payload inline
-//! (`dalorex_noc::Message`), idle checks read an incrementally maintained
-//! queued-word counter, the drain/inject loops walk channel-occupancy
-//! bitmasks, and the scheduler consults a task-ready bitmask updated at
-//! every queue mutation.  The pre-overhaul tile path is preserved behind
-//! `run_with_engine(kernel, Engine::Reference)` as the
+//! (`dalorex_noc::Message`), queued-work checks read an incrementally
+//! maintained queued-word counter, the drain/inject loops walk
+//! channel-occupancy bitmasks, and the scheduler consults a task-ready
+//! bitmask updated at every queue mutation.  The pre-overhaul tile path is
+//! preserved behind `run_with_engine(kernel, Engine::Reference)` as the
 //! schedule-equivalence oracle ([`Engine::Reference`], which also steps
 //! the network with its reference router scheduler); the two produce
 //! cycle-exact identical outcomes.
@@ -56,8 +56,19 @@
 //! delivery (`Network::delivered_tiles`) or an unblock
 //! (`Network::unblocked_tiles`) can change what its cycle does, and both
 //! wake it after the network cycle that caused them.  On waking it
-//! settles the rejections of every cycle it slept.  Tiles whose ready
-//! task waits only for the PU stay active.
+//! settles the rejections of every cycle it slept.
+//!
+//! # Active tiles
+//!
+//! Every per-tile fact the loop reads lives in the tile's own
+//! [`TileState`]: its PU-free cycle, its task-ready and channel-ready
+//! masks and its queued-word counter.  A tile stays in the active set only
+//! while a delivery waits for it or it has queued work; a tile whose
+//! queues are empty leaves the set even while its PU is busy.  The chip is
+//! idle, as in the paper's hierarchical idle signal, once the network is
+//! drained, no tile is active and the latest PU-free cycle has passed: a
+//! running maximum the loop updates after each tile it runs.  Tiles whose
+//! ready task waits only for the PU have queued work and stay active.
 
 use crate::area::{AreaConstants, AreaModel};
 use crate::config::{BarrierMode, Engine, SimConfig};
@@ -73,7 +84,7 @@ use crate::stats::SimStats;
 use crate::tile::{distribute_graph, TileCsr, TileInit, TileState, MAX_AUTOPOP_WORDS};
 use crate::tsu::Scheduler;
 use dalorex_graph::CsrGraph;
-use dalorex_noc::{Message, Network, NocConfig, RouterScheduler};
+use dalorex_noc::{Message, Network, NocConfig, NocError, RouterScheduler};
 
 /// Result of a completed simulation run.
 #[derive(Debug, Clone)]
@@ -136,58 +147,20 @@ impl SimOutcome {
     }
 }
 
-/// Compact per-tile snapshot the engine keeps in a dense, cache-resident
-/// array so the hot loop can prove, together with the network's dense
-/// delivery and blocked-channel bits, that a tile has no possible action
-/// this cycle — no drainable delivery, no injection attempt not already
-/// known to fail, no dispatchable task — without touching the tile's (much
-/// larger, scattered) [`TileState`] or its router.  A provably action-free
-/// tile's cycle is a no-op but for the rejections of its known-blocked
-/// channels, so skipping it cannot change the schedule; the snapshot is
-/// refreshed whenever the tile actually runs (or is woken by an epoch
-/// push), which are the only points its fields can change.
-#[derive(Debug, Clone, Copy)]
-struct HotTile {
-    /// Mirror of [`TileState::pu_busy_until`].
-    pu_busy_until: u64,
-    /// The channels whose CQ holds a full message (mirror of
-    /// [`TileState::cq_ready_mask`]).
-    cq_ready: u64,
-    /// The cycle from which the tile has been asleep — parked, out of the
-    /// active set — and `u64::MAX` while it is awake.  Each cycle it
-    /// sleeps, the oracle would attempt and see rejected every
-    /// inject-ready channel once; the wake settles those rejections.
-    asleep_since: u64,
-    /// Whether any IQ or CQ holds words (mirror of `queued_words > 0`).
-    queued: bool,
-    /// Whether any task is dispatch-eligible.
-    task_ready: bool,
+/// Whether an active tile may sleep: every inject-ready channel is known
+/// blocked (`blocked`, from [`Network::blocked_channels`]) and no task is
+/// ready, so only a pop that unblocks a channel or a delivery can change
+/// what its cycle does.  The caller has checked that no delivery waits.
+fn parks(tile: &TileState, blocked: u32) -> bool {
+    let cq_ready = tile.cq_ready_mask();
+    tile.task_ready_mask() == 0 && cq_ready != 0 && cq_ready & !u64::from(blocked) == 0
 }
 
-impl HotTile {
-    fn snapshot(tile: &TileState) -> Self {
-        HotTile {
-            pu_busy_until: tile.pu_busy_until,
-            cq_ready: tile.cq_ready_mask(),
-            asleep_since: u64::MAX,
-            queued: tile.queued_words() > 0,
-            task_ready: tile.task_ready_mask() != 0,
-        }
-    }
-
-    /// Whether the tile will still be non-idle at `cycle + 1` without
-    /// running (used when its cycle is skipped as a no-op).
-    fn nonidle_after(&self, cycle: u64) -> bool {
-        self.queued || self.pu_busy_until > cycle + 1
-    }
-
-    /// Whether the tile may sleep: every inject-ready channel is known
-    /// blocked (`blocked`, from [`Network::blocked_channels`]) and no task
-    /// is ready, so only a pop that unblocks a channel or a delivery can
-    /// change what its cycle does.  (Ready tasks waiting for a busy PU keep
-    /// the tile awake.)  The caller has checked that no delivery waits.
-    fn parks(&self, blocked: u32) -> bool {
-        !self.task_ready && self.cq_ready != 0 && self.cq_ready & !u64::from(blocked) == 0
+/// Sets the active bit (bit `t % 64` of word `t / 64`) of every tile that
+/// has queued work.
+fn activate_tiles_with_work(tiles: &[TileState], active: &mut [u64]) {
+    for tile in tiles.iter().filter(|t| t.has_queued_work()) {
+        active[tile.tile / 64] |= 1 << (tile.tile % 64);
     }
 }
 
@@ -332,9 +305,9 @@ impl Simulation {
     ///
     /// The default calendar engine simulates every cycle, like the oracle,
     /// running the allocation-free tile path — ring-buffer queue reads,
-    /// inline message payloads, O(1) idle checks and the incrementally
+    /// inline message payloads, O(1) queued-work checks and the incrementally
     /// maintained readiness masks — against the NoC's calendar router
-    /// scheduler.  An active tile whose dense snapshot and network bits
+    /// scheduler.  An active tile whose own O(1) facts and network bits
     /// prove it can neither drain, dispatch nor make an injection attempt
     /// not already known to fail is not run at all; only its channels'
     /// guaranteed injection rejections are accounted, and if it has no
@@ -346,7 +319,8 @@ impl Simulation {
     ///
     /// Returns [`SimError::Verification`] for inconsistent kernel
     /// declarations (structurally broken graphs under any
-    /// [`crate::verify::VerifyMode`]; hazardous ones under
+    /// [`crate::verify::VerifyMode`], messages longer than the configured
+    /// NoC buffers carry among them; hazardous ones under
     /// [`crate::verify::VerifyMode::Deny`]), [`SimError::CycleLimitExceeded`]
     /// or [`SimError::Deadlock`] if the run does not terminate,
     /// [`SimError::UnknownKernelResource`] if the kernel's declared output
@@ -365,6 +339,7 @@ impl Simulation {
     fn verify_kernel(&self, kernel: &dyn Kernel) -> Result<(), SimError> {
         use crate::verify::{verify_kernel, VerifyContext, VerifyMode};
         let ctx = VerifyContext {
+            buffer_flits: self.config.noc_buffer_flits,
             ejection_flits: self.config.noc_ejection_flits,
             scheduling: self.config.scheduling,
         };
@@ -466,16 +441,14 @@ impl Simulation {
             .collect();
 
         let barrier_mode = self.config.barrier_mode == BarrierMode::EpochBarrier;
-        // Dense action snapshots for the fast path's no-op skip (see
-        // `HotTile`); the reference path ignores them, preserving its
-        // pre-overhaul cost profile.
-        let mut hot: Vec<HotTile> = tiles.iter().map(HotTile::snapshot).collect();
         // The active tiles, one bit each (bit `t % 64` of word `t / 64`,
         // like the network's delivery bitset), visited in ascending tile id.
         let mut active: Vec<u64> = vec![0; num_tiles.div_ceil(64)];
-        for tile in tiles.iter().filter(|t| !t.is_idle(0)) {
-            active[tile.tile / 64] |= 1 << (tile.tile % 64);
-        }
+        activate_tiles_with_work(&tiles, &mut active);
+        // The latest cycle a PU the fast path ran is busy until.  A tile
+        // whose queues are empty leaves the active set even while its PU
+        // finishes, so global idle waits for this cycle too.
+        let mut pu_free_at: u64 = 0;
 
         let mut cycle: u64 = 0;
         let mut epochs: u64 = 0;
@@ -485,17 +458,15 @@ impl Simulation {
         let mut work = WorkCounters::default();
 
         loop {
-            // Global idle: tiles drained, network drained.
-            if network.is_idle() && active.iter().all(|&word| word == 0) {
+            // Global idle: tiles drained, PUs done, network drained.
+            if network.is_idle() && pu_free_at <= cycle && active.iter().all(|&word| word == 0) {
+                debug_assert!(tiles.iter().all(|t| !t.has_queued_work()));
                 let mut epoch_ctx = SimEpochContext {
                     tiles: &mut tiles,
                     placement: &self.placement,
                     barrier_mode,
-                    woken: Vec::new(),
                 };
-                let decision = kernel.on_global_idle(epochs as usize, &mut epoch_ctx);
-                let woken = epoch_ctx.woken;
-                match decision {
+                match kernel.on_global_idle(epochs as usize, &mut epoch_ctx) {
                     EpochDecision::Finish => break,
                     EpochDecision::Continue => {
                         epochs += 1;
@@ -508,14 +479,10 @@ impl Simulation {
                         }
                         cycle += broadcast;
                         debug_assert_eq!(network.current_cycle(), cycle);
-                        for tile in woken {
-                            // The epoch trigger pushed invocations outside
-                            // tile_cycle: refresh the action snapshot.  No
-                            // CQ holds a message at global idle, so no tile
-                            // is asleep.
-                            hot[tile] = HotTile::snapshot(&tiles[tile]);
-                            active[tile / 64] |= 1 << (tile % 64);
-                        }
+                        // No tile holds work at global idle, so the tiles
+                        // with queued work are exactly those the trigger
+                        // fed.
+                        activate_tiles_with_work(&tiles, &mut active);
                         // A kernel that keeps answering Continue without
                         // scheduling work would spin forever; treat it as a
                         // deadlock after the watchdog window.
@@ -580,64 +547,59 @@ impl Simulation {
                         }
                         continue;
                     }
-                    let h = &mut hot[t];
-                    let ready_channels = u64::from(h.cq_ready.count_ones());
-                    if h.asleep_since != u64::MAX {
+                    let tile = &mut tiles[t];
+                    let ready_channels = u64::from(tile.cq_ready_mask().count_ones());
+                    if tile.asleep_since != u64::MAX {
                         // Woken by a delivery or an unblock: settle the
                         // rejections of the cycles it slept through, one
                         // per inject-ready channel per cycle, as the oracle
                         // counted them.
                         network.count_injection_backpressure(
                             t,
-                            (cycle - h.asleep_since) * ready_channels,
+                            (cycle - tile.asleep_since) * ready_channels,
                         );
-                        h.asleep_since = u64::MAX;
+                        tile.asleep_since = u64::MAX;
                     }
-                    // No-op skip: when the dense snapshots prove the tile
-                    // can neither drain, dispatch nor make an injection
-                    // attempt that is not already known to fail, running
-                    // `tile_cycle` would change nothing but the rejection
-                    // statistics — keep, park or drop the tile without
-                    // touching its state or its router, and account those
-                    // statistics directly.  The service order of the tiles
-                    // that do act cannot change the schedule: between two
-                    // network cycles a tile's calls touch only its own
-                    // router, and routers arbitrate in tile-id order.
-                    let dispatchable = h.pu_busy_until <= cycle && h.task_ready;
-                    let blocked = network.blocked_channels(t);
+                    // No-op skip: when the tile's O(1) facts and the
+                    // network's bits prove it can neither drain, dispatch
+                    // nor make an injection attempt that is not already
+                    // known to fail, running `tile_cycle` would change
+                    // nothing but the rejection statistics: every
+                    // inject-ready channel is known blocked, and the oracle
+                    // would attempt and fail each one once.  The service
+                    // order of the tiles that do act cannot change the
+                    // schedule: between two network cycles a tile's calls
+                    // touch only its own router, and routers arbitrate in
+                    // tile-id order.
+                    let dispatchable = tile.pu_busy_until <= cycle && tile.task_ready_mask() != 0;
                     if !network.has_deliveries(t)
                         && !dispatchable
-                        && h.cq_ready & !u64::from(blocked) == 0
+                        && tile.cq_ready_mask() & !u64::from(network.blocked_channels(t)) == 0
                     {
-                        // Every inject-ready channel is known blocked: the
-                        // oracle would attempt and fail each one once.
                         network.count_injection_backpressure(t, ready_channels);
-                        if h.parks(blocked) {
-                            h.asleep_since = cycle + 1;
-                        } else if h.nonidle_after(cycle) {
-                            *slot |= 1 << bit;
-                        }
-                        continue;
+                    } else {
+                        work.tile_cycles_run += 1;
+                        self.tile_cycle(
+                            kernel,
+                            &tasks,
+                            &channels,
+                            tile,
+                            &mut schedulers[t],
+                            &mut network,
+                            barrier_mode,
+                            cycle,
+                            &mut total_dispatches,
+                            &mut work,
+                        );
+                        pu_free_at = pu_free_at.max(tile.pu_busy_until);
                     }
-                    work.tile_cycles_run += 1;
-                    self.tile_cycle(
-                        kernel,
-                        &tasks,
-                        &channels,
-                        &mut tiles[t],
-                        &mut schedulers[t],
-                        &mut network,
-                        barrier_mode,
-                        cycle,
-                        &mut total_dispatches,
-                        &mut work,
-                    );
-                    hot[t] = HotTile::snapshot(&tiles[t]);
+                    // Keep, park or drop the tile.  A busy PU alone does
+                    // not keep it: global idle waits for `pu_free_at`.
                     if network.has_deliveries(t) {
                         *slot |= 1 << bit;
-                    } else if hot[t].parks(network.blocked_channels(t)) {
-                        hot[t].asleep_since = cycle + 1;
-                    } else if !tiles[t].is_idle(cycle + 1) {
+                    } else if parks(tile, network.blocked_channels(t)) {
+                        tile.asleep_since = cycle + 1;
+                    } else if tile.has_queued_work() {
                         *slot |= 1 << bit;
                     }
                 }
@@ -677,7 +639,7 @@ impl Simulation {
 
         // A sleeping tile's blocked channel waits on a buffer that holds a
         // message, so none sleeps once the network is idle.
-        debug_assert!(hot.iter().all(|h| h.asleep_since == u64::MAX));
+        debug_assert!(tiles.iter().all(|t| t.asleep_since == u64::MAX));
         self.finish_outcome(kernel, &arrays, &tiles, &network, cycle, epochs, work)
     }
 
@@ -945,9 +907,11 @@ impl Simulation {
                         progressed = true;
                     }
                     Err(rejected) => {
-                        // The router applied back-pressure: restore the
-                        // message at the head of this CQ and park the
-                        // channel.
+                        // The router applied back-pressure (the verifier's
+                        // V010 keeps every message within what the network
+                        // carries): restore the message at the head of this
+                        // CQ and park the channel.
+                        debug_assert_eq!(rejected.error, NocError::InjectionBackpressure);
                         tile.restore_cq_front(channel, rejected.message.payload());
                         parked |= 1u64 << channel;
                     }
@@ -1097,6 +1061,7 @@ impl Simulation {
                         progressed = true;
                     }
                     Err(rejected) => {
+                        debug_assert_eq!(rejected.error, NocError::InjectionBackpressure);
                         tile.restore_cq_front(channel, rejected.message.payload());
                         rejected_channels |= 1u64 << channel;
                     }
@@ -1464,6 +1429,66 @@ mod tests {
         ) -> EpochDecision {
             EpochDecision::Continue
         }
+    }
+
+    // Tile 0's one invocation keeps its PU busy for about 1,000 cycles and
+    // queues nothing: the tile's last work is its PU's.
+    struct LongTaskKernel;
+
+    impl Kernel for LongTaskKernel {
+        fn name(&self) -> &str {
+            "long-task"
+        }
+        fn tasks(&self) -> Vec<TaskDecl> {
+            vec![TaskDecl::new("t", 8, TaskParams::AutoPop(1))]
+        }
+        fn channels(&self) -> Vec<ChannelDecl> {
+            vec![]
+        }
+        fn arrays(&self) -> Vec<LocalArrayDecl> {
+            vec![]
+        }
+        fn output_arrays(&self) -> Vec<&'static str> {
+            vec![]
+        }
+        fn bootstrap(&self, ctx: &mut dyn crate::kernel::BootstrapContext) {
+            if ctx.tile() == 0 {
+                assert!(ctx.push_invocation(0, &[0]));
+            }
+        }
+        fn execute(
+            &self,
+            _task: crate::kernel::TaskId,
+            _params: &[u32],
+            ctx: &mut dyn crate::kernel::TaskContext,
+        ) {
+            ctx.charge_ops(1_000);
+        }
+        fn on_global_idle(
+            &self,
+            _epoch: usize,
+            _ctx: &mut dyn crate::kernel::EpochContext,
+        ) -> EpochDecision {
+            EpochDecision::Finish
+        }
+    }
+
+    #[test]
+    fn a_tile_with_only_a_busy_pu_leaves_the_active_set() {
+        let graph = tiny_graph();
+        let sim = Simulation::new(tiny_config(), &graph).unwrap();
+        let outcome = sim.run(&LongTaskKernel).unwrap();
+        let oracle = sim
+            .run_with_engine(&LongTaskKernel, Engine::Reference)
+            .unwrap();
+        // Global idle waits for the PU, exactly as the oracle's does.
+        assert!(outcome.cycles > 1_000, "{} cycles", outcome.cycles);
+        assert_eq!(outcome.cycles, oracle.cycles);
+        assert_eq!(outcome.stats, oracle.stats);
+        // The oracle visits the tile on every cycle its PU is busy; the
+        // engine only while it has queued work.
+        assert!(oracle.work.tile_visits > 1_000, "{:?}", oracle.work);
+        assert!(outcome.work.tile_visits <= 2, "{:?}", outcome.work);
     }
 
     #[test]

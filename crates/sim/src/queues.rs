@@ -15,7 +15,7 @@
 //! [`WordQueue`] is a *descriptor*: an `(offset, capacity)` window into a
 //! tile's scratchpad arena plus head/length registers — exactly the paper's
 //! hardware picture, where the queue region is carved out of the tile
-//! scratchpad and only the registers live in the TSU.  The descriptor is 20
+//! scratchpad and only the registers live in the TSU.  The descriptor is 16
 //! bytes and owns no storage; every operation that touches queued words
 //! takes the tile's arena slab as a parameter, while occupancy/threshold
 //! reads (`len`, `free`, the priority triggers) are register-only and need
@@ -43,8 +43,6 @@ pub struct WordQueue {
     head: u32,
     /// Number of words currently queued.
     len: u32,
-    /// High-water mark, for statistics.
-    max_occupancy: u32,
 }
 
 impl WordQueue {
@@ -68,18 +66,12 @@ impl WordQueue {
             cap: capacity_words as u32,
             head: 0,
             len: 0,
-            max_occupancy: 0,
         }
     }
 
     /// Capacity in words.
     pub fn capacity(&self) -> usize {
         self.cap as usize
-    }
-
-    /// First slab index of this queue's window (arena-layout accounting).
-    pub fn offset(&self) -> usize {
-        self.off as usize
     }
 
     /// Current occupancy in words.
@@ -111,11 +103,6 @@ impl WordQueue {
     /// integer arithmetic.
     pub fn at_most_one_quarter_full(&self) -> bool {
         4 * self.len as u64 <= self.cap as u64
-    }
-
-    /// Highest occupancy observed so far, in words.
-    pub fn max_occupancy(&self) -> usize {
-        self.max_occupancy as usize
     }
 
     /// Whether an invocation of `words` words would fit right now.
@@ -157,7 +144,6 @@ impl WordQueue {
             tail = self.wrap(tail + 1);
         }
         self.len += invocation.len() as u32;
-        self.max_occupancy = self.max_occupancy.max(self.len);
         true
     }
 
@@ -239,7 +225,6 @@ impl WordQueue {
             at = self.wrap(at + 1);
         }
         self.len += words.len() as u32;
-        self.max_occupancy = self.max_occupancy.max(self.len);
     }
 
     /// Iterates the queued words front to back (a test/debug convenience;
@@ -353,7 +338,6 @@ mod tests {
         q.try_push(&mut s, &[1, 2, 3, 4]);
         q.pop_word(&s);
         q.try_push(&mut s, &[5]);
-        assert_eq!(q.max_occupancy(), 4);
         assert_eq!(q.len(), 4);
         assert_eq!(q.free(), 6);
     }
@@ -420,12 +404,11 @@ mod tests {
         b.try_push(&mut sb, &[0, 1]);
         b.pop_word(&sb);
         b.try_push(&mut sb, &[2]);
-        // Same logical content and high-water mark, different head index.
+        // Same logical content, different head index.
         assert_eq!(
             a.iter(&sa).collect::<Vec<_>>(),
             b.iter(&sb).collect::<Vec<_>>()
         );
-        assert_eq!(a.max_occupancy(), b.max_occupancy());
         a.pop_word(&sa);
         assert!(a.iter(&sa).ne(b.iter(&sb)));
     }
@@ -445,7 +428,7 @@ mod tests {
     fn descriptor_is_compact() {
         // The whole point of the descriptor form: per-queue metadata is a
         // handful of u32 registers, not an owning allocation.
-        assert_eq!(std::mem::size_of::<WordQueue>(), 20);
+        assert_eq!(std::mem::size_of::<WordQueue>(), 16);
     }
 
     #[test]

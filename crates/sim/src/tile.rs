@@ -26,8 +26,8 @@
 //! [`TileState`] is on the engine's per-tile per-cycle path, so it answers
 //! the TSU's standing questions in O(1) instead of rescanning queues:
 //!
-//! * **Idle?** — a single queued-word counter, maintained at every queue
-//!   mutation, makes [`TileState::is_idle`] a counter-and-comparison.
+//! * **Queued work?** — a single queued-word counter, maintained at every
+//!   queue mutation, makes [`TileState::has_queued_work`] a counter test.
 //! * **Which task can dispatch?** — a per-tile *task-ready bitmask* (bit
 //!   `t` set when task `t` satisfies [`crate::tsu::Scheduler::is_eligible`])
 //!   is updated at the mutation points; the scheduler walks set bits
@@ -356,6 +356,12 @@ pub struct TileState {
     cqs: Box<[WordQueue]>,
     /// Cycle until which the PU is busy with the current task.
     pub pu_busy_until: u64,
+    /// The cycle from which the engine has let the tile sleep (every
+    /// inject-ready channel known blocked, no task ready, out of the
+    /// active set), and `u64::MAX` while it is awake.  Each cycle it
+    /// sleeps, the oracle would attempt and see rejected every inject-ready
+    /// channel once; the wake settles those rejections.
+    pub(crate) asleep_since: u64,
     /// Activity counters.
     pub counters: TileCounters,
     /// Total words queued across every IQ and CQ (the O(1) idle signal).
@@ -451,6 +457,7 @@ impl TileState {
             iqs,
             cqs,
             pu_busy_until: 0,
+            asleep_since: u64::MAX,
             counters,
             queued_words: 0,
             task_ready: 0,
@@ -485,11 +492,6 @@ impl TileState {
     /// Bitmask of channels whose CQ holds at least one full message.
     pub fn cq_ready_mask(&self) -> u64 {
         self.cq_ready
-    }
-
-    /// Total words queued across all IQs and CQs.
-    pub fn queued_words(&self) -> usize {
-        self.queued_words
     }
 
     /// The head word of task `task`'s IQ without consuming it.
@@ -672,13 +674,12 @@ impl TileState {
         }
     }
 
-    /// Whether the tile has any queued work (non-empty IQ or CQ) or a busy
-    /// PU at `cycle`, in O(1) via the incrementally maintained queued-word
-    /// counter.  Used by the engine's active-tile tracking and by the
-    /// hierarchical idle signal for termination.
-    pub fn is_idle(&self, cycle: u64) -> bool {
+    /// Whether any IQ or CQ holds words, in O(1) via the incrementally
+    /// maintained queued-word counter.  The engine keeps a tile active
+    /// while it has queued work (or a delivery waits for it).
+    pub fn has_queued_work(&self) -> bool {
         debug_assert_eq!(self.queued_words == 0, self.scan_queues_empty());
-        self.pu_busy_until <= cycle && self.queued_words == 0
+        self.queued_words > 0
     }
 
     /// The pre-overhaul idle check, scanning every queue — preserved for
@@ -800,8 +801,8 @@ mod tests {
         assert_eq!(state.iqs().len(), 2);
         assert_eq!(state.cqs().len(), 1);
         assert_eq!(state.counters.task_invocations, vec![0, 0]);
-        // Empty queues: idle, and nothing ready.
-        assert!(state.is_idle(0));
+        // Empty queues: no work, and nothing ready.
+        assert!(!state.has_queued_work());
         assert_eq!(state.task_ready_mask(), 0);
         assert_eq!(state.cq_ready_mask(), 0);
         // The arena holds exactly the modelled scratchpad image: 20 array
@@ -813,38 +814,39 @@ mod tests {
     fn tile_is_not_idle_with_queued_work_or_busy_pu() {
         let placement = Placement::new(2, 10, 20, VertexPlacement::Chunked);
         let mut state = build(0, &placement, &test_decls(), 0);
-        assert!(state.is_idle(5));
+        assert!(!state.has_queued_work() && state.is_idle_scan(5));
         state.push_iq(0, &[7]);
-        assert!(!state.is_idle(5));
+        assert!(state.has_queued_work());
         assert!(!state.is_idle_scan(5));
         state.pop_iq_word(0);
         state.pu_busy_until = 10;
-        assert!(!state.is_idle(5));
-        assert!(state.is_idle(10));
-        assert_eq!(state.is_idle_scan(10), state.is_idle(10));
+        // A busy PU is not queued work, but the scanning check waits for it.
+        assert!(!state.has_queued_work());
+        assert!(!state.is_idle_scan(5));
+        assert!(state.is_idle_scan(10));
     }
 
     #[test]
     fn queue_mutations_keep_the_word_counter_exact() {
         let placement = Placement::new(2, 10, 20, VertexPlacement::Chunked);
         let mut state = build(0, &placement, &test_decls(), 0);
-        assert_eq!(state.queued_words(), 0);
+        assert_eq!(state.queued_words, 0);
         assert!(state.push_iq(1, &[1, 2]));
         assert!(state.push_cq(0, &[3, 4]));
-        assert_eq!(state.queued_words(), 4);
+        assert_eq!(state.queued_words, 4);
         let mut buf = [0u32; 2];
         assert!(state.pop_cq_into(0, 2, &mut buf));
         assert_eq!(buf, [3, 4]);
-        assert_eq!(state.queued_words(), 2);
+        assert_eq!(state.queued_words, 2);
         state.restore_cq_front(0, &buf);
-        assert_eq!(state.queued_words(), 4);
+        assert_eq!(state.queued_words, 4);
         let mut buf = [0u32; 2];
         assert!(state.pop_cq_into(0, 2, &mut buf));
         assert_eq!(buf, [3, 4]);
         assert!(state.pop_iq_into(1, 2, &mut buf));
         assert_eq!(buf, [1, 2]);
-        assert_eq!(state.queued_words(), 0);
-        assert!(state.is_idle(0));
+        assert_eq!(state.queued_words, 0);
+        assert!(!state.has_queued_work());
     }
 
     #[test]

@@ -201,6 +201,9 @@ impl fmt::Display for VerifyReport {
 /// Inputs the verifier needs beyond the declarations themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyContext {
+    /// Per-channel router buffer capacity in flits
+    /// ([`crate::SimConfig::noc_buffer_flits`]).
+    pub buffer_flits: usize,
     /// Per-channel ejection-buffer capacity in flits
     /// ([`crate::SimConfig::noc_ejection_flits`]).
     pub ejection_flits: usize,
@@ -214,6 +217,7 @@ impl VerifyContext {
     /// Context matching the paper-default simulator configuration.
     pub fn paper_default() -> Self {
         VerifyContext {
+            buffer_flits: crate::config::DEFAULT_BUFFER_FLITS,
             ejection_flits: crate::config::DEFAULT_EJECTION_FLITS,
             scheduling: SchedulingPolicy::OccupancyPriority,
         }
@@ -472,16 +476,17 @@ fn structural_pass(
             );
             continue;
         }
-        if channel.flits_per_message > ctx.ejection_flits
-            || channel.flits_per_message > dalorex_noc::MAX_FLITS
-        {
+        let longest = dalorex_noc::max_message_flits(ctx.buffer_flits, ctx.ejection_flits);
+        if channel.flits_per_message > longest {
             error(
                 "V010",
                 subject.clone(),
                 format!(
-                    "messages of {} flits exceed the ejection buffer ({} flits) or the \
-                     network's inline payload capacity ({} flits)",
+                    "messages of {} flits exceed the {longest} flits the network carries \
+                     (a message plus an equal bubble in a {}-flit router buffer, a {}-flit \
+                     ejection buffer, at most {} inline flits)",
                     channel.flits_per_message,
+                    ctx.buffer_flits,
                     ctx.ejection_flits,
                     dalorex_noc::MAX_FLITS
                 ),
@@ -1067,7 +1072,9 @@ mod tests {
             &ctx(),
         );
         assert_eq!(codes(&report), vec!["V009"]);
-        // V010: message larger than the ejection buffer.
+        // V010: message longer than the network carries: beyond the
+        // ejection buffer, or without room for its bubble in a router
+        // buffer.
         let huge = ctx().ejection_flits + 1;
         let report = verify_decls(
             "t",
@@ -1082,6 +1089,16 @@ mod tests {
             &ctx(),
         );
         assert!(report.has_code("V010"), "{report}");
+        let three_flits = [ChannelDecl::new("c", 0, ArraySpace::Vertex, 3, 8)];
+        let three_word_task = [TaskDecl::new("a", 8, TaskParams::AutoPop(3))];
+        for (buffer_flits, fires) in [(5, true), (6, false)] {
+            let ctx = VerifyContext {
+                buffer_flits,
+                ..ctx()
+            };
+            let report = verify_decls("t", &three_word_task, &three_flits, &ctx);
+            assert_eq!(report.has_code("V010"), fires, "{buffer_flits}: {report}");
+        }
         // V011: CQ below one message.
         let report = verify_decls(
             "t",

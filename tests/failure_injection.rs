@@ -3,7 +3,8 @@
 //! producing silently wrong results.
 
 use dalorex::graph::generators::rmat::RmatConfig;
-use dalorex::kernels::BfsKernel;
+use dalorex::graph::reference;
+use dalorex::kernels::{BfsKernel, SsspKernel};
 use dalorex::sim::config::{GridConfig, SimConfigBuilder};
 use dalorex::sim::kernel::{
     BootstrapContext, ChannelDecl, EpochContext, EpochDecision, Kernel, LocalArrayDecl,
@@ -55,6 +56,30 @@ fn buffers_the_network_store_cannot_index_are_rejected_at_run() {
         SimError::InvalidConfig { reason } => assert!(reason.contains("65535"), "{reason}"),
         other => panic!("expected InvalidConfig, got {other:?}"),
     }
+}
+
+/// A router buffer must hold a message plus an equal bubble, so 5-flit
+/// buffers can never take SSSP's 3-flit CQ1 messages.  The verifier
+/// rejects the configuration as V010 before the first cycle instead of
+/// letting every injection fail until the watchdog reports a deadlock.
+/// Buffers of 6 flits run.
+#[test]
+fn router_buffers_too_small_for_a_kernels_messages_fail_verification() {
+    let graph = RmatConfig::new(8, 8).seed(1).build().unwrap();
+    let sim = |buffer_flits| {
+        let config = SimConfigBuilder::new(GridConfig::square(4))
+            .noc_buffer_flits(buffer_flits)
+            .build()
+            .unwrap();
+        Simulation::new(config, &graph).unwrap()
+    };
+    match sim(5).run(&SsspKernel::new(0)).unwrap_err() {
+        SimError::Verification { report } => assert!(report.has_code("V010"), "{report}"),
+        other => panic!("expected a V010 verification error, got {other}"),
+    }
+    let outcome = sim(6).run(&SsspKernel::new(0)).unwrap();
+    let distances = reference::sssp(&graph, 0);
+    assert_eq!(outcome.output.as_u32_array("value"), distances.distances());
 }
 
 #[test]

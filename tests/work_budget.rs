@@ -93,7 +93,7 @@ fn golden_work_16x16_sssp() {
     assert_work(
         &outcome,
         Work {
-            tile_visits: 208_214,
+            tile_visits: 167_461,
             tile_cycles_run: 72_636,
             injection_attempts: 33_559,
             routers_visited: 376_789,
@@ -111,7 +111,7 @@ fn golden_work_32x32_sssp() {
     assert_work(
         &outcome,
         Work {
-            tile_visits: 1_085_926,
+            tile_visits: 864_521,
             tile_cycles_run: 455_138,
             injection_attempts: 255_921,
             routers_visited: 4_559_043,
@@ -129,7 +129,7 @@ fn golden_work_16x16_faulted_pagerank_barrier() {
     assert_work(
         &outcome,
         Work {
-            tile_visits: 180_866,
+            tile_visits: 141_771,
             tile_cycles_run: 68_378,
             injection_attempts: 34_952,
             routers_visited: 274_516,
@@ -147,7 +147,7 @@ fn golden_work_32x32_faulted_pagerank_barrier() {
     assert_work(
         &outcome,
         Work {
-            tile_visits: 736_201,
+            tile_visits: 496_311,
             tile_cycles_run: 314_776,
             injection_attempts: 190_679,
             routers_visited: 2_516_530,
